@@ -18,15 +18,10 @@ from .kb import validate
 from .kbparse import KbSyntaxError, parse_kb
 from .ltl import optimize, to_infix, parse_infix, has_past, InfixSyntaxError
 from .oracle import ltl_sat, z_sat
-from .pipeline import (
-    CHECK_SUBFORMULA_BOUND,
-    check_kb,
-    run_pipeline,
-    run_profile_on_trace,
-)
+from .pipeline import CHECK_SUBFORMULA_BOUND, check_kb, run_pipeline, solver_formula
 from .qtl import FlowViolation, qtl_to_text
 from .randgen import BatchSpec, generate_instance, write_batch
-from .solvers import emit_infix, emit_smv, load_profiles
+from .solvers import emit_infix, emit_smv, load_profiles, run_solver
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -76,9 +71,9 @@ def cmd_translate(args: argparse.Namespace) -> int:
     elif args.to == "ltl":
         text = to_infix(trace.past_free)
     elif args.to == "smv":
-        text = emit_smv(trace.past_free)
+        text = emit_smv(solver_formula(trace))
     else:  # infix
-        text = emit_infix(trace.past_free)
+        text = emit_infix(solver_formula(trace))
     _write_out(text, args.out)
     if args.emit_trace:
         with open(args.emit_trace, "w", encoding="utf-8") as fh:
@@ -178,15 +173,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         t0 = time.monotonic()
         trace = run_pipeline(kb, args.flow)
-        return trace, (time.monotonic() - t0) * 1000.0
+        translate_ms = (time.monotonic() - t0) * 1000.0
+        return trace, solver_formula(trace), translate_ms
 
     def solve(job):
         # every profile — the oracle included — runs as a subprocess, so
         # the limits protect the harness from explosive instances
-        trace, translate_ms, name = job
-        res = run_profile_on_trace(
-            trace,
+        formula, name = job
+        res = run_solver(
             profiles[name],
+            formula,
             cpu_seconds=args.cpu_seconds,
             memory_bytes=args.memory_bytes,
             keep_artifacts=args.keep_artifacts,
@@ -197,14 +193,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
             for index in range(spec.F):
                 try:
-                    trace, translate_ms = translate(index)
+                    trace, formula, translate_ms = translate(index)
                 except Exception as e:
                     for name in solver_names:
                         _bench_row(writer, spec, args, index, None, 0.0, name, "FAIL", 0.0, 0)
                         out_fh.flush()
                     print(f"instance {index}: translation failed: {e}", file=sys.stderr)
                     continue
-                jobs = [(trace, translate_ms, name) for name in solver_names]
+                jobs = [(formula, name) for name in solver_names]
                 for name, verdict, cpu_ms, mem in pool.map(solve, jobs):
                     _bench_row(writer, spec, args, index, trace, translate_ms, name, verdict, cpu_ms, mem)
                     out_fh.flush()

@@ -24,7 +24,6 @@ from .ltl import (
     Ltl,
     LFalse,
     conj,
-    count_props,  # re-exported: proposition counting lives with the AST
     gc_paused,
 )
 from .qtl import (
@@ -46,7 +45,7 @@ from .qtl import (
     Var,
 )
 
-__all__ = ["GroundingContext", "ground", "count_props"]
+__all__ = ["GroundingContext", "ground"]
 
 
 @dataclass(frozen=True, slots=True)

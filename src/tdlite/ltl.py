@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 
 class Ltl:
@@ -105,12 +105,8 @@ def gc_paused() -> Iterator[None]:
 
 # --- constructors -----------------------------------------------------------
 
-def lnot(a: Ltl) -> Ltl:
-    return LNot(a)
-
-
-def land(a: Ltl, b: Ltl) -> Ltl:
-    return LAnd(a, b)
+def _negated(x: Ltl) -> Ltl:
+    return x.arg if isinstance(x, LNot) else LNot(x)
 
 
 def lor(a: Ltl, b: Ltl) -> Ltl:
@@ -118,7 +114,9 @@ def lor(a: Ltl, b: Ltl) -> Ltl:
 
 
 def implies(a: Ltl, b: Ltl) -> Ltl:
-    return LNot(LAnd(a, LNot(b)))
+    """¬(a ∧ ¬b), where a negated b gives up its negation instead of
+    gaining a second one."""
+    return LNot(LAnd(a, _negated(b)))
 
 
 def iff(a: Ltl, b: Ltl) -> Ltl:
@@ -188,16 +186,16 @@ def has_past(f: Ltl) -> bool:
     return any(isinstance(n, _PAST) for n in iter_nodes(f))
 
 
-def structural_index(f: Ltl) -> tuple[dict[int, int], list[Ltl]]:
-    """Hash-cons the formula: map id(node) -> uid, plus one representative
-    node per uid in bottom-up (children-first) discovery order.
+def _intern(
+    f: Ltl, uid_of: dict[int, int], key_to_uid: dict[tuple, int], reps: list[Ltl]
+) -> int:
+    """Hash-cons f into the given tables and return its uid.
 
-    Structurally equal subformulas receive the same uid even when they are
-    distinct objects, which is what the past-elimination table needs.
+    Structurally equal nodes get the same uid even when they are distinct
+    objects; `reps` gets one representative per uid, children first.  The
+    tables are keyed on node identity, so every node object is keyed once
+    however many calls share them, and must stay alive while they are used.
     """
-    uid_of: dict[int, int] = {}
-    key_to_uid: dict[tuple, int] = {}
-    reps: list[Ltl] = []
     stack: list[tuple[Ltl, bool]] = [(f, False)]
     while stack:
         n, done = stack.pop()
@@ -220,28 +218,20 @@ def structural_index(f: Ltl) -> tuple[dict[int, int], list[Ltl]]:
             key_to_uid[key] = uid
             reps.append(n)
         uid_of[id(n)] = uid
+    return uid_of[id(f)]
+
+
+def structural_index(f: Ltl) -> tuple[dict[int, int], list[Ltl]]:
+    """Hash-cons the formula: map id(node) -> uid, plus one representative
+    node per uid in bottom-up (children-first) discovery order.
+
+    Structurally equal subformulas receive the same uid even when they are
+    distinct objects, which is what the past-elimination table needs.
+    """
+    uid_of: dict[int, int] = {}
+    reps: list[Ltl] = []
+    _intern(f, uid_of, {}, reps)
     return uid_of, reps
-
-
-def map_formula(f: Ltl, leaf: Callable[[Ltl], Ltl]) -> Ltl:
-    """Rebuild f bottom-up with `leaf` applied to LProp/LFalse nodes."""
-    memo: dict[int, Ltl] = {}
-    stack: list[tuple[Ltl, bool]] = [(f, False)]
-    while stack:
-        n, done = stack.pop()
-        if id(n) in memo:
-            continue
-        kids = _children(n)
-        if not done and kids:
-            stack.append((n, True))
-            stack.extend((k, False) for k in kids)
-            continue
-        if not kids:
-            memo[id(n)] = leaf(n)
-        else:
-            new_kids = tuple(memo[id(k)] for k in kids)
-            memo[id(n)] = type(n)(*new_kids)
-    return memo[id(f)]
 
 
 # --- simplification ---------------------------------------------------------
@@ -258,10 +248,6 @@ def _spine_conjuncts(f: Ltl) -> list[Ltl]:
         else:
             out.append(n)
     return out
-
-
-def _negated(x: Ltl) -> Ltl:
-    return x.arg if isinstance(x, LNot) else LNot(x)
 
 
 def _merge_siblings(parts: list[Ltl]) -> list[Ltl]:
@@ -320,8 +306,13 @@ def simplify(f: Ltl) -> Ltl:
     """Sound shrinking: double-negation elimination, conjunction flattening
     with structural deduplication, sibling box/next merging, truth/falsum
     propagation, idempotent eventually.  Preserves equivalence.
+
+    A conjunct is dropped when it is structurally equal to an earlier one
+    of the same spine, also when the two are distinct objects; every output
+    node is keyed once, so deduplication walks no subtree twice.
     """
     memo: dict[int, Ltl] = {}
+    index: tuple[dict, dict, list] = ({}, {}, [])
 
     def is_true(n: Ltl) -> bool:
         return isinstance(n, LNot) and isinstance(n.arg, LFalse)
@@ -340,7 +331,7 @@ def simplify(f: Ltl) -> Ltl:
             continue
         if isinstance(n, LAnd):
             parts: list[Ltl] = []
-            keys: set[int] = set()
+            uids: set[int] = set()
             bottom = False
             for c in _spine_conjuncts(n):
                 sc = memo[id(c)]
@@ -349,9 +340,10 @@ def simplify(f: Ltl) -> Ltl:
                     break
                 if is_true(sc):
                     continue
-                if id(sc) in keys:
+                uid = _intern(sc, *index)
+                if uid in uids:
                     continue
-                keys.add(id(sc))
+                uids.add(uid)
                 parts.append(sc)
             if bottom:
                 memo[id(n)] = FALSE
@@ -450,12 +442,15 @@ def _rigidity_rewrite(f: Ltl) -> Ltl:
     return memo[id(f)]
 
 
-def optimize(f: Ltl, max_rounds: int = 10) -> Ltl:
+OPTIMIZE_MAX_ROUNDS = 10
+
+
+def optimize(f: Ltl) -> Ltl:
     """simplify to a fixpoint: sibling merging can expose new merges one
     nesting level down, so a few rounds are needed to fully collapse
     box towers."""
     size = tree_size(f)
-    for _ in range(max_rounds):
+    for _ in range(OPTIMIZE_MAX_ROUNDS):
         f = simplify(_rigidity_rewrite(f))
         new_size = tree_size(f)
         if new_size == size:
@@ -607,5 +602,5 @@ def parse_infix(text: str) -> Ltl:
 
 def struct_eq(a: Ltl, b: Ltl) -> bool:
     """Structural equality, safe on deep formulas."""
-    uid_of, _ = structural_index(LAnd(a, b))
-    return uid_of[id(a)] == uid_of[id(b)]
+    index: tuple[dict, dict, list] = ({}, {}, [])
+    return _intern(a, *index) == _intern(b, *index)

@@ -46,6 +46,13 @@ class FormulaTooLarge(ValueError):
     pass
 
 
+class WitnessCheckFailed(RuntimeError):
+    """A checker's satisfying word is not a model of its formula.
+
+    A raise, not an `assert`, so the re-check also runs under `python -O`.
+    """
+
+
 @dataclass(frozen=True, slots=True)
 class LassoWord:
     """An ultimately periodic word over ℕ: prefix then loop forever."""
@@ -64,9 +71,6 @@ class LassoWord:
 
     def value(self, name: str, n: int) -> bool:
         return name in self.valuation(n)
-
-    def unrolled(self, k: int) -> "LassoWord":
-        return LassoWord(self.prefix + self.loop * k, self.loop)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,6 +195,12 @@ def eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
 
 
 # --- complete checkers -------------------------------------------------------
+
+def _checked(f: Ltl, word, source: str):
+    if not eval_on_lasso(f, word, 0):
+        raise WitnessCheckFailed(f"{source} failed re-evaluation")
+    return word
+
 
 DEFAULT_SUBFORMULA_BOUND = 24
 
@@ -573,7 +583,8 @@ def ltl_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[LassoWord
     """Complete satisfiability over ℕ for past-free formulas.
 
     Returns a satisfying lasso, or None for unsatisfiable.  The returned
-    word is re-checked against the formula by direct evaluation.
+    word is re-checked against the formula by direct evaluation
+    (`WitnessCheckFailed` if it is not a model).
     """
     if has_past(f):
         raise ValueError("the ℕ checker requires a past-free formula")
@@ -597,9 +608,7 @@ def ltl_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[LassoWord
     fair = eng.fair_states(region=r)
     if fair == 0:
         return None
-    word = eng.extract(fair, region=r)
-    assert eval_on_lasso(f, word, 0), "extracted word failed re-evaluation"
-    return word
+    return _checked(f, eng.extract(fair, region=r), "extracted word")
 
 
 def z_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[BiLassoWord]:
@@ -639,8 +648,7 @@ def z_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[BiLassoWord
     if good == 0:
         return None
     word = eng.extract_bi(good, fair_f, fair_b, region_f=r_f, region_b=r_b)
-    assert eval_on_lasso(f, word, 0), "extracted word failed re-evaluation"
-    return word
+    return _checked(f, word, "extracted word")
 
 
 # --- bounded search over ℤ --------------------------------------------------
@@ -752,6 +760,5 @@ def z_sat_bounded(
             right_prefix=tuple(slot_val(ll + lp + 1 + i) for i in range(rp)),
             right_loop=tuple(slot_val(ll + lp + 1 + rp + i) for i in range(rl)),
         )
-        assert eval_on_lasso(f, word, 0), "bounded search produced a bad witness"
-        return word
+        return _checked(f, word, "bounded-search witness")
     return None

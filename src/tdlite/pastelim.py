@@ -5,7 +5,9 @@ non-negative and the mirrored negative half of the timeline; every temporal
 subformula gets a surrogate pair updated by step clauses under an outer
 always-future.  The two halves are tied together at time zero by
 biconditionals over the whole alphabet.  The result is past-free and linear
-in the size of the input.
+in the size of the input.  The clauses are built through `ltl.iff`, which
+adds no double negation, so for the optimized grounding of a knowledge base
+the output is already a fixpoint of `ltl.optimize`.
 """
 
 from __future__ import annotations
@@ -48,13 +50,6 @@ class SubformulaTable:
     prop_pairs: dict[str, tuple[str, str]]
     surrogate_pairs: dict[int, tuple[str, str]]
 
-    def pair_names(self, xi: Ltl) -> tuple[str, str]:
-        uid = self.uid_of[id(xi)]
-        rep = self.reps[uid]
-        if isinstance(rep, LProp):
-            return self.prop_pairs[rep.name]
-        return self.surrogate_pairs[uid]
-
 
 def build_table(f: Ltl) -> SubformulaTable:
     uid_of, reps = structural_index(f)
@@ -72,7 +67,9 @@ def build_table(f: Ltl) -> SubformulaTable:
 
 
 def _bar_all(table: SubformulaTable) -> tuple[list[Ltl], list[Ltl]]:
-    """bar(rep, +) and bar(rep, −) for every representative, by uid."""
+    """The flattening of every representative to a temporal-operator-free
+    formula over the paired alphabet, on the positive and on the negative
+    half of the timeline, by uid."""
     pos: list[Ltl] = []
     neg: list[Ltl] = []
     for uid, rep in enumerate(table.reps):
@@ -97,14 +94,6 @@ def _bar_all(table: SubformulaTable) -> tuple[list[Ltl], list[Ltl]]:
             pos.append(LProp(p))
             neg.append(LProp(m))
     return pos, neg
-
-
-def bar(xi: Ltl, polarity: str, table: SubformulaTable) -> Ltl:
-    """The flattening of a subformula to a temporal-operator-free formula
-    over the paired alphabet; polarity is 'plus' or 'minus'."""
-    pos, neg = _bar_all(table)
-    uid = table.uid_of[id(xi)]
-    return pos[uid] if polarity == "plus" else neg[uid]
 
 
 @gc_paused()

@@ -4,7 +4,9 @@ A knowledge base runs through up to three translation stages — the
 one-variable first-order temporal formula, its propositional grounding,
 and (over ℤ) the past-free rendering — with per-stage sizes and timings
 collected in a trace.  Checking optimizes the grounded formula and hands
-it to the built-in checkers or, past-free, to an external solver profile.
+it to the built-in checkers, or hands `solver_formula` to an external
+solver profile.  `solver_formula` is the one definition of what a solver
+receives; `tdlite translate --to smv|infix` and `tdlite bench` use it too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .ltl import Ltl, count_props, optimize, tree_size
 from .oracle import ltl_sat, z_sat
 from .pastelim import depast
 from .qtl import Qtl, TranslationContext, qtl_size, translate_kb
-from .solvers import SolverProfile, RunResult, run_solver
+from .solvers import SolverProfile, run_solver
 
 # the in-process checkers keep running until the subprocess-style limits
 # kill them, so the structural guard can be generous
@@ -122,7 +124,7 @@ def check_kb(
     Without a profile the built-in checkers run in process: the ℕ flow's
     grounded formula goes to the lasso checker, the ℤ flow's to the
     two-sided one (no detour through past elimination, which roughly
-    triples the state variables).  With a profile, the past-free formula
+    triples the state variables).  With a profile, `solver_formula(trace)`
     is handed to the external solver.
     """
     trace = run_pipeline(kb, flow)
@@ -134,10 +136,9 @@ def check_kb(
             else z_sat(g, bound=CHECK_SUBFORMULA_BOUND)
         )
         return ("SAT" if word is not None else "UNSAT"), trace
-    f = optimize(trace.grounded) if flow == "n" else optimize(depast(optimize(trace.grounded)))
     result = run_solver(
         profile,
-        f,
+        solver_formula(trace),
         cpu_seconds=cpu_seconds,
         memory_bytes=memory_bytes,
         keep_artifacts=keep_artifacts,
@@ -146,24 +147,11 @@ def check_kb(
 
 
 def solver_formula(trace: PipelineTrace) -> Ltl:
-    """The optimized past-free formula an external solver should get."""
-    if trace.flow == "n":
-        return optimize(trace.grounded)
-    return optimize(depast(optimize(trace.grounded)))
+    """The past-free formula an external solver gets: the optimized
+    grounding, over ℤ with its past eliminated.
 
-
-def run_profile_on_trace(
-    trace: PipelineTrace,
-    profile: SolverProfile,
-    cpu_seconds: Optional[float] = None,
-    memory_bytes: Optional[int] = None,
-    keep_artifacts: bool = False,
-) -> RunResult:
-    """Benchmark helper: one solver run on an already-translated KB."""
-    return run_solver(
-        profile,
-        solver_formula(trace),
-        cpu_seconds=cpu_seconds,
-        memory_bytes=memory_bytes,
-        keep_artifacts=keep_artifacts,
-    )
+    Past elimination builds clauses that are already simplified, so the ℤ
+    result needs no second `optimize` pass.
+    """
+    g = optimize(trace.grounded)
+    return g if trace.flow == "n" else depast(g)

@@ -20,7 +20,7 @@ from tdlite.kb import normalize_kb
 from tdlite.ltl import tree_size
 from tdlite.oracle import BiLassoWord, eval_on_lasso, ltl_sat, z_sat_bounded
 from tdlite.pastelim import depast, depast_with_table, reconstruct_value
-from tdlite.pipeline import check_kb, run_pipeline, run_profile_on_trace
+from tdlite.pipeline import check_kb, run_pipeline, solver_formula
 from tdlite.qtl import build_context, eq2_conjunct_count, translate_kb, translate_tbox
 from tdlite.randgen import (
     BatchSpec,
@@ -28,7 +28,7 @@ from tdlite.randgen import (
     random_concept,
     random_concept_temporal,
 )
-from tdlite.solvers import load_profiles, oracle_profile
+from tdlite.solvers import load_profiles, oracle_profile, run_solver
 
 from conftest import (
     TOY_VERDICTS,
@@ -251,7 +251,7 @@ def test_profile_verdicts_agree_on_the_toy_corpus():
         for flow in ("n", "z"):
             trace = run_pipeline(kb, flow)
             for profile in profiles.values():
-                res = run_profile_on_trace(trace, profile, cpu_seconds=10)
+                res = run_solver(profile, solver_formula(trace), cpu_seconds=10)
                 if res.verdict in DEFINITE:
                     assert res.verdict == want, (name, flow, profile.name)
 
@@ -264,7 +264,7 @@ def test_profile_verdicts_agree_on_random_tboxes():
         kb = generate_instance(spec, i, flow="n")
         trace = run_pipeline(kb, "n")
         for profile in profiles.values():
-            res = run_profile_on_trace(trace, profile, cpu_seconds=4)
+            res = run_solver(profile, solver_formula(trace), cpu_seconds=4)
             if res.verdict not in DEFINITE:
                 continue
             # a profile verdict under a 1 GiB cap means the in-process
@@ -282,6 +282,6 @@ def test_cpu_limit_produces_timeout_within_slack():
     spec = BatchSpec(F=50, N=2, Lt=2, Lc=3, Q=1, seed=777)
     kb = generate_instance(spec, 26, flow="n")
     trace = run_pipeline(kb, "n")
-    res = run_profile_on_trace(trace, oracle_profile(), cpu_seconds=2)
+    res = run_solver(oracle_profile(), solver_formula(trace), cpu_seconds=2)
     assert res.verdict == "TIMEOUT"
     assert res.cpu_ms <= 2000 + 500

@@ -16,6 +16,9 @@ from tdlite.cli import (
     EXIT_UNSAT,
     main,
 )
+from tdlite.kbparse import parse_kb
+from tdlite.pipeline import run_pipeline, solver_formula
+from tdlite.solvers import emit_smv
 
 UNSAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB BOT\nABOX\nA(x)@0\n"
 SAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB X A\nABOX\nA(x)@0\n"
@@ -85,6 +88,14 @@ def test_translate_stages(kb_file, tmp_path, capsys):
 
     assert run_cli("translate", path, "--flow", "n", "--to", "smv") == EXIT_SAT
     assert capsys.readouterr().out.startswith("MODULE main")
+
+
+@pytest.mark.parametrize("flow", ["n", "z"])
+def test_translate_prints_the_formula_a_solver_gets(kb_file, capsys, flow):
+    path = kb_file(SAT_KB)
+    want = emit_smv(solver_formula(run_pipeline(parse_kb(SAT_KB), flow)))
+    assert run_cli("translate", path, "--flow", flow, "--to", "smv") == EXIT_SAT
+    assert capsys.readouterr().out == want
 
 
 def test_translate_trace_artifact(kb_file, tmp_path, capsys):

@@ -120,6 +120,25 @@ def test_simplify_boolean_identities():
     assert struct_eq(simplify(LAnd(a, a)), a)
 
 
+def test_simplify_drops_a_structural_repeat_held_in_a_distinct_object():
+    def eventually_a_not_b():
+        return LSomeF(LAnd(LProp("a"), LNot(LProp("b"))))
+
+    first, again = eventually_a_not_b(), eventually_a_not_b()
+    assert first is not again
+    g = simplify(LAnd(first, LAnd(LProp("c"), again)))
+    want = LAnd(eventually_a_not_b(), LProp("c"))
+    assert tree_size(g) == tree_size(want)
+    assert struct_eq(g, want)
+
+
+def test_implies_adds_no_double_negation():
+    a, b = LProp("a"), LProp("b")
+    assert struct_eq(implies(a, LNot(b)), LNot(LAnd(a, b)))
+    assert struct_eq(implies(a, b), LNot(LAnd(a, LNot(b))))
+    assert struct_eq(parse_infix("a -> ~ b"), LNot(LAnd(a, b)))
+
+
 def test_optimize_preserves_meaning_on_random_formulas():
     rng = random.Random(31)
     for i in range(150):

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tdlite
+from tdlite import oracle
 from tdlite.ltl import parse_infix
 from tdlite.oracle import (
     BiLassoWord,
     FormulaTooLarge,
     LassoWord,
+    WitnessCheckFailed,
     eval_on_lasso,
     ltl_sat,
     z_sat,
@@ -158,3 +165,39 @@ def test_z_sat_agrees_with_the_depast_route():
         via_z = z_sat(f, bound=10**6) is not None
         via_depast = ltl_sat(depast(f), bound=10**6) is not None
         assert via_z == via_depast
+
+
+# --- a witness that fails re-evaluation is an error, also under -O ----------
+
+@pytest.mark.parametrize("check", [ltl_sat, z_sat, z_sat_bounded])
+def test_a_witness_failing_re_evaluation_raises(monkeypatch, check):
+    monkeypatch.setattr(oracle, "eval_on_lasso", lambda *args: False)
+    with pytest.raises(WitnessCheckFailed):
+        check(parse_infix("F a"))
+
+
+WITNESS_CHECK_UNDER_O = """
+import sys
+if __debug__:
+    sys.exit("not running under -O")
+from tdlite import oracle
+from tdlite.ltl import parse_infix
+oracle.eval_on_lasso = lambda *args: False
+for check in (oracle.ltl_sat, oracle.z_sat, oracle.z_sat_bounded):
+    try:
+        check(parse_infix("F a"))
+    except oracle.WitnessCheckFailed:
+        continue
+    sys.exit(check.__name__ + " returned an unchecked witness")
+"""
+
+
+def test_the_witness_check_survives_python_O():
+    src = str(Path(tdlite.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WITNESS_CHECK_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

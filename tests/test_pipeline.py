@@ -8,16 +8,18 @@ import pytest
 
 from tdlite.ground import GroundingContext, ground
 from tdlite.kbparse import parse_kb
-from tdlite.ltl import has_past
+from tdlite.ltl import has_past, optimize, tree_size
 from tdlite.pipeline import (
     check_kb,
     kb_node_count,
     run_pipeline,
-    run_profile_on_trace,
     solver_formula,
 )
 from tdlite.qtl import ConceptPred, QAtom, X
-from tdlite.solvers import oracle_profile
+from tdlite.randgen import BatchSpec, generate_instance
+from tdlite.solvers import oracle_profile, run_solver
+
+from conftest import TOY_VERDICTS, load_toy
 
 UNSAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB BOT\nABOX\nA(x)@0\n"
 SAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB X A\nABOX\nA(x)@0\n"
@@ -73,9 +75,30 @@ def test_solver_formula_is_past_free():
         assert not has_past(solver_formula(trace))
 
 
-def test_run_profile_on_trace():
+def _handoff_kbs():
+    for name in sorted(TOY_VERDICTS):
+        for flow in ("n", "z"):
+            yield f"{name}/{flow}", load_toy(name), flow
+    # the translation gate's spec at a smaller scale, and random ABoxes
+    gate = BatchSpec(F=3, N=3, Lt=10, Lc=6, Q=2, seed=20260824)
+    aboxes = BatchSpec(F=6, N=2, Lt=3, Lc=4, Q=2, abox_size=4, seed=23)
+    for label, spec in (("gate", gate), ("abox", aboxes)):
+        for i in range(spec.F):
+            for flow in ("n", "z"):
+                yield f"{label}#{i}/{flow}", generate_instance(spec, i, flow=flow), flow
+
+
+def test_solver_formula_is_an_optimize_fixpoint():
+    # past elimination emits already-simplified clauses, which is why the
+    # solver formula needs no optimize pass after it
+    for label, kb, flow in _handoff_kbs():
+        f = solver_formula(run_pipeline(kb, flow))
+        assert tree_size(optimize(f)) == tree_size(f), label
+
+
+def test_run_solver_on_solver_formula():
     trace = run_pipeline(parse_kb(SAT_KB), "n")
-    res = run_profile_on_trace(trace, oracle_profile(), cpu_seconds=60)
+    res = run_solver(oracle_profile(), solver_formula(trace), cpu_seconds=60)
     assert res.verdict == "SAT"
 
 
