@@ -531,73 +531,67 @@ def parse_infix(text: str) -> Ltl:
             i = j
         else:
             raise InfixSyntaxError(f"unexpected character {ch!r} at offset {i}")
-    toks.append("<eof>")
-    pos = 0
 
-    def peek() -> str:
-        return toks[pos]
+    unary = {
+        "~": LNot, "X": LNextF, "F": LSomeF, "Y": LNextP, "P": LSomeP,
+        "G": alw_f, "H": alw_p,
+    }
+    # binding strength and constructor; `->` alone groups to the right
+    binary = {"&": (4, LAnd), "|": (3, lor), "->": (2, implies), "<->": (1, iff)}
+    # operator precedence with explicit stacks: neither prefix chains nor
+    # parenthesis nesting cost Python recursion
+    operands: list[Ltl] = []
+    ops: list[str] = []  # "(", prefix and binary operators
+    depth = 0  # open parentheses
 
-    def take() -> str:
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
-        return tok
+    def reduce_binary() -> None:
+        right = operands.pop()
+        operands.append(binary[ops.pop()][1](operands.pop(), right))
 
-    unary = {"~": LNot, "X": LNextF, "F": LSomeF, "Y": LNextP, "P": LSomeP}
+    def finish_atom(x: Ltl) -> None:
+        while ops and ops[-1] in unary:
+            x = unary[ops.pop()](x)
+        operands.append(x)
 
-    def atom() -> Ltl:
-        tok = take()
-        if tok == "(":
-            out = bicond()
-            if take() != ")":
-                raise InfixSyntaxError("expected ')'")
-            return out
-        if tok in unary:
-            return unary[tok](atom())
-        if tok == "G":
-            return alw_f(atom())
-        if tok == "H":
-            return alw_p(atom())
-        if tok == "true":
-            return TRUE
-        if tok == "false":
-            return FALSE
-        if tok[0].isalpha() and tok not in ("<eof>",):
-            return LProp(tok)
-        raise InfixSyntaxError(f"unexpected token {tok!r}")
-
-    def conj_level() -> Ltl:
-        out = atom()
-        while peek() == "&":
-            take()
-            out = LAnd(out, atom())
-        return out
-
-    def disj_level() -> Ltl:
-        out = conj_level()
-        while peek() == "|":
-            take()
-            out = lor(out, conj_level())
-        return out
-
-    def impl_level() -> Ltl:
-        out = disj_level()
-        if peek() == "->":
-            take()
-            return implies(out, impl_level())
-        return out
-
-    def bicond() -> Ltl:
-        out = impl_level()
-        while peek() == "<->":
-            take()
-            out = iff(out, impl_level())
-        return out
-
-    out = bicond()
-    if peek() != "<eof>":
-        raise InfixSyntaxError(f"trailing input {peek()!r}")
-    return out
+    expect_operand = True
+    for tok in toks:
+        if expect_operand:
+            if tok in unary or tok == "(":
+                depth += tok == "("
+                ops.append(tok)
+                continue
+            if tok == "true":
+                finish_atom(TRUE)
+            elif tok == "false":
+                finish_atom(FALSE)
+            elif tok[0].isalpha():
+                finish_atom(LProp(tok))
+            else:
+                raise InfixSyntaxError(f"unexpected token {tok!r}")
+            expect_operand = False
+        elif tok in binary:
+            # first apply what binds at least as tightly; `->` waits for
+            # the `->` chain to its right
+            strength = binary[tok][0] + (tok == "->")
+            while ops and ops[-1] in binary and binary[ops[-1]][0] >= strength:
+                reduce_binary()
+            ops.append(tok)
+            expect_operand = True
+        elif tok == ")" and depth:
+            while ops[-1] != "(":
+                reduce_binary()
+            ops.pop()
+            depth -= 1
+            finish_atom(operands.pop())
+        else:
+            raise InfixSyntaxError("expected ')'" if depth else f"trailing input {tok!r}")
+    if expect_operand:
+        raise InfixSyntaxError("unexpected token '<eof>'")
+    if depth:
+        raise InfixSyntaxError("expected ')'")
+    while ops:
+        reduce_binary()
+    return operands.pop()
 
 
 def struct_eq(a: Ltl, b: Ltl) -> bool:

@@ -1,11 +1,10 @@
 """Reference semantics for the translated formulas.
 
-Four tools live here: a direct evaluator of formulas on ultimately
+Three tools live here: a direct evaluator of formulas on ultimately
 periodic words (one-sided lassos over ℕ, two-sided bi-lassos over ℤ), a
 complete symbolic satisfiability checker for past-free LTL over ℕ with
-lasso extraction, a complete checker for LTL with past over ℤ with
-bi-lasso extraction, and a bounded, sound-but-incomplete model searcher
-over ℤ.
+lasso extraction, and a complete checker for LTL with past over ℤ with
+bi-lasso extraction.
 
 Both complete checkers build the usual tableau over elementary
 subformulas (propositions and next/eventually-subformulas of either
@@ -13,8 +12,9 @@ direction) but represent state sets and the transition constraints as
 BDDs.  Over ℕ acceptance is an Emerson-Lei style fair-cycle fixpoint; over
 ℤ the anchor state additionally has to be reachable *from* a
 backward-fair cycle, where past eventualities play the role future ones
-play forward.  Both are preceded by a cheap dead-end pruning pass that
-catches most unsatisfiable inputs early.
+play forward.  A direction without eventualities has the single fairness
+constraint "true", so every fair cycle is then just a cycle and one
+fixpoint loop serves both cases.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .ltl import (
     Ltl,
     has_past,
     iter_nodes,
-    prop_names,
     structural_index,
 )
 
@@ -217,8 +216,12 @@ class _Engine:
     future counterparts, with their own (backward) fairness requirements.
     """
 
-    def __init__(self, f: Ltl):
+    def __init__(self, f: Ltl, bound: int):
         uid_of, reps = structural_index(f)
+        if len(reps) > bound:
+            raise FormulaTooLarge(
+                f"{len(reps)} distinct subformulas exceeds the bound {bound}"
+            )
         self.uid_of, self.reps = uid_of, reps
         self.b = Bdd()
         b = self.b
@@ -270,6 +273,9 @@ class _Engine:
                 self.trans_parts.append(b.iff_(x_next, b.or_(arg_next, x)))
                 state_ok = b.and_(state_ok, b.implies(arg_now, x))
                 self.fairness_b.append(b.or_(b.not_(x), arg_now))
+        # a direction without eventualities has the one constraint "true"
+        self.fairness_f = self.fairness_f or [1]
+        self.fairness_b = self.fairness_b or [1]
         self.state_ok = state_ok
         self.trans = b.conj(sorted(self.trans_parts, key=b.size))
         self.init = b.and_(val[uid_of[id(f)]], state_ok)
@@ -390,12 +396,6 @@ class _Engine:
         b = self.b
         fairness = self.fairness_f if forward else self.fairness_b
         z = self.state_ok if region is None else region
-        if not fairness:
-            while True:
-                zn = b.and_(z, self.ex(z, forward))
-                if zn == z:
-                    return z
-                z = zn
         while True:
             z_old = z
             for fj in fairness:
@@ -404,22 +404,6 @@ class _Engine:
                     return 0
             if z == z_old:
                 return z
-
-    def prune_dead_ends(self, rounds: int = 4, two_sided: bool = False) -> int:
-        """A few EG-true iterations: cheap, and often empties the
-        initial set of an unsatisfiable input before the full fixpoint."""
-        b = self.b
-        z = self.state_ok
-        for _ in range(rounds):
-            zn = b.and_(z, self.ex(z))
-            if two_sided:
-                zn = b.and_(zn, self.ex(z, forward=False))
-            if zn == z:
-                break
-            z = zn
-            if b.and_(self.init, z) == 0:
-                break
-        return z
 
     # --- witness extraction ---
 
@@ -518,7 +502,6 @@ class _Engine:
         fairness = self.fairness_f if forward else self.fairness_b
         seq = [cur]
         phase = 0
-        m = len(fairness)
         seen: dict[tuple, int] = {}
         while True:
             key = (self._state_key(seq[-1]), phase)
@@ -526,13 +509,9 @@ class _Engine:
                 loop_start = seen[key]
                 break
             seen[key] = len(seq) - 1
-            if m == 0:
-                step = self.image(self._state_cube(seq[-1])) if forward else self.preimage(self._state_cube(seq[-1]))
-                seq.append(self._pick(b.and_(step, fair)))
-            else:
-                target = b.and_(fair, fairness[phase])
-                seq.extend(self._navigate(seq[-1], target, fair, forward))
-                phase = (phase + 1) % m
+            target = b.and_(fair, fairness[phase])
+            seq.extend(self._navigate(seq[-1], target, fair, forward))
+            phase = (phase + 1) % len(fairness)
 
         # seq[-1] equals seq[loop_start]; drop the duplicate closing state
         return prefix[:-1] + seq[:loop_start], seq[loop_start:-1]
@@ -588,18 +567,8 @@ def ltl_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[LassoWord
     """
     if has_past(f):
         raise ValueError("the ℕ checker requires a past-free formula")
-    _, reps = structural_index(f)
-    if len(reps) > bound:
-        raise FormulaTooLarge(
-            f"{len(reps)} distinct subformulas exceeds the bound {bound}"
-        )
-    eng = _Engine(f)
+    eng = _Engine(f, bound)
     if eng.init == 0:
-        return None
-    # every state on an infinite run survives dead-end pruning, so the
-    # initial state itself must
-    pruned = eng.prune_dead_ends()
-    if eng.b.and_(eng.init, pruned) == 0:
         return None
     # the fair-cycle fixpoint runs inside the reachable states: everything
     # a run from the initial set can touch, and usually far smaller than
@@ -620,17 +589,9 @@ def z_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[BiLassoWord
     one.  Returns a satisfying bi-lasso anchored at such a state, or None
     for unsatisfiable; the word is re-checked by direct evaluation.
     """
-    _, reps = structural_index(f)
-    if len(reps) > bound:
-        raise FormulaTooLarge(
-            f"{len(reps)} distinct subformulas exceeds the bound {bound}"
-        )
-    eng = _Engine(f)
+    eng = _Engine(f, bound)
     b = eng.b
     if eng.init == 0:
-        return None
-    pruned = eng.prune_dead_ends(two_sided=True)
-    if b.and_(eng.init, pruned) == 0:
         return None
     # restrict each fair-cycle fixpoint to the half of the run it serves:
     # states reachable from an anchor forward, respectively states that
@@ -649,116 +610,3 @@ def z_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[BiLassoWord
         return None
     word = eng.extract_bi(good, fair_f, fair_b, region_f=r_f, region_b=r_b)
     return _checked(f, word, "extracted word")
-
-
-# --- bounded search over ℤ --------------------------------------------------
-
-MAX_Z_PROPS = 8
-DEFAULT_Z_BOUND = 3
-
-
-def z_sat_bounded(
-    f: Ltl,
-    max_prefix: int = DEFAULT_Z_BOUND,
-    max_loop: int = DEFAULT_Z_BOUND,
-) -> Optional[BiLassoWord]:
-    """Search for a bi-lasso model of an LTL-with-past formula over ℤ.
-
-    Sound: a returned word is a genuine model (re-checked by evaluation).
-    Incomplete: None means no model within the bounds, not unsatisfiable.
-    """
-    props = sorted(prop_names(f))
-    if len(props) > MAX_Z_PROPS:
-        raise ValueError(f"alphabet of {len(props)} exceeds {MAX_Z_PROPS} propositions")
-    prop_index = {p: i for i, p in enumerate(props)}
-    nprops = max(1, len(props))
-    n_past_ops = sum(1 for x in iter_nodes(f) if isinstance(x, (LNextP, LSomeP)))
-    n_future_ops = sum(1 for x in iter_nodes(f) if isinstance(x, (LNextF, LSomeF)))
-
-    shapes = [
-        (ll, lp, rp, rl)
-        for ll in range(1, max_loop + 1)
-        for rl in range(1, max_loop + 1)
-        for lp in range(0, max_prefix + 1)
-        for rp in range(0, max_prefix + 1)
-    ]
-    shapes.sort(key=lambda s: (sum(s), s))
-
-    for ll, lp, rp, rl in shapes:
-        nslots = ll + lp + 1 + rp + rl
-
-        def slot_of(n: int) -> int:
-            # slots: 0..ll-1 left loop (outermost first), ll..ll+lp-1 left
-            # prefix (position −lp first), ll+lp anchor, then right prefix,
-            # then right loop
-            if n == 0:
-                return ll + lp
-            if n > 0:
-                i = n - 1
-                if i < rp:
-                    return ll + lp + 1 + i
-                return ll + lp + 1 + rp + (i - rp) % rl
-            i = -n - 1
-            if i < lp:
-                return ll + lp - 1 - i
-            return ll - 1 - (i - lp) % ll
-
-        b = Bdd()
-
-        def pvar(name: str, n: int) -> int:
-            return b.var(slot_of(n) * nprops + prop_index[name])
-
-        memo: dict[tuple[int, int], int] = {}
-
-        def enc(node: Ltl, n: int) -> int:
-            key = (id(node), n)
-            if key in memo:
-                return memo[key]
-            if isinstance(node, LFalse):
-                r = 0
-            elif isinstance(node, LProp):
-                r = pvar(node.name, n)
-            elif isinstance(node, LNot):
-                r = b.not_(enc(node.arg, n))
-            elif isinstance(node, LAnd):
-                r = b.and_(enc(node.left, n), enc(node.right, n))
-            elif isinstance(node, LNextF):
-                r = enc(node.arg, n + 1)
-            elif isinstance(node, LNextP):
-                r = enc(node.arg, n - 1)
-            elif isinstance(node, LSomeF):
-                # the same stabilization window as eval_on_lasso: one
-                # extra period per past operator under the diamond
-                hi = max(n, rp + rl * (n_past_ops + 1)) + rl - 1
-                r = 0
-                for k in range(n, hi + 1):
-                    r = b.or_(r, enc(node.arg, k))
-            elif isinstance(node, LSomeP):
-                lo = min(n, -(lp + ll * (n_future_ops + 1))) - ll + 1
-                r = 0
-                for k in range(lo, n + 1):
-                    r = b.or_(r, enc(node.arg, k))
-            else:
-                raise AssertionError(f"unexpected node {type(node).__name__}")
-            memo[key] = r
-            return r
-
-        root = enc(f, 0)
-        if root == 0:
-            continue
-        assign = b.sat_one(root)
-
-        def slot_val(slot: int) -> Valuation:
-            return frozenset(
-                p for p, i in prop_index.items() if assign.get(slot * nprops + i, False)
-            )
-
-        word = BiLassoWord(
-            left_loop=tuple(slot_val(s) for s in range(ll - 1, -1, -1)),
-            left_prefix=tuple(slot_val(s) for s in range(ll + lp - 1, ll - 1, -1)),
-            anchor=slot_val(ll + lp),
-            right_prefix=tuple(slot_val(ll + lp + 1 + i) for i in range(rp)),
-            right_loop=tuple(slot_val(ll + lp + 1 + rp + i) for i in range(rl)),
-        )
-        return _checked(f, word, "bounded-search witness")
-    return None

@@ -143,16 +143,3 @@ def depast(f: Ltl) -> Ltl:
     out, _ = depast_with_table(f)
     return out
 
-
-def reconstruct_value(
-    table: SubformulaTable,
-    prop: str,
-    time: int,
-    read: "callable",
-) -> bool:
-    """Truth value of an input proposition at an integer time point, read
-    from an ℕ model of the translated formula via `read(name, index)`."""
-    p, m = table.prop_pairs[prop]
-    if time >= 0:
-        return read(p, time)
-    return read(m, -time)

@@ -22,9 +22,12 @@ TOY_VERDICTS = {
 }
 
 
+def toy_text(name: str) -> str:
+    return (resources.files("tdlite") / "data" / f"{name}.kb").read_text()
+
+
 def load_toy(name: str) -> KnowledgeBase:
-    text = (resources.files("tdlite") / "data" / f"{name}.kb").read_text()
-    return parse_kb(text)
+    return parse_kb(toy_text(name))
 
 
 def random_ltlp(

@@ -18,8 +18,8 @@ from scipy import stats
 from tdlite.ground import GroundingContext, ground
 from tdlite.kb import normalize_kb
 from tdlite.ltl import tree_size
-from tdlite.oracle import BiLassoWord, eval_on_lasso, ltl_sat, z_sat_bounded
-from tdlite.pastelim import depast, depast_with_table, reconstruct_value
+from tdlite.oracle import BiLassoWord, eval_on_lasso, ltl_sat
+from tdlite.pastelim import depast, depast_with_table
 from tdlite.pipeline import check_kb, run_pipeline, solver_formula
 from tdlite.qtl import build_context, eq2_conjunct_count, translate_kb, translate_tbox
 from tdlite.randgen import (
@@ -36,6 +36,7 @@ from conftest import (
     load_toy,
     random_ltlp,
 )
+from references import reconstruct_value, z_sat_bounded
 
 CORPUS_SEED = 97
 CORPUS_SIZE = 500

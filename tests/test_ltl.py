@@ -87,6 +87,15 @@ def test_parser_handles_long_flat_conjunctions():
     assert count_props(parse_infix(text)) == 5000
 
 
+def test_parser_handles_deep_prefix_chains_and_nesting():
+    # 5000 nested `(X ...)` groups: too deep for a recursive parser even
+    # under the 20000-frame recursion limit that `Bdd()` sets
+    f = LProp("a")
+    for _ in range(5000):
+        f = LNextF(f)
+    assert struct_eq(parse_infix(to_infix(f)), f)
+
+
 @given(formulas)
 @settings(max_examples=200, deadline=None)
 def test_infix_round_trip_is_stable(f):

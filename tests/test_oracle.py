@@ -21,11 +21,11 @@ from tdlite.oracle import (
     eval_on_lasso,
     ltl_sat,
     z_sat,
-    z_sat_bounded,
 )
 from tdlite.pastelim import depast
 
 from conftest import random_ltlp
+from references import z_sat_bounded
 
 V = frozenset
 A = V({"a"})
@@ -104,6 +104,8 @@ def test_eval_two_sided_past_is_unbounded():
         ("(X a) & (~ a)", True),
         ("G (a -> X (~ a))", True),
         ("(G (F a)) & (G (F (~ a)))", True),
+        ("X false", False),  # a dead end after one step
+        ("(G (a -> X b)) & (G (b -> X false)) & (F a)", False),
     ],
 )
 def test_ltl_sat_hand_cases(text, is_sat):
@@ -126,6 +128,8 @@ def test_ltl_sat_hand_cases(text, is_sat):
         ("(H a) & (F (~ a))", True),
         ("(H (G a)) & (~ a)", False),
         ("G (F (a & (Y (~ a))))", True),
+        ("Y false", False),  # a dead end one step back
+        ("(H (a -> Y (~ a))) & (H (a -> Y a)) & a", False),
     ],
 )
 def test_z_sat_hand_cases(text, is_sat):
@@ -142,6 +146,15 @@ def test_size_bound_is_enforced():
     f = parse_infix(" & ".join(f"(X p{i})" for i in range(12)))
     with pytest.raises(FormulaTooLarge):
         ltl_sat(f, bound=4)
+
+
+@pytest.mark.parametrize("check", [ltl_sat, z_sat])
+def test_a_check_hash_conses_its_formula_once(monkeypatch, check):
+    calls = []
+    index = oracle.structural_index
+    monkeypatch.setattr(oracle, "structural_index", lambda f: calls.append(f) or index(f))
+    assert check(parse_infix("(G (F a)) & (X b)")) is not None
+    assert len(calls) == 1
 
 
 def test_z_sat_bounded_is_sound():
@@ -182,8 +195,9 @@ if __debug__:
     sys.exit("not running under -O")
 from tdlite import oracle
 from tdlite.ltl import parse_infix
+from references import z_sat_bounded
 oracle.eval_on_lasso = lambda *args: False
-for check in (oracle.ltl_sat, oracle.z_sat, oracle.z_sat_bounded):
+for check in (oracle.ltl_sat, oracle.z_sat, z_sat_bounded):
     try:
         check(parse_infix("F a"))
     except oracle.WitnessCheckFailed:
@@ -194,8 +208,9 @@ for check in (oracle.ltl_sat, oracle.z_sat, oracle.z_sat_bounded):
 
 def test_the_witness_check_survives_python_O():
     src = str(Path(tdlite.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", WITNESS_CHECK_UNDER_O],
         env=env, capture_output=True, text=True, timeout=120,

@@ -16,9 +16,10 @@ from tdlite.ltl import (
     tree_size,
 )
 from tdlite.oracle import eval_on_lasso, ltl_sat
-from tdlite.pastelim import build_table, depast, depast_with_table, reconstruct_value
+from tdlite.pastelim import build_table, depast, depast_with_table
 
 from conftest import random_ltlp
+from references import reconstruct_value
 
 
 def test_output_is_past_free():

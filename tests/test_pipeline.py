@@ -19,7 +19,7 @@ from tdlite.qtl import ConceptPred, QAtom, X
 from tdlite.randgen import BatchSpec, generate_instance
 from tdlite.solvers import oracle_profile, run_solver
 
-from conftest import TOY_VERDICTS, load_toy
+from conftest import TOY_VERDICTS, load_toy, toy_text
 
 UNSAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB BOT\nABOX\nA(x)@0\n"
 SAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB X A\nABOX\nA(x)@0\n"
@@ -99,6 +99,13 @@ def test_solver_formula_is_an_optimize_fixpoint():
 def test_run_solver_on_solver_formula():
     trace = run_pipeline(parse_kb(SAT_KB), "n")
     res = run_solver(oracle_profile(), solver_formula(trace), cpu_seconds=60)
+    assert res.verdict == "SAT"
+
+
+def test_oracle_profile_reads_a_late_timestamp():
+    # a fact at 200 puts a 200-deep X chain into the solver's infix input
+    kb = parse_kb(toy_text("ex1_tbox") + "Adult(John)@200\n")
+    res = run_solver(oracle_profile(), solver_formula(run_pipeline(kb, "n")), cpu_seconds=60)
     assert res.verdict == "SAT"
 
 
