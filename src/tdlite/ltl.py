@@ -5,10 +5,12 @@ and the four temporal operators next/eventually in both directions.  Boxes,
 disjunction and (bi)conditionals exist only as constructor functions that
 expand into this core.
 
-Formulas can be very large (hundreds of thousands of nodes, right-nested
-conjunction chains), so every traversal here is iterative and memoized on
-node identity.  Shared subtrees are counted once per occurrence by
-`tree_size` but visited once by everything else.
+Formulas can be very large (millions of nodes, right-nested conjunction
+chains), so every traversal here is iterative and memoized on node
+identity: a shared subtree is visited once.  Only printing writes it out
+at every occurrence.  The size `tree_size` reports counts shared subtrees
+once per occurrence too, but it is stored on each node when the node is
+built, so reading it walks nothing.
 
 A node is never mutated after it is built.  The node classes are not
 frozen only because a frozen `__init__` costs about twice as much, and a
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -28,45 +30,87 @@ class Ltl:
     __slots__ = ()
 
 
-@dataclass(slots=True, eq=False)
+# Every node class stores `size`, the node count with shared subtrees
+# counted once per occurrence, computed from its children's when it is built.
+
+@dataclass(slots=True, eq=False, init=False)
 class LFalse(Ltl):
-    pass
+    size: int = field(repr=False)
+
+    def __init__(self) -> None:
+        self.size = 1
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, init=False)
 class LProp(Ltl):
     name: str
+    size: int = field(repr=False)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.size = 1
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, init=False)
 class LNot(Ltl):
     arg: Ltl
+    size: int = field(repr=False)
+
+    def __init__(self, arg: Ltl) -> None:
+        self.arg = arg
+        self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, init=False)
 class LAnd(Ltl):
     left: Ltl
     right: Ltl
+    size: int = field(repr=False)
+
+    def __init__(self, left: Ltl, right: Ltl) -> None:
+        self.left = left
+        self.right = right
+        self.size = 1 + left.size + right.size
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, init=False)
 class LNextF(Ltl):
     arg: Ltl
+    size: int = field(repr=False)
+
+    def __init__(self, arg: Ltl) -> None:
+        self.arg = arg
+        self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, init=False)
 class LNextP(Ltl):
     arg: Ltl
+    size: int = field(repr=False)
+
+    def __init__(self, arg: Ltl) -> None:
+        self.arg = arg
+        self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, init=False)
 class LSomeF(Ltl):
     arg: Ltl
+    size: int = field(repr=False)
+
+    def __init__(self, arg: Ltl) -> None:
+        self.arg = arg
+        self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, init=False)
 class LSomeP(Ltl):
     arg: Ltl
+    size: int = field(repr=False)
+
+    def __init__(self, arg: Ltl) -> None:
+        self.arg = arg
+        self.size = 1 + arg.size
 
 
 _UNARY = (LNot, LNextF, LNextP, LSomeF, LSomeP)
@@ -159,19 +203,7 @@ def iter_nodes(f: Ltl) -> Iterator[Ltl]:
 
 def tree_size(f: Ltl) -> int:
     """AST node count with shared subtrees counted per occurrence."""
-    memo: dict[int, int] = {}
-    stack: list[tuple[Ltl, bool]] = [(f, False)]
-    while stack:
-        n, done = stack.pop()
-        if id(n) in memo:
-            continue
-        kids = _children(n)
-        if done or not kids:
-            memo[id(n)] = 1 + sum(memo[id(k)] for k in kids)
-        else:
-            stack.append((n, True))
-            stack.extend((k, False) for k in kids)
-    return memo[id(f)]
+    return f.size
 
 
 def prop_names(f: Ltl) -> set[str]:
@@ -445,44 +477,59 @@ def _rigidity_rewrite(f: Ltl) -> Ltl:
 OPTIMIZE_MAX_ROUNDS = 10
 
 
+@gc_paused()
 def optimize(f: Ltl) -> Ltl:
     """simplify to a fixpoint: sibling merging can expose new merges one
     nesting level down, so a few rounds are needed to fully collapse
-    box towers."""
-    size = tree_size(f)
+    box towers.  A round that leaves the size unchanged is the last."""
     for _ in range(OPTIMIZE_MAX_ROUNDS):
+        size = f.size
         f = simplify(_rigidity_rewrite(f))
-        new_size = tree_size(f)
-        if new_size == size:
+        if f.size == size:
             break
-        size = new_size
     return f
 
 
 # --- infix concrete syntax --------------------------------------------------
 
-_TOKEN_OF = {LNot: "~", LNextF: "X", LNextP: "Y", LSomeF: "F", LSomeP: "P"}
+class PastOperatorPresent(ValueError):
+    """Raised when a formula with past operators reaches a printer for a
+    past-free format."""
+
+    code = "PAST_OPERATOR_PRESENT"
 
 
-def to_infix(f: Ltl) -> str:
-    """Fully parenthesized one-line infix form.
+# a printer's token table: the two constants, and the prefix of each unary
+# operator it can print
+INFIX_TOKENS: dict = {
+    "false": "false", "true": "true",
+    LNot: "~", LNextF: "X", LSomeF: "F", LNextP: "Y", LSomeP: "P",
+}
 
-    Uses only the core tokens `~ & X F true false` for past-free formulas;
-    past operators (debug dumps only) print as `Y` and `P`.
+
+def print_formula(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
+    """Fully parenthesized one-line text of f in the given token table,
+    and the names of its propositions, from one walk.
+
+    A unary operator that the table has no token for raises
+    PastOperatorPresent: the emitters' tables leave out the past ones.
     """
+    prefix = {op: f"({tok} " for op, tok in tokens.items() if isinstance(op, type)}
+    false, true = tokens["false"], tokens["true"]
     parts: list[str] = []
+    props: set[str] = set()
     stack: list[object] = [f]
     while stack:
         n = stack.pop()
         if isinstance(n, str):
             parts.append(n)
-            continue
-        if isinstance(n, LFalse):
-            parts.append("false")
+        elif isinstance(n, LFalse):
+            parts.append(false)
         elif isinstance(n, LProp):
             parts.append(n.name)
+            props.add(n.name)
         elif isinstance(n, LNot) and isinstance(n.arg, LFalse):
-            parts.append("true")
+            parts.append(true)
         elif isinstance(n, LAnd):
             # whole conjunction spines print as one flat group, keeping
             # the nesting depth (and the reader's recursion) shallow
@@ -493,9 +540,22 @@ def to_infix(f: Ltl) -> str:
                 group.append(op)
             group.append(")")
             stack.extend(reversed(group))
+        elif type(n) in prefix:
+            stack.extend([")", n.arg, prefix[type(n)]])
         else:
-            stack.extend([")", n.arg, f"({_TOKEN_OF[type(n)]} "])
-    return "".join(parts)
+            raise PastOperatorPresent(
+                f"{type(n).__name__} in a formula for a past-free format"
+            )
+    return "".join(parts), props
+
+
+def to_infix(f: Ltl) -> str:
+    """Fully parenthesized one-line infix form.
+
+    Uses only the core tokens `~ & X F true false` for past-free formulas;
+    past operators (debug dumps only) print as `Y` and `P`.
+    """
+    return print_formula(f, INFIX_TOKENS)[0]
 
 
 class InfixSyntaxError(ValueError):

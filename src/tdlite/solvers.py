@@ -27,27 +27,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ltl import (
-    LAnd,
-    LFalse,
+    INFIX_TOKENS,
+    LNextF,
+    LNextP,
     LNot,
-    LProp,
+    LSomeF,
+    LSomeP,
     Ltl,
-    _TOKEN_OF,
-    _spine_conjuncts,
+    PastOperatorPresent,
     count_props,
-    has_past,
-    prop_names,
-    to_infix,
+    print_formula,
 )
 
 DEFAULT_CPU_SECONDS = 600.0
 DEFAULT_MEMORY_BYTES = 1 << 30
-
-
-class PastOperatorPresent(ValueError):
-    """Raised when a formula with past operators reaches an emitter."""
-
-    code = "PAST_OPERATOR_PRESENT"
 
 
 class ProfileError(ValueError):
@@ -86,6 +79,9 @@ class RunResult:
     cpu_ms: float
     max_memory_bytes: int
     output_digest: str
+    # why there is no SAT/UNSAT verdict: the exception, or how the solver
+    # ended; empty when the output was classified
+    reason: str = ""
 
 
 def oracle_profile() -> SolverProfile:
@@ -101,11 +97,15 @@ def oracle_profile() -> SolverProfile:
 
 # --- emitters ----------------------------------------------------------------
 
+# the emitters' token tables have no past operators, so printing raises
+# PastOperatorPresent at the first one
+_INFIX_TOKENS = {k: v for k, v in INFIX_TOKENS.items() if k not in (LNextP, LSomeP)}
+_SMV_TOKENS = {"false": "FALSE", "true": "TRUE", LNot: "!", LNextF: "X", LSomeF: "F"}
+
+
 def emit_infix(f: Ltl) -> str:
     """One-line fully parenthesized infix form of a past-free formula."""
-    if has_past(f):
-        raise PastOperatorPresent("infix emission requires a past-free formula")
-    return to_infix(f)
+    return print_formula(f, _INFIX_TOKENS)[0]
 
 
 def emit_smv(f: Ltl) -> str:
@@ -116,43 +116,13 @@ def emit_smv(f: Ltl) -> str:
     alphabet; the specification asserts ¬f, hence a counterexample is a
     model of f and "specification is false" means satisfiable.
     """
-    if has_past(f):
-        raise PastOperatorPresent("SMV emission requires a past-free formula")
+    expr, props = print_formula(f, _SMV_TOKENS)
     lines = ["MODULE main"]
-    props = sorted(prop_names(f))
     if props:
         lines.append("VAR")
-        lines.extend(f"  {p} : boolean;" for p in props)
-    lines.append(f"LTLSPEC !({_smv_expr(f)})")
+        lines.extend(f"  {p} : boolean;" for p in sorted(props))
+    lines.append(f"LTLSPEC !({expr})")
     return "\n".join(lines) + "\n"
-
-
-def _smv_expr(f: Ltl) -> str:
-    parts: list[str] = []
-    stack: list[object] = [f]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, str):
-            parts.append(n)
-        elif isinstance(n, LFalse):
-            parts.append("FALSE")
-        elif isinstance(n, LProp):
-            parts.append(n.name)
-        elif isinstance(n, LNot) and isinstance(n.arg, LFalse):
-            parts.append("TRUE")
-        elif isinstance(n, LAnd):
-            group: list[object] = ["("]
-            for i, op in enumerate(_spine_conjuncts(n)):
-                if i:
-                    group.append(" & ")
-                group.append(op)
-            group.append(")")
-            stack.extend(reversed(group))
-        elif isinstance(n, LNot):
-            stack.extend([")", n.arg, "(! "])
-        else:
-            stack.extend([")", n.arg, f"({_TOKEN_OF[type(n)]} "])
-    return "".join(parts)
 
 
 # --- profile files -----------------------------------------------------------
@@ -218,12 +188,16 @@ def run_solver(
 ) -> RunResult:
     """Emit f, run the profile's command on it under resource limits, and
     classify the outcome.  Never raises: every mishap is a FAIL (or
-    TIMEOUT when a limit was hit)."""
+    TIMEOUT when a limit was hit), with its cause in the result's
+    `reason`."""
     cpu = profile.cpu_seconds if cpu_seconds is None else cpu_seconds
     mem = profile.memory_bytes if memory_bytes is None else memory_bytes
 
-    if profile.max_props is not None and count_props(f) > profile.max_props:
-        return RunResult("SKIPPED", 0.0, 0.0, 0, "")
+    if profile.max_props is not None:
+        n_props = count_props(f)
+        if n_props > profile.max_props:
+            return RunResult("SKIPPED", 0.0, 0.0, 0, "",
+                             f"{n_props} propositions, max-props {profile.max_props}")
 
     tmpdir = None
     try:
@@ -266,10 +240,10 @@ def run_solver(
         digest = hashlib.sha256(raw).hexdigest()
         out_text = raw.decode("utf-8", errors="replace")
 
-        verdict = _classify(profile, status, cpu_ms, cpu, out_text)
-        return RunResult(verdict, wall_ms, cpu_ms, max_mem, digest)
-    except Exception:
-        return RunResult("FAIL", 0.0, 0.0, 0, "")
+        verdict, reason = _classify(profile, status, cpu_ms, cpu, out_text)
+        return RunResult(verdict, wall_ms, cpu_ms, max_mem, digest, reason)
+    except Exception as e:
+        return RunResult("FAIL", 0.0, 0.0, 0, "", f"{type(e).__name__}: {e}")
     finally:
         if tmpdir is not None and not keep_artifacts:
             for name in os.listdir(tmpdir):
@@ -296,22 +270,34 @@ def _classify(
     cpu_ms: float,
     cpu_limit: float,
     output: str,
-) -> str:
+) -> tuple[str, str]:
+    """The verdict, and the reason when it is not SAT or UNSAT."""
     sat = re.search(profile.sat_pattern, output, re.MULTILINE) is not None
     unsat = re.search(profile.unsat_pattern, output, re.MULTILINE) is not None
-    if sat and not unsat:
-        return "SAT"
-    if unsat and not sat:
-        return "UNSAT"
+    if sat != unsat:
+        return ("SAT" if sat else "UNSAT"), ""
+    ending = _ending(status)
     # no definite answer: a hit resource limit is a timeout, following the
     # convention that running out of memory counts as T/O as well
     if os.WIFSIGNALED(status) and os.WTERMSIG(status) in (
         signal.SIGXCPU,
         signal.SIGKILL,
     ):
-        return "TIMEOUT"
+        return "TIMEOUT", ending
     if cpu_ms >= cpu_limit * 1000.0:
-        return "TIMEOUT"
+        return "TIMEOUT", f"{ending}, CPU limit reached"
     if "MemoryError" in output or "bad_alloc" in output or "out of memory" in output:
-        return "TIMEOUT"
-    return "FAIL"
+        return "TIMEOUT", f"{ending}, out of memory"
+    matched = "both verdict patterns" if sat else "no verdict pattern"
+    return "FAIL", f"{ending}, output matched {matched}"
+
+
+def _ending(status: int) -> str:
+    """How a process ended, from its wait status."""
+    if os.WIFSIGNALED(status):
+        sig = os.WTERMSIG(status)
+        try:
+            return f"killed by {signal.Signals(sig).name}"
+        except ValueError:
+            return f"killed by signal {sig}"
+    return f"exit status {os.waitstatus_to_exitcode(status)}"

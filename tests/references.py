@@ -1,8 +1,9 @@
 """Reference procedures that only the tests use.
 
 A bounded, sound-but-incomplete model search over ℤ that cross-checks the
-complete checkers, and the read-back of a model with past from an ℕ model
-of its past-free translation.
+complete checkers, the read-back of a model with past from an ℕ model of
+its past-free translation, and a walk that counts a formula's nodes, for
+the size each node stores.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from tdlite.ltl import (
     LSomeF,
     LSomeP,
     Ltl,
+    _children,
     iter_nodes,
     prop_names,
 )
@@ -148,3 +150,21 @@ def reconstruct_value(
     if time >= 0:
         return read(p, time)
     return read(m, -time)
+
+
+def walked_tree_size(f: Ltl) -> int:
+    """AST node count with shared subtrees counted per occurrence, by a
+    walk that visits each distinct node once (memoized on identity)."""
+    memo: dict[int, int] = {}
+    stack: list[tuple[Ltl, bool]] = [(f, False)]
+    while stack:
+        n, done = stack.pop()
+        if id(n) in memo:
+            continue
+        kids = _children(n)
+        if done or not kids:
+            memo[id(n)] = 1 + sum(memo[id(k)] for k in kids)
+        else:
+            stack.append((n, True))
+            stack.extend((k, False) for k in kids)
+    return memo[id(f)]

@@ -18,7 +18,9 @@ from tdlite.ltl import (
     LSomeF,
     LSomeP,
     TRUE,
+    _rigidity_rewrite,
     alw_f,
+    conj,
     count_props,
     has_past,
     iff,
@@ -33,8 +35,10 @@ from tdlite.ltl import (
     tree_size,
 )
 from tdlite.oracle import eval_on_lasso
+from tdlite.pastelim import depast
 
-from conftest import random_bilasso, random_lasso, random_ltlp
+from conftest import UNARY_OPS, random_bilasso, random_lasso, random_ltlp
+from references import walked_tree_size
 
 formulas = st.recursive(
     st.sampled_from([LProp("a"), LProp("b"), LProp("c"), FALSE]),
@@ -50,6 +54,22 @@ formulas = st.recursive(
 )
 
 
+@st.composite
+def shared_formulas(draw):
+    """Formulas whose subtrees are shared: each step builds a node over
+    earlier ones picked by index, so a node can sit under many parents
+    and a tree of a few dozen objects can count thousands of occurrences."""
+    nodes = [LProp("a"), LProp("b"), FALSE]
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, len(UNARY_OPS)), st.integers(0, 99), st.integers(0, 99)),
+        min_size=1, max_size=12,
+    ))
+    for op, i, j in steps:
+        x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
+        nodes.append(UNARY_OPS[op](x) if op < len(UNARY_OPS) else LAnd(x, y))
+    return nodes[-1]
+
+
 def test_basic_accessors():
     f = LAnd(LNot(LProp("a")), LSomeP(LProp("b")))
     assert tree_size(f) == 5
@@ -59,6 +79,33 @@ def test_basic_accessors():
     assert not has_past(LSomeF(LProp("a")))
 
 
+@given(shared_formulas())
+@settings(max_examples=200, deadline=None)
+def test_stored_size_counts_every_occurrence(f):
+    assert tree_size(f) == walked_tree_size(f)
+    built = [
+        conj([f, f, LProp("c")]),
+        iff(f, LNot(f)),
+        parse_infix(to_infix(f)),
+        simplify(f),
+        _rigidity_rewrite(f),
+        optimize(f),
+        depast(f),
+    ]
+    for g in built:
+        assert tree_size(g) == walked_tree_size(g), to_infix(g)
+
+
+def test_stored_size_of_a_doubling_tower():
+    # 60 doublings: one object per level, 2**61 - 1 occurrences
+    f = LProp("a")
+    for _ in range(60):
+        f = LAnd(f, f)
+    # compared as plain ints: a failing assert must not print the tower
+    stored, walked = tree_size(f), walked_tree_size(f)
+    assert stored == walked == 2**61 - 1
+
+
 def test_pinned_infix_forms():
     assert to_infix(LAnd(LProp("a"), LNot(LProp("b")))) == "(a & (~ b))"
     assert to_infix(TRUE) == "true"
@@ -66,6 +113,12 @@ def test_pinned_infix_forms():
     # conjunction spines flatten into a single group
     f = LAnd(LProp("a"), LAnd(LProp("b"), LProp("c")))
     assert to_infix(f) == "(a & b & c)"
+
+
+def test_to_infix_prints_past_operators():
+    f = LAnd(LNextP(LProp("a")), LSomeP(LNot(LProp("b"))))
+    assert to_infix(f) == "((Y a) & (P (~ b)))"
+    assert struct_eq(parse_infix(to_infix(f)), f)
 
 
 def test_parse_extended_syntax():

@@ -8,6 +8,7 @@ import pytest
 
 from tdlite.ground import GroundingContext, ground
 from tdlite.kbparse import parse_kb
+from tdlite import ltl
 from tdlite.ltl import has_past, optimize, tree_size
 from tdlite.pipeline import (
     check_kb,
@@ -20,6 +21,7 @@ from tdlite.randgen import BatchSpec, generate_instance
 from tdlite.solvers import oracle_profile, run_solver
 
 from conftest import TOY_VERDICTS, load_toy, toy_text
+from references import walked_tree_size
 
 UNSAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB BOT\nABOX\nA(x)@0\n"
 SAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB X A\nABOX\nA(x)@0\n"
@@ -96,6 +98,16 @@ def test_solver_formula_is_an_optimize_fixpoint():
         assert tree_size(optimize(f)) == tree_size(f), label
 
 
+def test_stage_sizes_count_every_occurrence():
+    # the sizes stored at construction, on what `ground`, `depast` and
+    # `optimize` build, against a walk of the formula
+    for label, kb, flow in _handoff_kbs():
+        trace = run_pipeline(kb, flow)
+        for f in (trace.grounded, trace.past_free, solver_formula(trace)):
+            assert tree_size(f) == walked_tree_size(f), label
+        assert trace.stage("ltl" if flow == "z" else "ltlp").nodes == walked_tree_size(trace.past_free)
+
+
 def test_run_solver_on_solver_formula():
     trace = run_pipeline(parse_kb(SAT_KB), "n")
     res = run_solver(oracle_profile(), solver_formula(trace), cpu_seconds=60)
@@ -130,6 +142,38 @@ def test_run_pipeline_keeps_a_disabled_collector_disabled():
     gc.disable()
     try:
         run_pipeline(parse_kb(SAT_KB), "z")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_optimize_leaves_the_collector_enabled():
+    g = run_pipeline(parse_kb(SAT_KB), "z").grounded
+    assert gc.isenabled()
+    optimize(g)
+    assert gc.isenabled()
+
+
+def test_optimize_restores_the_collector_when_it_raises(monkeypatch):
+    seen = []
+
+    def failing_simplify(f):
+        seen.append(gc.isenabled())
+        raise RuntimeError("simplify failed")
+
+    monkeypatch.setattr(ltl, "simplify", failing_simplify)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="simplify failed"):
+        optimize(run_pipeline(parse_kb(SAT_KB), "z").grounded)
+    assert seen == [False]  # paused while it ran
+    assert gc.isenabled()
+
+
+def test_optimize_keeps_a_disabled_collector_disabled():
+    g = run_pipeline(parse_kb(SAT_KB), "z").grounded
+    gc.disable()
+    try:
+        optimize(g)
         assert not gc.isenabled()
     finally:
         gc.enable()

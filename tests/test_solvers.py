@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from tdlite.ltl import parse_infix
+from tdlite.ltl import LAnd, LNextF, LNot, LProp, LSomeF, LSomeP, conj, parse_infix, prop_names
+from tdlite.pipeline import run_pipeline, solver_formula
 from tdlite.solvers import (
     PastOperatorPresent,
     ProfileError,
@@ -18,6 +19,8 @@ from tdlite.solvers import (
     oracle_profile,
     run_solver,
 )
+
+from conftest import TOY_VERDICTS, load_toy
 
 
 def _profile(**kw):
@@ -45,6 +48,32 @@ def test_emitters_reject_past_operators():
     with pytest.raises(PastOperatorPresent):
         emit_smv(f)
     assert e1.value.code == "PAST_OPERATOR_PRESENT"
+
+
+def _buried_past():
+    # the past operator sits under a 1000-deep X chain, in a subtree that
+    # two conjuncts share, after 5000 past-free conjuncts
+    inner = LSomeP(LProp("p"))
+    for _ in range(1000):
+        inner = LNextF(inner)
+    shared = LAnd(LProp("s"), inner)
+    return conj([LProp(f"a{i}") for i in range(5000)] + [LSomeF(shared), LNot(shared)])
+
+
+@pytest.mark.parametrize("emit", [emit_smv, emit_infix])
+def test_emitters_find_a_buried_past_operator(emit):
+    with pytest.raises(PastOperatorPresent):
+        emit(_buried_past())
+
+
+@pytest.mark.parametrize("flow", ["n", "z"])
+@pytest.mark.parametrize("name", sorted(TOY_VERDICTS))
+def test_smv_declares_the_formulas_propositions(name, flow):
+    f = solver_formula(run_pipeline(load_toy(name), flow))
+    lines = emit_smv(f).splitlines()
+    declared = [ln.strip().removesuffix(" : boolean;") for ln in lines if ln.endswith(" : boolean;")]
+    assert declared == sorted(prop_names(f))
+    assert lines[1:2] == ["VAR"] and lines[-1].startswith("LTLSPEC !(")
 
 
 def test_emit_smv_shape():
@@ -110,6 +139,7 @@ def test_oracle_profile_runs_end_to_end():
     unsat = run_solver(oracle_profile(), parse_infix("a & (~ a)"), cpu_seconds=60)
     assert sat.verdict == "SAT"
     assert unsat.verdict == "UNSAT"
+    assert sat.reason == unsat.reason == ""
     assert sat.cpu_ms > 0 and sat.wall_ms > 0
     assert sat.max_memory_bytes > 0
     assert len(sat.output_digest) == 64
@@ -119,6 +149,7 @@ def test_max_props_guard_skips():
     prof = _profile(max_props=1)
     r = run_solver(prof, parse_infix("a & b"))
     assert r.verdict == "SKIPPED"
+    assert r.reason == "2 propositions, max-props 1"
 
 
 def test_unclassifiable_output_is_a_fail():
@@ -129,6 +160,23 @@ def test_unclassifiable_output_is_a_fail():
 def test_missing_binary_is_a_fail():
     prof = _profile(command=("/nonexistent/solver", "{input}"))
     assert run_solver(prof, parse_infix("a")).verdict == "FAIL"
+
+
+@pytest.mark.parametrize(
+    "command, formula, reason",
+    [
+        (("true",), "P a", "PastOperatorPresent: LSomeP in a formula for a past-free format"),
+        (("/nonexistent/solver", "{input}"), "a", "FileNotFoundError: "),
+        ((sys.executable, "-c", "import sys; sys.exit(3)"), "a", "exit status 3, output matched no verdict pattern"),
+        ((sys.executable, "-c", "print('SAT'); print('UNSAT')"), "a", "exit status 0, output matched both verdict patterns"),
+        ((sys.executable, "-c", "import os; os.kill(os.getpid(), 15)"), "a", "killed by SIGTERM, output matched no verdict pattern"),
+    ],
+    ids=["past-formula", "missing-binary", "exit-status", "ambiguous", "signal"],
+)
+def test_a_fail_says_why(command, formula, reason):
+    r = run_solver(_profile(command=command), parse_infix(formula))
+    assert r.verdict == "FAIL"
+    assert r.reason.startswith(reason)
 
 
 def test_ambiguous_output_is_a_fail():
@@ -145,6 +193,7 @@ def test_cpu_limit_yields_timeout():
     )
     r = run_solver(prof, parse_infix("a"))
     assert r.verdict == "TIMEOUT"
+    assert r.reason == "killed by SIGXCPU"
 
 
 def test_sleeping_process_hits_the_wall_clock_backstop():
@@ -157,3 +206,4 @@ def test_sleeping_process_hits_the_wall_clock_backstop():
     r = run_solver(prof, parse_infix("a"))
     assert r.verdict == "TIMEOUT"
     assert r.wall_ms < 60_000
+    assert r.reason == "killed by SIGKILL"
