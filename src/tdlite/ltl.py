@@ -7,15 +7,16 @@ expand into this core.
 
 Formulas can be very large (millions of nodes, right-nested conjunction
 chains), so every traversal here is iterative and memoized on node
-identity: a shared subtree is visited once.  Only printing writes it out
-at every occurrence.  The size `tree_size` reports counts shared subtrees
-once per occurrence too, but it is stored on each node when the node is
-built, so reading it walks nothing.
+identity, visiting a shared subtree once; only printing writes it out at
+every occurrence.  `tree_size` counts a shared subtree once per
+occurrence, as the paper's sizes do, but walks nothing: each node stores
+that count when it is built.
 
 A node is never mutated after it is built.  The node classes are not
 frozen only because a frozen `__init__` costs about twice as much, and a
-translation builds millions of nodes; the `id()`-keyed memos and the
-sharing of subtrees between formulas rely on nodes staying as built.
+translation builds millions of nodes; the stored sizes, the `id()`-keyed
+memos and the sharing of subtrees between formulas rely on nodes staying
+as built.
 """
 
 from __future__ import annotations

@@ -154,36 +154,45 @@ def test_max_props_guard_skips():
 
 def test_unclassifiable_output_is_a_fail():
     prof = _profile(command=("echo", "gibberish"))
-    assert run_solver(prof, parse_infix("a")).verdict == "FAIL"
+    r = run_solver(prof, parse_infix("a"))
+    assert r.verdict == "FAIL"
+    assert r.reason == "exit status 0, output matched no verdict pattern"
 
 
 def test_missing_binary_is_a_fail():
     prof = _profile(command=("/nonexistent/solver", "{input}"))
-    assert run_solver(prof, parse_infix("a")).verdict == "FAIL"
+    r = run_solver(prof, parse_infix("a"))
+    assert r.verdict == "FAIL"
+    assert r.reason.startswith("FileNotFoundError: ")
+
+
+def test_a_past_formula_is_a_fail_with_the_emitters_reason():
+    r = run_solver(_profile(), parse_infix("X (P a)"))
+    assert r.verdict == "FAIL"
+    assert r.reason == "PastOperatorPresent: LSomeP in a formula for a past-free format"
 
 
 @pytest.mark.parametrize(
-    "command, formula, reason",
+    "code, reason",
     [
-        (("true",), "P a", "PastOperatorPresent: LSomeP in a formula for a past-free format"),
-        (("/nonexistent/solver", "{input}"), "a", "FileNotFoundError: "),
-        ((sys.executable, "-c", "import sys; sys.exit(3)"), "a", "exit status 3, output matched no verdict pattern"),
-        ((sys.executable, "-c", "print('SAT'); print('UNSAT')"), "a", "exit status 0, output matched both verdict patterns"),
-        ((sys.executable, "-c", "import os; os.kill(os.getpid(), 15)"), "a", "killed by SIGTERM, output matched no verdict pattern"),
+        ("import sys; sys.exit(3)", "exit status 3, output matched no verdict pattern"),
+        ("import os; os.kill(os.getpid(), 15)", "killed by SIGTERM, output matched no verdict pattern"),
     ],
-    ids=["past-formula", "missing-binary", "exit-status", "ambiguous", "signal"],
+    ids=["exit-status", "signal"],
 )
-def test_a_fail_says_why(command, formula, reason):
-    r = run_solver(_profile(command=command), parse_infix(formula))
+def test_a_fail_names_how_the_solver_ended(code, reason):
+    r = run_solver(_profile(command=(sys.executable, "-c", code)), parse_infix("a"))
     assert r.verdict == "FAIL"
-    assert r.reason.startswith(reason)
+    assert r.reason == reason
 
 
 def test_ambiguous_output_is_a_fail():
     prof = _profile(
         command=(sys.executable, "-c", "print('SAT'); print('UNSAT')"),
     )
-    assert run_solver(prof, parse_infix("a")).verdict == "FAIL"
+    r = run_solver(prof, parse_infix("a"))
+    assert r.verdict == "FAIL"
+    assert r.reason == "exit status 0, output matched both verdict patterns"
 
 
 def test_cpu_limit_yields_timeout():
