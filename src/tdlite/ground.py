@@ -4,12 +4,14 @@ Every universally quantified conjunct is replaced by the conjunction of its
 instantiations over all constants: the declared individuals plus one fresh
 witness d_R per role representation.  Boxes are desugared on the way out,
 so the result uses only negation, conjunction, and the four next/eventually
-operators.
+operators.  `split_by_constant` sorts the top-level conjuncts by the one
+constant each is about, for grounding one constant at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from . import names
 from .kb import KnowledgeBase
@@ -23,6 +25,8 @@ from .ltl import (
     LSomeP,
     Ltl,
     LFalse,
+    FALSE,
+    TRUE,
     conj,
     gc_paused,
 )
@@ -40,12 +44,13 @@ from .qtl import (
     QProp,
     QSomeF,
     QSomeP,
+    QTRUE,
     Qtl,
     TranslationContext,
     Var,
 )
 
-__all__ = ["GroundingContext", "ground"]
+__all__ = ["GroundingContext", "ground", "split_by_constant"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,12 +72,16 @@ _QUNARY = {QNot: LNot, QNextF: LNextF, QNextP: LNextP, QSomeF: LSomeF, QSomeP: L
 
 
 @gc_paused()
-def ground(qtl: Qtl, gctx: GroundingContext) -> Ltl:
+def ground(
+    qtl: Qtl, gctx: GroundingContext, fixed: Optional[Mapping[str, bool]] = None
+) -> Ltl:
     """Instantiate quantifiers over the constant set and desugar boxes.
 
+    A proposition named in `fixed` becomes truth or falsum instead.
     Iterative with memoization on (node, binding) so shared subformulas and
     repeated instantiations are translated once.
     """
+    fixed = fixed or {}
     memo: dict[tuple[int, str | None], Ltl] = {}
     stack: list[tuple[Qtl, str | None, bool]] = [(qtl, None, False)]
     while stack:
@@ -93,7 +102,10 @@ def ground(qtl: Qtl, gctx: GroundingContext) -> Ltl:
         if isinstance(n, QFalsum):
             memo[key] = LFalse()
         elif isinstance(n, QProp):
-            memo[key] = LProp(n.name)
+            if n.name in fixed:
+                memo[key] = TRUE if fixed[n.name] else FALSE
+            else:
+                memo[key] = LProp(n.name)
         elif isinstance(n, QAtom):
             if isinstance(n.term, Var):
                 if binding is None:
@@ -112,3 +124,53 @@ def ground(qtl: Qtl, gctx: GroundingContext) -> Ltl:
         else:
             memo[key] = _QUNARY[type(n)](memo[(id(n.arg), binding)])
     return memo[(id(qtl), None)]
+
+
+def split_by_constant(
+    qtl: Qtl, constants: tuple[str, ...]
+) -> tuple[list[Qtl], dict[str, list[Qtl]]]:
+    """The top-level conjuncts of `qtl`, sorted by the constant each is
+    about: the constant-free ones (such as the falsum of a contradicted
+    negated role fact), and per constant the conjuncts that name it plus
+    every universally quantified one, to be grounded at that constant.
+    Truth, the empty ABox's translation, is left out.
+
+    Raises ValueError on a conjunct that names two constants, or names a
+    constant under a quantifier; the dagger translation builds neither.
+    """
+    shared: list[Qtl] = []
+    per_const: dict[str, list[Qtl]] = {c: [] for c in constants}
+    spine = [qtl]
+    while spine:
+        n = spine.pop()
+        if isinstance(n, QAnd):
+            spine.append(n.right)
+            spine.append(n.left)
+            continue
+        if n == QTRUE:
+            continue
+        named: set[str] = set()
+        universal = False
+        stack = [n]
+        while stack:
+            m = stack.pop()
+            if isinstance(m, QAtom) and isinstance(m.term, Const):
+                named.add(m.term.name.lower())
+            elif isinstance(m, QForAll):
+                universal = True
+                stack.append(m.body)
+            elif isinstance(m, QAnd):
+                stack.append(m.left)
+                stack.append(m.right)
+            elif isinstance(m, (QNot, QNextF, QNextP, QSomeF, QSomeP, QAlwF, QAlwP)):
+                stack.append(m.arg)
+        if len(named) > 1 or (named and universal):
+            raise ValueError(f"a conjunct names several constants: {sorted(named)}")
+        if universal:
+            for parts in per_const.values():
+                parts.append(n)
+        elif named:
+            per_const[named.pop()].append(n)
+        else:
+            shared.append(n)
+    return shared, per_const

@@ -27,14 +27,43 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
+REPR_LIMIT = 200
+
+
 class Ltl:
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        """The dataclass-style text of the node, cut after REPR_LIMIT
+        characters: one walk of bounded length, so a deep chain or a
+        shared tower prints as quickly as a leaf."""
+        parts: list[str] = []
+        length = 0
+        stack: list[object] = [self]
+        while stack and length <= REPR_LIMIT:
+            n = stack.pop()
+            if isinstance(n, str):
+                text = n
+            elif isinstance(n, LProp):
+                text = f"LProp(name={n.name!r})"
+            elif isinstance(n, LAnd):
+                stack.extend([")", n.right, ", right=", n.left])
+                text = "LAnd(left="
+            elif isinstance(n, _UNARY):
+                stack.extend([")", n.arg])
+                text = f"{type(n).__name__}(arg="
+            else:
+                text = f"{type(n).__name__}()"
+            parts.append(text)
+            length += len(text)
+        out = "".join(parts)
+        return out if not stack and length <= REPR_LIMIT else out[:REPR_LIMIT] + "..."
 
 
 # Every node class stores `size`, the node count with shared subtrees
 # counted once per occurrence, computed from its children's when it is built.
 
-@dataclass(slots=True, eq=False, init=False)
+@dataclass(slots=True, eq=False, init=False, repr=False)
 class LFalse(Ltl):
     size: int = field(repr=False)
 
@@ -42,7 +71,7 @@ class LFalse(Ltl):
         self.size = 1
 
 
-@dataclass(slots=True, eq=False, init=False)
+@dataclass(slots=True, eq=False, init=False, repr=False)
 class LProp(Ltl):
     name: str
     size: int = field(repr=False)
@@ -52,7 +81,7 @@ class LProp(Ltl):
         self.size = 1
 
 
-@dataclass(slots=True, eq=False, init=False)
+@dataclass(slots=True, eq=False, init=False, repr=False)
 class LNot(Ltl):
     arg: Ltl
     size: int = field(repr=False)
@@ -62,7 +91,7 @@ class LNot(Ltl):
         self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False, init=False)
+@dataclass(slots=True, eq=False, init=False, repr=False)
 class LAnd(Ltl):
     left: Ltl
     right: Ltl
@@ -74,7 +103,7 @@ class LAnd(Ltl):
         self.size = 1 + left.size + right.size
 
 
-@dataclass(slots=True, eq=False, init=False)
+@dataclass(slots=True, eq=False, init=False, repr=False)
 class LNextF(Ltl):
     arg: Ltl
     size: int = field(repr=False)
@@ -84,7 +113,7 @@ class LNextF(Ltl):
         self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False, init=False)
+@dataclass(slots=True, eq=False, init=False, repr=False)
 class LNextP(Ltl):
     arg: Ltl
     size: int = field(repr=False)
@@ -94,7 +123,7 @@ class LNextP(Ltl):
         self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False, init=False)
+@dataclass(slots=True, eq=False, init=False, repr=False)
 class LSomeF(Ltl):
     arg: Ltl
     size: int = field(repr=False)
@@ -104,7 +133,7 @@ class LSomeF(Ltl):
         self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False, init=False)
+@dataclass(slots=True, eq=False, init=False, repr=False)
 class LSomeP(Ltl):
     arg: Ltl
     size: int = field(repr=False)

@@ -558,12 +558,15 @@ class _Engine:
         )
 
 
-def ltl_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[LassoWord]:
+def ltl_sat(
+    f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND, recheck: bool = True
+) -> Optional[LassoWord]:
     """Complete satisfiability over ℕ for past-free formulas.
 
     Returns a satisfying lasso, or None for unsatisfiable.  The returned
     word is re-checked against the formula by direct evaluation
-    (`WitnessCheckFailed` if it is not a model).
+    (`WitnessCheckFailed` if it is not a model), unless `recheck` is off
+    because the caller re-checks a word built from it.
     """
     if has_past(f):
         raise ValueError("the ℕ checker requires a past-free formula")
@@ -577,17 +580,21 @@ def ltl_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[LassoWord
     fair = eng.fair_states(region=r)
     if fair == 0:
         return None
-    return _checked(f, eng.extract(fair, region=r), "extracted word")
+    word = eng.extract(fair, region=r)
+    return _checked(f, word, "extracted word") if recheck else word
 
 
-def z_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[BiLassoWord]:
+def z_sat(
+    f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND, recheck: bool = True
+) -> Optional[BiLassoWord]:
     """Complete satisfiability over ℤ for LTL with past.
 
     A formula holds at some integer iff a bi-infinite sequence of
     consistent tableau states runs through an anchor satisfying it,
     entered from a backward-fair cycle and leaving into a forward-fair
     one.  Returns a satisfying bi-lasso anchored at such a state, or None
-    for unsatisfiable; the word is re-checked by direct evaluation.
+    for unsatisfiable; the word is re-checked by direct evaluation unless
+    `recheck` is off, as in `ltl_sat`.
     """
     eng = _Engine(f, bound)
     b = eng.b
@@ -609,4 +616,4 @@ def z_sat(f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND) -> Optional[BiLassoWord
     if good == 0:
         return None
     word = eng.extract_bi(good, fair_f, fair_b, region_f=r_f, region_b=r_b)
-    return _checked(f, word, "extracted word")
+    return _checked(f, word, "extracted word") if recheck else word

@@ -3,9 +3,9 @@
 A knowledge base runs through up to three translation stages — the
 one-variable first-order temporal formula, its propositional grounding,
 and (over ℤ) the past-free rendering — with per-stage sizes and timings
-collected in a trace.  Checking optimizes the grounded formula and hands
-it to the built-in checkers, or hands `solver_formula` to an external
-solver profile.  `solver_formula` is the one definition of what a solver
+collected in a trace.  In process, checking decides the grounding one
+constant at a time (`components.check_by_constant`); with an external
+solver profile it hands over `solver_formula`, the whole formula.  `solver_formula` is the one definition of what a solver
 receives; `tdlite translate --to smv|infix` and `tdlite bench` use it too.
 """
 
@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .components import Decomposition, check_by_constant
 from .ground import GroundingContext, ground
 from .kb import KnowledgeBase, concept_size
 from .ltl import Ltl, count_props, optimize, tree_size
-from .oracle import ltl_sat, z_sat
 from .pastelim import depast
 from .qtl import Qtl, TranslationContext, qtl_size, translate_kb
 from .solvers import SolverProfile, run_solver
@@ -45,6 +45,8 @@ class PipelineTrace:
     qtl_ctx: Optional[TranslationContext] = None
     grounded: Optional[Ltl] = field(default=None, repr=False)
     past_free: Optional[Ltl] = field(default=None, repr=False)
+    # how an in-process check split the grounding; None for other runs
+    decomposition: Optional[Decomposition] = None
 
     def stage(self, name: str) -> StageRecord:
         for rec in self.stages:
@@ -56,7 +58,7 @@ class PipelineTrace:
         return sum(rec.wall_ms for rec in self.stages)
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "flow": self.flow,
             "stages": [
                 {
@@ -68,6 +70,9 @@ class PipelineTrace:
                 for rec in self.stages
             ],
         }
+        if self.decomposition is not None:
+            out["decomposition"] = self.decomposition.as_dict()
+        return out
 
 
 def kb_node_count(kb: KnowledgeBase) -> int:
@@ -121,19 +126,21 @@ def check_kb(
 ) -> tuple[str, PipelineTrace]:
     """Satisfiability verdict for a knowledge base.
 
-    Without a profile the built-in checkers run in process: the ℕ flow's
-    grounded formula goes to the lasso checker, the ℤ flow's to the
-    two-sided one (no detour through past elimination, which roughly
-    triples the state variables).  With a profile, `solver_formula(trace)`
-    is handed to the external solver.
+    Without a profile the built-in checkers run in process, one
+    component per constant (`check_by_constant`, recorded in
+    `trace.decomposition`): the lasso checker over ℕ, the two-sided one
+    over ℤ (no detour through past elimination, which roughly triples the
+    state variables).  With a profile, `solver_formula(trace)` is handed
+    to the external solver.
     """
     trace = run_pipeline(kb, flow)
     if profile is None:
-        g = optimize(trace.grounded)
-        word = (
-            ltl_sat(g, bound=CHECK_SUBFORMULA_BOUND)
-            if flow == "n"
-            else z_sat(g, bound=CHECK_SUBFORMULA_BOUND)
+        word, trace.decomposition = check_by_constant(
+            trace.qtl,
+            trace.qtl_ctx,
+            GroundingContext.from_kb(kb, trace.qtl_ctx),
+            optimize(trace.grounded),
+            CHECK_SUBFORMULA_BOUND,
         )
         return ("SAT" if word is not None else "UNSAT"), trace
     result = run_solver(

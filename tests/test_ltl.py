@@ -17,6 +17,7 @@ from tdlite.ltl import (
     LProp,
     LSomeF,
     LSomeP,
+    REPR_LIMIT,
     TRUE,
     _rigidity_rewrite,
     alw_f,
@@ -219,3 +220,28 @@ def test_struct_eq_ignores_object_identity():
     g = LAnd(LProp("a"), LSomeF(LProp("b")))
     assert struct_eq(f, g)
     assert not struct_eq(f, LAnd(LProp("a"), LSomeF(LProp("c"))))
+
+
+def test_repr_of_a_small_formula_reads_like_its_constructors():
+    f = LAnd(LProp("a"), LNot(LNextF(FALSE)))
+    assert repr(f) == "LAnd(left=LProp(name='a'), right=LNot(arg=LNextF(arg=LFalse())))"
+
+
+def test_repr_of_a_deep_chain_is_bounded():
+    f = LProp("a")
+    for _ in range(5000):
+        f = LNextF(f)
+    text = repr(f)
+    assert text.startswith("LNextF(arg=LNextF(arg=")
+    assert text.endswith("...")
+    assert len(text) <= REPR_LIMIT + 3
+
+
+def test_repr_of_a_shared_tower_is_bounded():
+    # 2**25 leaf occurrences: printing every occurrence would not finish
+    g = LProp("a")
+    for _ in range(25):
+        g = LAnd(g, g)
+    text = repr(g)
+    assert text.startswith("LAnd(left=LAnd(left=")
+    assert len(text) <= REPR_LIMIT + 3
