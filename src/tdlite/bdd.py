@@ -128,7 +128,13 @@ class Bdd:
             self.cache[key] = r
             return r
 
-        return go(f)
+        try:
+            return go(f)
+        finally:
+            # `go` reaches itself, and `self`, through its closure; unlinked,
+            # a finished engine's tables are freed when its last user drops
+            # it instead of at the next cyclic collection
+            del go
 
     def and_exist(self, f: int, g: int, levels: frozenset[int]) -> int:
         """∃ levels. (f ∧ g), without building the full conjunction."""
@@ -155,7 +161,10 @@ class Bdd:
             self.cache[key] = r
             return r
 
-        return go(f, g)
+        try:
+            return go(f, g)
+        finally:
+            del go  # unlinked, as in `exist`
 
     # --- renaming (mapping must be monotone on the support) ---
 
@@ -174,7 +183,10 @@ class Bdd:
             self.cache[key] = r
             return r
 
-        return go(f)
+        try:
+            return go(f)
+        finally:
+            del go  # unlinked, as in `exist`
 
     # --- witnesses ---
 

@@ -165,7 +165,7 @@ def split_by_constant(
             elif isinstance(m, (QNot, QNextF, QNextP, QSomeF, QSomeP, QAlwF, QAlwP)):
                 stack.append(m.arg)
         if len(named) > 1 or (named and universal):
-            raise ValueError(f"a conjunct names several constants: {sorted(named)}")
+            raise ValueError(f"a conjunct is about more than one constant: {sorted(named)}")
         if universal:
             for parts in per_const.values():
                 parts.append(n)

@@ -4,9 +4,10 @@ A knowledge base runs through up to three translation stages — the
 one-variable first-order temporal formula, its propositional grounding,
 and (over ℤ) the past-free rendering — with per-stage sizes and timings
 collected in a trace.  In process, checking decides the grounding one
-constant at a time (`components.check_by_constant`); with an external
-solver profile it hands over `solver_formula`, the whole formula.  `solver_formula` is the one definition of what a solver
-receives; `tdlite translate --to smv|infix` and `tdlite bench` use it too.
+constant at a time (`components.check_by_constant`); an external solver
+profile gets `solver_formula`, the whole formula.  `solver_formula` is the
+one definition of what a solver receives; `tdlite translate --to
+smv|infix` and `tdlite bench` use it too.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from tdlite.ground import GroundingContext, ground
+import pytest
+
+from tdlite.ground import GroundingContext, ground, split_by_constant
 from tdlite.kb import (
     Atomic,
     ConceptAssertion,
@@ -13,7 +15,17 @@ from tdlite.kb import (
 )
 from tdlite.ltl import has_past, prop_names, tree_size
 from tdlite.names import SYNTHETIC_CONST, witness_const
-from tdlite.qtl import build_context, translate_kb
+from tdlite.qtl import (
+    ConceptPred,
+    Const,
+    QAnd,
+    QAtom,
+    QForAll,
+    QNot,
+    build_context,
+    q_conj,
+    translate_kb,
+)
 
 from conftest import load_toy
 
@@ -68,3 +80,27 @@ def test_grounding_scales_with_constant_count():
     small = GroundingContext(constants=("p1",))
     full = GroundingContext.from_kb(normalize_kb(kb), ctx)
     assert tree_size(ground(q, full)) > tree_size(ground(q, small))
+
+
+def test_split_by_constant_grounds_to_the_whole_formula():
+    kb, q, ctx = _translate("ex2", "n")
+    gctx = GroundingContext.from_kb(kb, ctx)
+    shared, per_const = split_by_constant(q, gctx.constants)
+    assert shared == []
+    assert list(per_const) == list(gctx.constants)
+    props = {c: prop_names(ground(q_conj(parts), GroundingContext((c,))))
+             for c, parts in per_const.items()}
+    # each constant's conjuncts mention its own propositions and the role ones only
+    for c, names in props.items():
+        assert all(n.endswith("__" + c) or n.startswith("p__") for n in names)
+    assert set().union(*props.values()) == prop_names(ground(q, gctx))
+
+
+def test_split_by_constant_rejects_a_conjunct_about_two_constants():
+    a, b = (QAtom(ConceptPred("A"), Const(x)) for x in ("a", "b"))
+    with pytest.raises(ValueError):
+        split_by_constant(QNot(QAnd(a, b)), ("a", "b"))
+    with pytest.raises(ValueError):
+        split_by_constant(QForAll(a), ("a", "b"))
+    shared, per_const = split_by_constant(QAnd(a, QAnd(b, QAnd(b, b))), ("a", "b"))
+    assert per_const == {"a": [a], "b": [b, b, b]}

@@ -6,13 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import tdlite
 from tdlite import oracle
-from tdlite.ltl import parse_infix
+from tdlite.ltl import gc_paused, parse_infix
 from tdlite.oracle import (
     BiLassoWord,
     FormulaTooLarge,
@@ -191,10 +192,11 @@ def test_a_witness_failing_re_evaluation_raises(monkeypatch, check):
 
 WITNESS_CHECK_UNDER_O = """
 import sys
+import weakref
 if __debug__:
     sys.exit("not running under -O")
 from tdlite import oracle
-from tdlite.ltl import parse_infix
+from tdlite.ltl import gc_paused, parse_infix
 from references import z_sat_bounded
 oracle.eval_on_lasso = lambda *args: False
 for check in (oracle.ltl_sat, oracle.z_sat, z_sat_bounded):
@@ -216,3 +218,19 @@ def test_the_witness_check_survives_python_O():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_finished_check_frees_its_bdd_without_the_collector(monkeypatch):
+    refs = []
+    real_init = oracle._Engine.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        refs.append(weakref.ref(self.b))
+
+    monkeypatch.setattr(oracle._Engine, "__init__", init)
+    with gc_paused():
+        for check in (ltl_sat, z_sat):
+            assert check(parse_infix("G (a -> X b) & F a")) is not None
+        assert len(refs) == 2
+        assert all(r() is None for r in refs)
