@@ -4,7 +4,7 @@ in-process inputs, and record the runs in a BENCH JSON file.
     python3 scripts/bench_pairs.py --base DIR --change DIR --out BENCH_n.json \
         --workload NAME --seed N --pairs K [--trace 0|1] [--seconds S]
     python3 scripts/bench_pairs.py --base DIR --change DIR --out BENCH_n.json \
-        --fixed [--cpu-seconds C] [--repeats R]
+        --fixed
 
 With --workload, runs `benchmark/run.py` in each checkout, K pairs of runs
 one after the other, the side that runs first alternating from pair to
@@ -15,10 +15,10 @@ many pairs the change won (lower is better for every metric; ties count
 for neither).
 
 With --fixed, each checkout runs in-process `check_kb` on fixed inputs,
-one child process per check under a CPU-time cap (and a 2 GB address-space
-limit), the side that runs first alternating: the ℕ batch
+one child process per check under a 10 s CPU-time cap (and a 2 GB
+address-space limit), the side that runs first alternating: the ℕ batch
 `BatchSpec(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)`, and `ex2_variant` over ℕ
-R times.  Each is added under "fixed/<input>" with, per side, how many
+5 times.  Each is added under "fixed/<input>" with, per side, how many
 checks were decided within the cap, the verdicts, and the median and p90
 (nearest rank) of the checks' CPU seconds, an undecided check counting as
 over the cap (a percentile that lands on one is recorded as null).
@@ -37,7 +37,9 @@ import sys
 from pathlib import Path
 
 NORTH_STAR_BATCH = dict(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)
+CHILD_CPU_SECONDS = 10
 CHILD_AS_BYTES = 2 << 30
+EX2_VARIANT_REPEATS = 5
 
 # one in-process check, in a child started from the checkout's root; argv
 # is ["-c", kind, arg]: ("batch", index) or ("toy", kb name), both over ℕ
@@ -77,12 +79,12 @@ def summary(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def check_once(root: Path, cpu_seconds: int, kind: str, arg: str) -> dict:
+def check_once(root: Path, kind: str, arg: str) -> dict:
     """One capped in-process check in a child; its report, or why it
     gave no verdict."""
 
     def limit() -> None:
-        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds + 1))
+        resource.setrlimit(resource.RLIMIT_CPU, (CHILD_CPU_SECONDS, CHILD_CPU_SECONDS + 1))
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -121,10 +123,10 @@ def fixed_summary(reports: list[dict]) -> dict:
     }
 
 
-def run_fixed(roots: dict, args) -> dict:
+def run_fixed(roots: dict) -> dict:
     inputs = {
         "north-star-batch-n": [("batch", str(i)) for i in range(NORTH_STAR_BATCH["F"])],
-        "ex2_variant-n": [("toy", "ex2_variant")] * args.repeats,
+        "ex2_variant-n": [("toy", "ex2_variant")] * EX2_VARIANT_REPEATS,
     }
     out = {}
     for name, checks in inputs.items():
@@ -133,11 +135,11 @@ def run_fixed(roots: dict, args) -> dict:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             run = {"input": arg, "first": order[0]}
             for side in order:
-                run[side] = check_once(roots[side], args.cpu_seconds, kind, arg)
+                run[side] = check_once(roots[side], kind, arg)
                 print(f"{name} {arg} {side}: {json.dumps(run[side])}", file=sys.stderr)
             runs.append(run)
         out[f"fixed/{name}"] = {
-            "cpu_seconds_cap": args.cpu_seconds,
+            "cpu_seconds_cap": CHILD_CPU_SECONDS,
             **{side: fixed_summary([r[side] for r in runs]) for side in roots},
             "runs": runs,
         }
@@ -152,8 +154,6 @@ def main(argv=None) -> int:
     what = ap.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload")
     what.add_argument("--fixed", action="store_true")
-    ap.add_argument("--cpu-seconds", type=int, default=10)
-    ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
                                                 stdout=subprocess.PIPE).stdout.strip()
                for side, root in roots.items()}
     if args.fixed:
-        for key, entry in run_fixed(roots, args).items():
+        for key, entry in run_fixed(roots).items():
             doc[key] = {**commits, **entry}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
         return 0

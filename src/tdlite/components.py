@@ -99,6 +99,10 @@ def check_by_constant(
     demand = {names.witness_const(r): names.role_prop(r.inverse()) for r in ctx.roles_of_k}
     kept = set(role_props)
     words: dict[tuple[str, frozenset[str]], Optional[Word]] = {}
+
+    def record(refuted: Optional[str]) -> Decomposition:
+        return Decomposition(len(groups), len(words), tuple(sorted(kept)), refuted)
+
     dropped = True
     while dropped:
         dropped = False
@@ -106,17 +110,18 @@ def check_by_constant(
             key = (label, frozenset(kept))
             if key not in words:
                 consts = () if label == SHARED else (label,)
-                g = ground(q_conj(parts), GroundingContext(consts), {p: p in kept for p in role_props})
+                fixed = {prop: prop in kept for prop in role_props}
+                g = ground(q_conj(parts), GroundingContext(consts), fixed)
                 words[key] = check(optimize(g), bound=bound, recheck=False)
             if words[key] is None:
                 p = demand.get(label)
                 if p not in kept:
-                    return None, Decomposition(len(groups), len(words), tuple(sorted(kept)), label)
+                    return None, record(label)
                 kept.discard(p)
                 dropped = True
     final = frozenset(kept)
     word = product_word([words[(label, final)] for label, _ in groups], final)
-    return _rechecked(whole, word), Decomposition(len(groups), len(words), tuple(sorted(kept)), None)
+    return _rechecked(whole, word), record(None)
 
 
 def _rechecked(whole: Ltl, word: Optional[Word]) -> Optional[Word]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -65,7 +65,7 @@ class Ltl:
 
 @dataclass(slots=True, eq=False, init=False, repr=False)
 class LFalse(Ltl):
-    size: int = field(repr=False)
+    size: int
 
     def __init__(self) -> None:
         self.size = 1
@@ -74,7 +74,7 @@ class LFalse(Ltl):
 @dataclass(slots=True, eq=False, init=False, repr=False)
 class LProp(Ltl):
     name: str
-    size: int = field(repr=False)
+    size: int
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -84,7 +84,7 @@ class LProp(Ltl):
 @dataclass(slots=True, eq=False, init=False, repr=False)
 class LNot(Ltl):
     arg: Ltl
-    size: int = field(repr=False)
+    size: int
 
     def __init__(self, arg: Ltl) -> None:
         self.arg = arg
@@ -95,7 +95,7 @@ class LNot(Ltl):
 class LAnd(Ltl):
     left: Ltl
     right: Ltl
-    size: int = field(repr=False)
+    size: int
 
     def __init__(self, left: Ltl, right: Ltl) -> None:
         self.left = left
@@ -106,7 +106,7 @@ class LAnd(Ltl):
 @dataclass(slots=True, eq=False, init=False, repr=False)
 class LNextF(Ltl):
     arg: Ltl
-    size: int = field(repr=False)
+    size: int
 
     def __init__(self, arg: Ltl) -> None:
         self.arg = arg
@@ -116,7 +116,7 @@ class LNextF(Ltl):
 @dataclass(slots=True, eq=False, init=False, repr=False)
 class LNextP(Ltl):
     arg: Ltl
-    size: int = field(repr=False)
+    size: int
 
     def __init__(self, arg: Ltl) -> None:
         self.arg = arg
@@ -126,7 +126,7 @@ class LNextP(Ltl):
 @dataclass(slots=True, eq=False, init=False, repr=False)
 class LSomeF(Ltl):
     arg: Ltl
-    size: int = field(repr=False)
+    size: int
 
     def __init__(self, arg: Ltl) -> None:
         self.arg = arg
@@ -136,7 +136,7 @@ class LSomeF(Ltl):
 @dataclass(slots=True, eq=False, init=False, repr=False)
 class LSomeP(Ltl):
     arg: Ltl
-    size: int = field(repr=False)
+    size: int
 
     def __init__(self, arg: Ltl) -> None:
         self.arg = arg

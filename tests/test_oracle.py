@@ -192,11 +192,10 @@ def test_a_witness_failing_re_evaluation_raises(monkeypatch, check):
 
 WITNESS_CHECK_UNDER_O = """
 import sys
-import weakref
 if __debug__:
     sys.exit("not running under -O")
 from tdlite import oracle
-from tdlite.ltl import gc_paused, parse_infix
+from tdlite.ltl import parse_infix
 from references import z_sat_bounded
 oracle.eval_on_lasso = lambda *args: False
 for check in (oracle.ltl_sat, oracle.z_sat, z_sat_bounded):
