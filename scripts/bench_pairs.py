@@ -17,8 +17,9 @@ for neither).
 With --fixed, each checkout runs in-process `check_kb` on fixed inputs,
 one child process per check under a 10 s CPU-time cap (and a 2 GB
 address-space limit), the side that runs first alternating: the ℕ batch
-`BatchSpec(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)`, and `ex2_variant` over ℕ
-5 times.  Each is added under "fixed/<input>" with, per side, how many
+`BatchSpec(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)`, the ℤ batch
+`BatchSpec(F=20, N=2, Lt=2, Lc=2, Q=1, seed=777, abox_size=4)`, and
+`ex2_variant` over ℕ 5 times.  Each is added under "fixed/<input>" with, per side, how many
 checks were decided within the cap, the verdicts, and the median and p90
 (nearest rank) of the checks' CPU seconds, an undecided check counting as
 over the cap (a percentile that lands on one is recorded as null).
@@ -37,24 +38,26 @@ import sys
 from pathlib import Path
 
 NORTH_STAR_BATCH = dict(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)
+ABOX4_BATCH = dict(F=20, N=2, Lt=2, Lc=2, Q=1, seed=777, abox_size=4)
 CHILD_CPU_SECONDS = 10
 CHILD_AS_BYTES = 2 << 30
 EX2_VARIANT_REPEATS = 5
 
 # one in-process check, in a child started from the checkout's root; argv
-# is ["-c", kind, arg]: ("batch", index) or ("toy", kb name), both over ℕ
+# is ["-c", kind, arg, flow, spec]: ("batch", index, flow, BatchSpec JSON)
+# or ("toy", kb name, flow, "")
 CHECK_CHILD = """
 import json, sys, time
 from tdlite.pipeline import check_kb
-kind, arg = sys.argv[1], sys.argv[2]
+kind, arg, flow, spec = sys.argv[1:5]
 if kind == "batch":
     from tdlite.randgen import BatchSpec, generate_instance
-    kb = generate_instance(BatchSpec(**json.loads(sys.argv[3])), int(arg), flow="n")
+    kb = generate_instance(BatchSpec(**json.loads(spec)), int(arg), flow=flow)
 else:
     from tdlite.kbparse import parse_kb
     kb = parse_kb(open(f"src/tdlite/data/{arg}.kb", encoding="utf-8").read())
 cpu, wall = time.process_time(), time.perf_counter()
-verdict, _ = check_kb(kb, "n")
+verdict, _ = check_kb(kb, flow)
 print(json.dumps({"verdict": verdict, "cpu_s": time.process_time() - cpu,
                   "wall_s": time.perf_counter() - wall}))
 """
@@ -79,7 +82,7 @@ def summary(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def check_once(root: Path, kind: str, arg: str) -> dict:
+def check_once(root: Path, check: tuple[str, str, str, str]) -> dict:
     """One capped in-process check in a child; its report, or why it
     gave no verdict."""
 
@@ -89,7 +92,7 @@ def check_once(root: Path, kind: str, arg: str) -> dict:
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", CHECK_CHILD, kind, arg, json.dumps(NORTH_STAR_BATCH)],
+        [sys.executable, "-c", CHECK_CHILD, *check],
         cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         preexec_fn=limit,
     )
@@ -124,18 +127,23 @@ def fixed_summary(reports: list[dict]) -> dict:
 
 
 def run_fixed(roots: dict) -> dict:
+    def batch(spec: dict, flow: str) -> list[tuple[str, str, str, str]]:
+        return [("batch", str(i), flow, json.dumps(spec)) for i in range(spec["F"])]
+
     inputs = {
-        "north-star-batch-n": [("batch", str(i)) for i in range(NORTH_STAR_BATCH["F"])],
-        "ex2_variant-n": [("toy", "ex2_variant")] * EX2_VARIANT_REPEATS,
+        "north-star-batch-n": batch(NORTH_STAR_BATCH, "n"),
+        "abox4-batch-z": batch(ABOX4_BATCH, "z"),
+        "ex2_variant-n": [("toy", "ex2_variant", "n", "")] * EX2_VARIANT_REPEATS,
     }
     out = {}
     for name, checks in inputs.items():
         runs = []
-        for i, (kind, arg) in enumerate(checks):
+        for i, check in enumerate(checks):
+            arg = check[1]
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             run = {"input": arg, "first": order[0]}
             for side in order:
-                run[side] = check_once(roots[side], kind, arg)
+                run[side] = check_once(roots[side], check)
                 print(f"{name} {arg} {side}: {json.dumps(run[side])}", file=sys.stderr)
             runs.append(run)
         out[f"fixed/{name}"] = {

@@ -1,8 +1,9 @@
 """Command-line interface: translate, check, gen, bench, solve.
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 parse or validation error,
-3 flow violation (past constructs in the ℕ flow), 4 indefinite solver
-outcome (timeout, failure, or skip).
+3 flow violation (past constructs in the ℕ flow), 4 no definite verdict
+(a solver's timeout, failure or skip, or an uncaught error, reported as
+`error: <type>: <message>` on stderr).
 """
 
 from __future__ import annotations
@@ -335,7 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as e:  # no verdict: never let a crash read as UNSAT
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INDEFINITE
 
 
 if __name__ == "__main__":

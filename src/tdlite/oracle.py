@@ -20,6 +20,8 @@ fixpoint loop serves both cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Optional
 
 from .bdd import Bdd
@@ -33,8 +35,8 @@ from .ltl import (
     LSomeF,
     LSomeP,
     Ltl,
+    _children,
     has_past,
-    iter_nodes,
     structural_index,
 )
 
@@ -110,87 +112,62 @@ class BiLassoWord:
 
 def eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
     """Exact truth value of f at the given position of an ultimately
-    periodic word.
+    periodic word (over ℕ the position is at least 0).
 
-    Diamonds are decided by inspecting a finite window: a subformula's
-    truth sequence is periodic past the prefix, except that every past
-    operator under a future diamond (and vice versa on the negative
-    half) can delay stabilization by up to one loop length, so the
-    window grows by one period per opposite-direction operator.
+    One bottom-up pass over the distinct subformulas gives each one truth
+    sequence over a single window (Markey, Schnoebelen, "Model checking a
+    path", CONCUR 2003).  Each Y or P nested in a subformula can delay by
+    up to one right-loop period the point from which its sequence repeats
+    with the word's right loop; X and F never do.  So the window reaches
+    prefix + (past-nesting depth + 1) right-loop periods, and its last
+    period repeats forever in every sequence.  Over ℤ the left edge is set
+    the same way by the future-nesting depth (X and F) and the left loop.
+    Both edges also cover `position`.  ¬ and ∧ are pointwise, X and Y are
+    shifts, and F and P are one suffix or prefix sweep, seeded by the loop
+    period at the window's edge.
     """
-    one_sided = isinstance(word, LassoWord)
-    n_past_ops = sum(1 for x in iter_nodes(f) if isinstance(x, (LNextP, LSomeP)))
-    n_future_ops = sum(1 for x in iter_nodes(f) if isinstance(x, (LNextF, LSomeF)))
-    if one_sided:
-        lp = len(word.loop)
-        fut_horizon = len(word.prefix) + lp * (n_past_ops + 1)
+    uid_of, reps = structural_index(f)
+    kids = [[uid_of[id(c)] for c in _children(rep)] for rep in reps]
+    past_depth: list[int] = []
+    future_depth: list[int] = []
+    for uid, rep in enumerate(reps):
+        past_depth.append(max((past_depth[k] for k in kids[uid]), default=0)
+                          + isinstance(rep, (LNextP, LSomeP)))
+        future_depth.append(max((future_depth[k] for k in kids[uid]), default=0)
+                            + isinstance(rep, (LNextF, LSomeF)))
+    root = uid_of[id(f)]
+    if isinstance(word, LassoWord):
+        if position < 0:
+            raise ValueError("a position over ℕ is at least 0")
+        rl, ll, lo = len(word.loop), 0, 0  # ll = 0: nothing lies before 0
+        hi = len(word.prefix) + rl * (past_depth[root] + 1)
     else:
-        rl = len(word.right_loop)
-        ll = len(word.left_loop)
-        fut_horizon = len(word.right_prefix) + rl * (n_past_ops + 1)
-        past_horizon = -(len(word.left_prefix) + ll * (n_future_ops + 1))
-
-    def future_bound(n: int) -> int:
-        if one_sided:
-            return max(n, fut_horizon) + lp - 1
-        return max(n, fut_horizon) + rl - 1
-
-    def past_bound(n: int) -> int:
-        if one_sided:
-            return 0
-        return min(n, past_horizon) - ll + 1
-
-    memo: dict[tuple[int, int], bool] = {}
-    stack: list[tuple[Ltl, int, bool]] = [(f, position, False)]
-    while stack:
-        n, pos, done = stack.pop()
-        key = (id(n), pos)
-        if key in memo:
-            continue
-        if isinstance(n, LFalse):
-            memo[key] = False
-            continue
-        if isinstance(n, LProp):
-            memo[key] = word.value(n.name, pos) if (one_sided and pos >= 0) or not one_sided else False
-            continue
-        if isinstance(n, LNextP) and one_sided and pos == 0:
-            memo[key] = False  # no predecessor of time 0 over ℕ
-            continue
-        if not done:
-            stack.append((n, pos, True))
-            if isinstance(n, LNot):
-                stack.append((n.arg, pos, False))
-            elif isinstance(n, LAnd):
-                stack.append((n.left, pos, False))
-                stack.append((n.right, pos, False))
-            elif isinstance(n, LNextF):
-                stack.append((n.arg, pos + 1, False))
-            elif isinstance(n, LNextP):
-                stack.append((n.arg, pos - 1, False))
-            elif isinstance(n, LSomeF):
-                for k in range(pos, future_bound(pos) + 1):
-                    stack.append((n.arg, k, False))
-            elif isinstance(n, LSomeP):
-                for k in range(past_bound(pos), pos + 1):
-                    stack.append((n.arg, k, False))
-            continue
-        if isinstance(n, LNot):
-            memo[key] = not memo[(id(n.arg), pos)]
-        elif isinstance(n, LAnd):
-            memo[key] = memo[(id(n.left), pos)] and memo[(id(n.right), pos)]
-        elif isinstance(n, LNextF):
-            memo[key] = memo[(id(n.arg), pos + 1)]
-        elif isinstance(n, LNextP):
-            memo[key] = memo[(id(n.arg), pos - 1)]
-        elif isinstance(n, LSomeF):
-            memo[key] = any(
-                memo[(id(n.arg), k)] for k in range(pos, future_bound(pos) + 1)
-            )
+        rl, ll = len(word.right_loop), len(word.left_loop)
+        hi = len(word.right_prefix) + rl * (past_depth[root] + 1)
+        lo = min(position, -(len(word.left_prefix) + ll * (future_depth[root] + 1)))
+    vals = [word.valuation(n) for n in range(lo, max(hi, position) + 1)]
+    w = len(vals)
+    seqs: list[list[bool]] = []
+    for uid, rep in enumerate(reps):
+        a = seqs[kids[uid][0]] if kids[uid] else []
+        if isinstance(rep, LFalse):
+            s = [False] * w
+        elif isinstance(rep, LProp):
+            s = [rep.name in v for v in vals]
+        elif isinstance(rep, LNot):
+            s = [not x for x in a]
+        elif isinstance(rep, LAnd):
+            s = [x and y for x, y in zip(a, seqs[kids[uid][1]])]
+        elif isinstance(rep, LNextF):
+            s = a[1:] + [a[w - rl]]
+        elif isinstance(rep, LNextP):
+            s = [ll > 0 and a[ll - 1]] + a[:-1]
+        elif isinstance(rep, LSomeF):
+            s = list(accumulate(reversed(a), or_, initial=any(a[w - rl:])))[:0:-1]
         else:  # LSomeP
-            memo[key] = any(
-                memo[(id(n.arg), k)] for k in range(past_bound(pos), pos + 1)
-            )
-    return memo[(id(f), position)]
+            s = list(accumulate(a, or_, initial=any(a[:ll])))[1:]
+        seqs.append(s)
+    return seqs[root][position - lo]
 
 
 # --- complete checkers -------------------------------------------------------
@@ -249,7 +226,7 @@ class _Engine:
                 raise AssertionError("temporal subformula missed the variable order")
         self.val = val
 
-        self.trans_parts: list[int] = []
+        trans_parts: list[int] = []
         self.fairness_f: list[int] = []
         self.fairness_b: list[int] = []
         state_ok = 1
@@ -262,22 +239,22 @@ class _Engine:
             arg_now = val[uid_of[id(rep.arg)]]
             arg_next = b.rename(arg_now, self.to_primed)
             if isinstance(rep, LNextF):
-                self.trans_parts.append(b.iff_(x, arg_next))
+                trans_parts.append(b.iff_(x, arg_next))
             elif isinstance(rep, LNextP):
-                self.trans_parts.append(b.iff_(x_next, arg_now))
+                trans_parts.append(b.iff_(x_next, arg_now))
             elif isinstance(rep, LSomeF):
-                self.trans_parts.append(b.iff_(x, b.or_(arg_now, x_next)))
+                trans_parts.append(b.iff_(x, b.or_(arg_now, x_next)))
                 state_ok = b.and_(state_ok, b.implies(arg_now, x))
                 self.fairness_f.append(b.or_(b.not_(x), arg_now))
             else:  # LSomeP
-                self.trans_parts.append(b.iff_(x_next, b.or_(arg_next, x)))
+                trans_parts.append(b.iff_(x_next, b.or_(arg_next, x)))
                 state_ok = b.and_(state_ok, b.implies(arg_now, x))
                 self.fairness_b.append(b.or_(b.not_(x), arg_now))
         # a direction without eventualities has the one constraint "true"
         self.fairness_f = self.fairness_f or [1]
         self.fairness_b = self.fairness_b or [1]
         self.state_ok = state_ok
-        self.trans = b.conj(sorted(self.trans_parts, key=b.size))
+        self.trans = b.conj(sorted(trans_parts, key=b.size))
         self.init = b.and_(val[uid_of[id(f)]], state_ok)
 
     def _variable_order(self, f: Ltl) -> list[int]:

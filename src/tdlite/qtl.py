@@ -339,11 +339,6 @@ def translate_tbox(kb: KnowledgeBase, ctx: TranslationContext) -> Qtl:
     return q_conj(conjuncts)
 
 
-def eq2_conjunct_count(ctx: TranslationContext) -> int:
-    k = len(ctx.q_set)
-    return len(ctx.roles_of_k) * (k * (k - 1) // 2)
-
-
 def _shift(f: Qtl, n: int) -> Qtl:
     for _ in range(abs(n)):
         f = QNextF(f) if n > 0 else QNextP(f)

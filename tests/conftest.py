@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from importlib import resources
 
+from hypothesis import strategies as st
+
 from tdlite.kb import KnowledgeBase
 from tdlite.kbparse import parse_kb
-from tdlite.ltl import LAnd, LNextF, LNextP, LNot, LProp, LSomeF, LSomeP, Ltl
+from tdlite.ltl import FALSE, LAnd, LNextF, LNextP, LNot, LProp, LSomeF, LSomeP, Ltl
 from tdlite.oracle import BiLassoWord, LassoWord
 
 PROPS = ("a", "b", "c", "d")
@@ -46,6 +48,20 @@ def random_ltlp(
         random_ltlp(k, rng, unary, props),
         random_ltlp(size - 1 - k, rng, unary, props),
     )
+
+
+formulas = st.recursive(
+    st.sampled_from([LProp("a"), LProp("b"), LProp("c"), FALSE]),
+    lambda sub: st.one_of(
+        sub.map(LNot),
+        sub.map(LNextF),
+        sub.map(LNextP),
+        sub.map(LSomeF),
+        sub.map(LSomeP),
+        st.tuples(sub, sub).map(lambda t: LAnd(*t)),
+    ),
+    max_leaves=12,
+)
 
 
 def _valuations(rng: random.Random, count: int, props: tuple[str, ...]):

@@ -1,9 +1,11 @@
 """Reference procedures that only the tests use.
 
 A bounded, sound-but-incomplete model search over ℤ that cross-checks the
-complete checkers, the read-back of a model with past from an ℕ model of
-its past-free translation, and a walk that counts a formula's nodes, for
-the size each node stores.
+complete checkers, a word evaluator that searches (node, position) pairs
+on demand, against which the bottom-up `oracle.eval_on_lasso` is tested,
+the read-back of a model with past from an ℕ model of its past-free
+translation, a walk that counts a formula's nodes, for the size each
+node stores, and the closed-form count of a TBox's monotonicity conjuncts.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from tdlite.ltl import (
     iter_nodes,
     prop_names,
 )
-from tdlite.oracle import BiLassoWord, Valuation
+from tdlite.oracle import BiLassoWord, LassoWord, Valuation
 from tdlite.pastelim import SubformulaTable
+from tdlite.qtl import TranslationContext
 
 MAX_Z_PROPS = 8
 DEFAULT_Z_BOUND = 3
@@ -101,8 +104,9 @@ def z_sat_bounded(
             elif isinstance(node, LNextP):
                 r = enc(node.arg, n - 1)
             elif isinstance(node, LSomeF):
-                # the same stabilization window as eval_on_lasso: one
-                # extra period per past operator under the diamond
+                # the window of searched_eval_on_lasso: one extra period
+                # per past operator occurrence, never shorter than the
+                # window eval_on_lasso sets by past-nesting depth
                 hi = max(n, rp + rl * (n_past_ops + 1)) + rl - 1
                 r = 0
                 for k in range(n, hi + 1):
@@ -138,6 +142,91 @@ def z_sat_bounded(
     return None
 
 
+def searched_eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
+    """Exact truth value of f at the given position of an ultimately
+    periodic word, by an on-demand search over (node, position) pairs.
+
+    Diamonds are decided by inspecting a finite window: a subformula's
+    truth sequence is periodic past the prefix, except that every past
+    operator under a future diamond (and vice versa on the negative
+    half) can delay stabilization by up to one loop length, so the
+    window grows by one period per opposite-direction operator.
+    """
+    one_sided = isinstance(word, LassoWord)
+    n_past_ops = sum(1 for x in iter_nodes(f) if isinstance(x, (LNextP, LSomeP)))
+    n_future_ops = sum(1 for x in iter_nodes(f) if isinstance(x, (LNextF, LSomeF)))
+    if one_sided:
+        lp = len(word.loop)
+        fut_horizon = len(word.prefix) + lp * (n_past_ops + 1)
+    else:
+        rl = len(word.right_loop)
+        ll = len(word.left_loop)
+        fut_horizon = len(word.right_prefix) + rl * (n_past_ops + 1)
+        past_horizon = -(len(word.left_prefix) + ll * (n_future_ops + 1))
+
+    def future_bound(n: int) -> int:
+        if one_sided:
+            return max(n, fut_horizon) + lp - 1
+        return max(n, fut_horizon) + rl - 1
+
+    def past_bound(n: int) -> int:
+        if one_sided:
+            return 0
+        return min(n, past_horizon) - ll + 1
+
+    memo: dict[tuple[int, int], bool] = {}
+    stack: list[tuple[Ltl, int, bool]] = [(f, position, False)]
+    while stack:
+        n, pos, done = stack.pop()
+        key = (id(n), pos)
+        if key in memo:
+            continue
+        if isinstance(n, LFalse):
+            memo[key] = False
+            continue
+        if isinstance(n, LProp):
+            memo[key] = word.value(n.name, pos) if (one_sided and pos >= 0) or not one_sided else False
+            continue
+        if isinstance(n, LNextP) and one_sided and pos == 0:
+            memo[key] = False  # no predecessor of time 0 over ℕ
+            continue
+        if not done:
+            stack.append((n, pos, True))
+            if isinstance(n, LNot):
+                stack.append((n.arg, pos, False))
+            elif isinstance(n, LAnd):
+                stack.append((n.left, pos, False))
+                stack.append((n.right, pos, False))
+            elif isinstance(n, LNextF):
+                stack.append((n.arg, pos + 1, False))
+            elif isinstance(n, LNextP):
+                stack.append((n.arg, pos - 1, False))
+            elif isinstance(n, LSomeF):
+                for k in range(pos, future_bound(pos) + 1):
+                    stack.append((n.arg, k, False))
+            elif isinstance(n, LSomeP):
+                for k in range(past_bound(pos), pos + 1):
+                    stack.append((n.arg, k, False))
+            continue
+        if isinstance(n, LNot):
+            memo[key] = not memo[(id(n.arg), pos)]
+        elif isinstance(n, LAnd):
+            memo[key] = memo[(id(n.left), pos)] and memo[(id(n.right), pos)]
+        elif isinstance(n, LNextF):
+            memo[key] = memo[(id(n.arg), pos + 1)]
+        elif isinstance(n, LNextP):
+            memo[key] = memo[(id(n.arg), pos - 1)]
+        elif isinstance(n, LSomeF):
+            memo[key] = any(
+                memo[(id(n.arg), k)] for k in range(pos, future_bound(pos) + 1)
+            )
+        else:  # LSomeP
+            memo[key] = any(
+                memo[(id(n.arg), k)] for k in range(past_bound(pos), pos + 1)
+            )
+    return memo[(id(f), position)]
+
+
 def reconstruct_value(
     table: SubformulaTable,
     prop: str,
@@ -150,6 +239,13 @@ def reconstruct_value(
     if time >= 0:
         return read(p, time)
     return read(m, -time)
+
+
+def eq2_conjunct_count(ctx: TranslationContext) -> int:
+    """The closed-form number of cardinality-monotonicity conjuncts in a
+    translated TBox: one per role and pair of distinct numbers in Q."""
+    k = len(ctx.q_set)
+    return len(ctx.roles_of_k) * (k * (k - 1) // 2)
 
 
 def walked_tree_size(f: Ltl) -> int:

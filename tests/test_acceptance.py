@@ -21,7 +21,7 @@ from tdlite.ltl import tree_size
 from tdlite.oracle import BiLassoWord, eval_on_lasso, ltl_sat
 from tdlite.pastelim import depast, depast_with_table
 from tdlite.pipeline import check_kb, run_pipeline, solver_formula
-from tdlite.qtl import build_context, eq2_conjunct_count, translate_kb, translate_tbox
+from tdlite.qtl import build_context, translate_kb, translate_tbox
 from tdlite.randgen import (
     BatchSpec,
     generate_instance,
@@ -36,7 +36,7 @@ from conftest import (
     load_toy,
     random_ltlp,
 )
-from references import reconstruct_value, z_sat_bounded
+from references import eq2_conjunct_count, reconstruct_value, z_sat_bounded
 
 CORPUS_SEED = 97
 CORPUS_SIZE = 500

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tdlite
 from tdlite.cli import (
     CSV_HEADER,
     EXIT_FLOW,
@@ -52,6 +57,22 @@ def test_check_exit_codes(kb_file, capsys):
 def test_parse_error_exit_code(kb_file, capsys):
     assert run_cli("check", kb_file("SIG\nTBOX oops\n")) == EXIT_PARSE
     assert "parse error" in capsys.readouterr().err
+
+
+def test_a_crash_is_no_verdict_not_unsat(kb_file):
+    # a 3000-deep concept overflows the recursive parser; run in a fresh
+    # interpreter, whose recursion limit no earlier BDD has raised
+    deep = "SIG\nconcept A\nindividual x\nTBOX\nA SUB " + "X " * 3000 + "A\nABOX\nA(x)@0\n"
+    src = str(Path(tdlite.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdlite.cli", "check", kb_file(deep)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_INDEFINITE
+    assert proc.stderr.startswith("error: RecursionError: ")
+    assert proc.stdout == ""
 
 
 def test_validation_error_exit_code(kb_file, capsys):

@@ -38,22 +38,8 @@ from tdlite.ltl import (
 from tdlite.oracle import eval_on_lasso
 from tdlite.pastelim import depast
 
-from conftest import UNARY_OPS, random_bilasso, random_lasso, random_ltlp
+from conftest import UNARY_OPS, formulas, random_bilasso, random_lasso, random_ltlp
 from references import walked_tree_size
-
-formulas = st.recursive(
-    st.sampled_from([LProp("a"), LProp("b"), LProp("c"), FALSE]),
-    lambda sub: st.one_of(
-        sub.map(LNot),
-        sub.map(LNextF),
-        sub.map(LNextP),
-        sub.map(LSomeF),
-        sub.map(LSomeP),
-        st.tuples(sub, sub).map(lambda t: LAnd(*t)),
-    ),
-    max_leaves=12,
-)
-
 
 @st.composite
 def shared_formulas(draw):

@@ -6,14 +6,16 @@ import os
 import random
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tdlite
 from tdlite import oracle
-from tdlite.ltl import gc_paused, parse_infix
+from tdlite.ltl import gc_paused, optimize, parse_infix
 from tdlite.oracle import (
     BiLassoWord,
     FormulaTooLarge,
@@ -24,9 +26,11 @@ from tdlite.oracle import (
     z_sat,
 )
 from tdlite.pastelim import depast
+from tdlite.pipeline import run_pipeline
+from tdlite.randgen import BatchSpec, generate_instance
 
-from conftest import random_ltlp
-from references import z_sat_bounded
+from conftest import formulas, random_bilasso, random_lasso, random_ltlp
+from references import searched_eval_on_lasso, z_sat_bounded
 
 V = frozenset
 A = V({"a"})
@@ -86,6 +90,36 @@ def test_eval_window_regression_on_bilasso():
     f = parse_infix("X (P (b & (~ (F (F (Y b))))))")
     assert not eval_on_lasso(f, w, 0)
     assert eval_on_lasso(parse_infix("X (P (F b))"), w, 0)
+
+
+def test_eval_rejects_a_negative_position_over_the_naturals():
+    with pytest.raises(ValueError):
+        eval_on_lasso(parse_infix("a"), LassoWord(prefix=(), loop=(A,)), -1)
+
+
+@given(formulas, st.randoms(use_true_random=False), st.booleans(), st.integers(-9, 14))
+@settings(max_examples=400, deadline=None)
+def test_eval_agrees_with_the_search_reference(f, rng, two_sided, position):
+    # positions reach below the left prefix and beyond either prefix;
+    # over ℕ only the non-negative ones exist
+    if two_sided:
+        word = random_bilasso(rng, ("a", "b", "c"))
+    else:
+        word = random_lasso(rng, ("a", "b", "c"))
+        position = abs(position)
+    assert eval_on_lasso(f, word, position) == searched_eval_on_lasso(f, word, position)
+
+
+def test_eval_window_follows_nesting_depth_not_operator_count():
+    # instance 0 of this spec over ℤ, optimized: hundreds of past and
+    # future operators, nested only a few deep; the window set by their
+    # count made this one evaluation take tens of seconds
+    kb = generate_instance(BatchSpec(F=6, N=3, Lt=10, Lc=6, Q=2, seed=20260824), 0, flow="z")
+    f = optimize(run_pipeline(kb, "z").grounded)
+    word = BiLassoWord(left_loop=(E,), left_prefix=(), anchor=E, right_prefix=(), right_loop=(E,))
+    start = time.process_time()
+    assert not eval_on_lasso(f, word, 0)
+    assert time.process_time() - start < 1.0
 
 
 def test_eval_two_sided_past_is_unbounded():
@@ -151,11 +185,14 @@ def test_size_bound_is_enforced():
 
 @pytest.mark.parametrize("check", [ltl_sat, z_sat])
 def test_a_check_hash_conses_its_formula_once(monkeypatch, check):
+    # once for the engine, and once more when the witness is re-checked
     calls = []
     index = oracle.structural_index
     monkeypatch.setattr(oracle, "structural_index", lambda f: calls.append(f) or index(f))
-    assert check(parse_infix("(G (F a)) & (X b)")) is not None
+    assert check(parse_infix("(G (F a)) & (X b)"), recheck=False) is not None
     assert len(calls) == 1
+    assert check(parse_infix("(G (F a)) & (X b)")) is not None
+    assert len(calls) == 3
 
 
 def test_z_sat_bounded_is_sound():

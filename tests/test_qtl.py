@@ -21,7 +21,6 @@ from tdlite.qtl import (
     FlowViolation,
     QFalsum,
     build_context,
-    eq2_conjunct_count,
     qtl_size,
     translate_kb,
     translate_tbox,
@@ -30,6 +29,7 @@ from tdlite.kb import normalize_kb
 from tdlite.randgen import BatchSpec, generate_instance
 
 from conftest import count_monotonicity_conjuncts, load_toy, qand_spine
+from references import eq2_conjunct_count
 
 
 def _sig(**kw):
