@@ -19,10 +19,11 @@ one child process per check under a 10 s CPU-time cap (and a 2 GB
 address-space limit), the side that runs first alternating: the ℕ batch
 `BatchSpec(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)`, the ℤ batch
 `BatchSpec(F=20, N=2, Lt=2, Lc=2, Q=1, seed=777, abox_size=4)`, and
-`ex2_variant` over ℕ 5 times.  Each is added under "fixed/<input>" with, per side, how many
-checks were decided within the cap, the verdicts, and the median and p90
-(nearest rank) of the checks' CPU seconds, an undecided check counting as
-over the cap (a percentile that lands on one is recorded as null).
+`ex2_variant` over ℕ 5 times.  Each is added under "fixed/<input>" with,
+per side, how many checks were decided within the cap, the verdicts, and
+the median and p90 (nearest rank) of the checks' CPU seconds, an
+undecided check counting as over the cap (a percentile that lands on one
+is recorded as null).
 """
 
 from __future__ import annotations
