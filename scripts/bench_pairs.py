@@ -18,8 +18,10 @@ With --fixed, each checkout runs in-process `check_kb` on fixed inputs,
 one child process per check under a 10 s CPU-time cap (and a 2 GB
 address-space limit), the side that runs first alternating: the ℕ batch
 `BatchSpec(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)`, the ℤ batch
-`BatchSpec(F=20, N=2, Lt=2, Lc=2, Q=1, seed=777, abox_size=4)`, and
-`ex2_variant` over ℕ 5 times.  Each is added under "fixed/<input>" with,
+`BatchSpec(F=20, N=2, Lt=2, Lc=2, Q=1, seed=777, abox_size=4)`,
+`ex2_variant` over ℕ 5 times, and the ABox-timestamp sweep `A SUB A` with
+`A(b)@t` for t in 100, 200, 400 and 800, in each flow.  Each is added
+under "fixed/<input>" with,
 per side, how many checks were decided within the cap, the verdicts, and
 the median and p90 (nearest rank) of the checks' CPU seconds, an
 undecided check counting as over the cap (a percentile that lands on one
@@ -43,10 +45,12 @@ ABOX4_BATCH = dict(F=20, N=2, Lt=2, Lc=2, Q=1, seed=777, abox_size=4)
 CHILD_CPU_SECONDS = 10
 CHILD_AS_BYTES = 2 << 30
 EX2_VARIANT_REPEATS = 5
+SWEEP_TIMESTAMPS = (100, 200, 400, 800)
+SWEEP_KB = "SIG\nconcept A\nindividual b\nTBOX\nA SUB A\nABOX\nA(b)@{t}\n"
 
 # one in-process check, in a child started from the checkout's root; argv
-# is ["-c", kind, arg, flow, spec]: ("batch", index, flow, BatchSpec JSON)
-# or ("toy", kb name, flow, "")
+# is ["-c", kind, arg, flow, spec]: ("batch", index, flow, BatchSpec JSON),
+# ("toy", kb name, flow, "") or ("text", KB text, flow, "")
 CHECK_CHILD = """
 import json, sys, time
 from tdlite.pipeline import check_kb
@@ -56,7 +60,9 @@ if kind == "batch":
     kb = generate_instance(BatchSpec(**json.loads(spec)), int(arg), flow=flow)
 else:
     from tdlite.kbparse import parse_kb
-    kb = parse_kb(open(f"src/tdlite/data/{arg}.kb", encoding="utf-8").read())
+    if kind == "toy":
+        arg = open(f"src/tdlite/data/{arg}.kb", encoding="utf-8").read()
+    kb = parse_kb(arg)
 cpu, wall = time.process_time(), time.perf_counter()
 verdict, _ = check_kb(kb, flow)
 print(json.dumps({"verdict": verdict, "cpu_s": time.process_time() - cpu,
@@ -128,24 +134,29 @@ def fixed_summary(reports: list[dict]) -> dict:
 
 
 def run_fixed(roots: dict) -> dict:
-    def batch(spec: dict, flow: str) -> list[tuple[str, str, str, str]]:
-        return [("batch", str(i), flow, json.dumps(spec)) for i in range(spec["F"])]
+    # each input is a list of (label, child argv) checks
+    def batch(spec: dict, flow: str) -> list:
+        return [(str(i), ("batch", str(i), flow, json.dumps(spec))) for i in range(spec["F"])]
+
+    def sweep(flow: str) -> list:
+        return [(f"@{t}", ("text", SWEEP_KB.format(t=t), flow, "")) for t in SWEEP_TIMESTAMPS]
 
     inputs = {
         "north-star-batch-n": batch(NORTH_STAR_BATCH, "n"),
         "abox4-batch-z": batch(ABOX4_BATCH, "z"),
-        "ex2_variant-n": [("toy", "ex2_variant", "n", "")] * EX2_VARIANT_REPEATS,
+        "ex2_variant-n": [("ex2_variant", ("toy", "ex2_variant", "n", ""))] * EX2_VARIANT_REPEATS,
+        "abox-timestamp-sweep-n": sweep("n"),
+        "abox-timestamp-sweep-z": sweep("z"),
     }
     out = {}
     for name, checks in inputs.items():
         runs = []
-        for i, check in enumerate(checks):
-            arg = check[1]
+        for i, (label, check) in enumerate(checks):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            run = {"input": arg, "first": order[0]}
+            run = {"input": label, "first": order[0]}
             for side in order:
                 run[side] = check_once(roots[side], check)
-                print(f"{name} {arg} {side}: {json.dumps(run[side])}", file=sys.stderr)
+                print(f"{name} {label} {side}: {json.dumps(run[side])}", file=sys.stderr)
             runs.append(run)
         out[f"fixed/{name}"] = {
             "cpu_seconds_cap": CHILD_CPU_SECONDS,

@@ -19,10 +19,10 @@ from .kb import validate
 from .kbparse import KbSyntaxError, parse_kb
 from .ltl import optimize, to_infix, parse_infix, has_past, InfixSyntaxError
 from .oracle import ltl_sat, z_sat
-from .pipeline import CHECK_SUBFORMULA_BOUND, check_kb, run_pipeline, solver_formula
+from .pipeline import check_kb, run_pipeline, solver_formula
 from .qtl import FlowViolation, qtl_to_text
 from .randgen import BatchSpec, generate_instance, write_batch
-from .solvers import emit_infix, emit_smv, load_profiles, run_solver
+from .solvers import RunResult, emit_infix, emit_smv, load_profiles, run_solver
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -143,7 +143,7 @@ def _batch_spec(args: argparse.Namespace) -> BatchSpec:
 CSV_HEADER = [
     "seed", "F-index", "N", "Lt", "Lc", "Q", "Pt", "Pg", "flow", "abox-size",
     "qtl-nodes", "ground-props", "ground-nodes", "depast-props", "depast-nodes",
-    "translate-ms", "solver", "verdict", "solver-cpu-ms", "solver-mem-bytes",
+    "translate-ms", "solver", "verdict", "solver-cpu-ms", "solver-mem-bytes", "reason",
 ]
 
 
@@ -188,7 +188,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             memory_bytes=args.memory_bytes,
             keep_artifacts=args.keep_artifacts,
         )
-        return name, res.verdict, res.cpu_ms, res.max_memory_bytes
+        return name, res
 
     try:
         with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
@@ -196,14 +196,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 try:
                     trace, formula, translate_ms = translate(index)
                 except Exception as e:
+                    failed = RunResult("FAIL", 0.0, 0.0, 0, "", f"{type(e).__name__}: {e}")
                     for name in solver_names:
-                        _bench_row(writer, spec, args, index, None, 0.0, name, "FAIL", 0.0, 0)
+                        _bench_row(writer, spec, args, index, None, 0.0, name, failed)
                         out_fh.flush()
                     print(f"instance {index}: translation failed: {e}", file=sys.stderr)
                     continue
                 jobs = [(formula, name) for name in solver_names]
-                for name, verdict, cpu_ms, mem in pool.map(solve, jobs):
-                    _bench_row(writer, spec, args, index, trace, translate_ms, name, verdict, cpu_ms, mem)
+                for name, res in pool.map(solve, jobs):
+                    _bench_row(writer, spec, args, index, trace, translate_ms, name, res)
                     out_fh.flush()
     finally:
         if out_fh is not sys.stdout:
@@ -211,7 +212,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_row(writer, spec, args, index, trace, translate_ms, solver, verdict, cpu_ms, mem) -> None:
+def _bench_row(writer, spec, args, index, trace, translate_ms, solver, res) -> None:
     if trace is None:
         qtl_nodes = ground_props = ground_nodes = depast_props = depast_nodes = ""
     else:
@@ -227,7 +228,8 @@ def _bench_row(writer, spec, args, index, trace, translate_ms, solver, verdict, 
         spec.seed, index, spec.N, spec.Lt, spec.Lc, spec.Q, spec.Pt, spec.Pg,
         args.flow, "" if spec.abox_size is None else spec.abox_size,
         qtl_nodes, ground_props, ground_nodes, depast_props, depast_nodes,
-        round(translate_ms, 3), solver, verdict, round(cpu_ms, 3), mem,
+        round(translate_ms, 3), solver, res.verdict, round(res.cpu_ms, 3),
+        res.max_memory_bytes, res.reason,
     ])
 
 
@@ -242,11 +244,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     g = optimize(f)
-    word = (
-        z_sat(g, bound=CHECK_SUBFORMULA_BOUND)
-        if has_past(g)
-        else ltl_sat(g, bound=CHECK_SUBFORMULA_BOUND)
-    )
+    word = z_sat(g) if has_past(g) else ltl_sat(g)
     if word is not None:
         print("SAT")
         return EXIT_SAT

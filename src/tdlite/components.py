@@ -24,7 +24,7 @@ from typing import Optional, Union
 from . import names
 from .ground import GroundingContext, ground, split_by_constant
 from .ltl import Ltl, optimize
-from .oracle import BiLassoWord, LassoWord, WitnessCheckFailed, eval_on_lasso, ltl_sat, z_sat
+from .oracle import BiLassoWord, LassoWord, checked, ltl_sat, z_sat
 from .qtl import Qtl, TranslationContext, q_conj
 
 Word = Union[LassoWord, BiLassoWord]
@@ -57,17 +57,17 @@ def check_by_constant(
     q: Qtl,
     ctx: TranslationContext,
     gctx: GroundingContext,
-    whole: Ltl,
-    bound: int,
+    grounded: Ltl,
 ) -> tuple[Optional[Word], Decomposition]:
-    """A model of `whole` (the optimized grounding of `q`) or None for
-    unsatisfiable, deciding one component per constant.
+    """A model of `grounded` (the grounding of `q` over `gctx`) or None
+    for unsatisfiable, deciding one component per constant.
 
     The set P of role propositions held true is the greatest fixpoint of
     one step: start with every p_R true, and drop p_R⁻ when the component
     of w_R is unsatisfiable under the current set (which then includes
     the demand `≥1 R(w_R)` that p_R⁻ implies).  Individuals are checked
-    before witnesses, each component once per set it is checked under.
+    before witnesses, each component once per set it is checked under,
+    and each is optimized once before its checker call.
 
     Why this is complete: a component's conjuncts other than the demand
     mention p_R only as the consequent of `∃R(c) → □* p_R`, so they only
@@ -83,16 +83,11 @@ def check_by_constant(
 
     The SAT word is the product of the component words (prefixes padded
     to the longest, loops to the lcm of their lengths) with each kept p_R
-    true everywhere; it is re-checked once against `whole`
-    (`WitnessCheckFailed` if it is not a model).  With one constant and
-    no roles, `whole` itself is the one component.
+    true everywhere; it is re-checked once against `grounded` itself
+    (`WitnessCheckFailed` if it is not a model), so the check does not
+    rest on `optimize`.
     """
     check = ltl_sat if ctx.flow == "n" else z_sat
-    if len(gctx.constants) == 1 and not ctx.roles_of_k:
-        word = check(whole, bound=bound, recheck=False)
-        refuted = None if word is not None else gctx.constants[0]
-        return _rechecked(whole, word), Decomposition(1, 1, (), refuted)
-
     shared, per_const = split_by_constant(q, gctx.constants)
     groups = ([(SHARED, shared)] if shared else []) + list(per_const.items())
     role_props = [names.role_prop(r) for r in ctx.roles_of_k]
@@ -112,7 +107,7 @@ def check_by_constant(
                 consts = () if label == SHARED else (label,)
                 fixed = {prop: prop in kept for prop in role_props}
                 g = ground(q_conj(parts), GroundingContext(consts), fixed)
-                words[key] = check(optimize(g), bound=bound, recheck=False)
+                words[key] = check(optimize(g), recheck=False)
             if words[key] is None:
                 p = demand.get(label)
                 if p not in kept:
@@ -121,13 +116,7 @@ def check_by_constant(
                 dropped = True
     final = frozenset(kept)
     word = product_word([words[(label, final)] for label, _ in groups], final)
-    return _rechecked(whole, word), record(None)
-
-
-def _rechecked(whole: Ltl, word: Optional[Word]) -> Optional[Word]:
-    if word is not None and not eval_on_lasso(whole, word, 0):
-        raise WitnessCheckFailed("the combined word failed re-evaluation")
-    return word
+    return checked(grounded, word, "the combined word"), record(None)
 
 
 def product_word(words: list[Word], extra: frozenset[str]) -> Word:

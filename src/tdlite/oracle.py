@@ -43,10 +43,6 @@ from .ltl import (
 Valuation = frozenset[str]
 
 
-class FormulaTooLarge(ValueError):
-    pass
-
-
 class WitnessCheckFailed(RuntimeError):
     """A checker's satisfying word is not a model of its formula.
 
@@ -172,13 +168,12 @@ def eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
 
 # --- complete checkers -------------------------------------------------------
 
-def _checked(f: Ltl, word, source: str):
-    if not eval_on_lasso(f, word, 0):
+def checked(f: Ltl, word, source: str):
+    """`word` once direct evaluation confirms that it is a model of `f`
+    (`WitnessCheckFailed` if not); None, for unsatisfiable, passes through."""
+    if word is not None and not eval_on_lasso(f, word, 0):
         raise WitnessCheckFailed(f"{source} failed re-evaluation")
     return word
-
-
-DEFAULT_SUBFORMULA_BOUND = 24
 
 _ELEM_KINDS = (LProp, LNextF, LNextP, LSomeF, LSomeP)
 
@@ -193,12 +188,8 @@ class _Engine:
     future counterparts, with their own (backward) fairness requirements.
     """
 
-    def __init__(self, f: Ltl, bound: int):
+    def __init__(self, f: Ltl):
         uid_of, reps = structural_index(f)
-        if len(reps) > bound:
-            raise FormulaTooLarge(
-                f"{len(reps)} distinct subformulas exceeds the bound {bound}"
-            )
         self.uid_of, self.reps = uid_of, reps
         self.b = Bdd()
         b = self.b
@@ -535,9 +526,7 @@ class _Engine:
         )
 
 
-def ltl_sat(
-    f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND, recheck: bool = True
-) -> Optional[LassoWord]:
+def ltl_sat(f: Ltl, recheck: bool = True) -> Optional[LassoWord]:
     """Complete satisfiability over ℕ for past-free formulas.
 
     Returns a satisfying lasso, or None for unsatisfiable.  The returned
@@ -547,7 +536,7 @@ def ltl_sat(
     """
     if has_past(f):
         raise ValueError("the ℕ checker requires a past-free formula")
-    eng = _Engine(f, bound)
+    eng = _Engine(f)
     if eng.init == 0:
         return None
     # the fair-cycle fixpoint runs inside the reachable states: everything
@@ -558,12 +547,10 @@ def ltl_sat(
     if fair == 0:
         return None
     word = eng.extract(fair, region=r)
-    return _checked(f, word, "extracted word") if recheck else word
+    return checked(f, word, "extracted word") if recheck else word
 
 
-def z_sat(
-    f: Ltl, bound: int = DEFAULT_SUBFORMULA_BOUND, recheck: bool = True
-) -> Optional[BiLassoWord]:
+def z_sat(f: Ltl, recheck: bool = True) -> Optional[BiLassoWord]:
     """Complete satisfiability over ℤ for LTL with past.
 
     A formula holds at some integer iff a bi-infinite sequence of
@@ -573,7 +560,7 @@ def z_sat(
     for unsatisfiable; the word is re-checked by direct evaluation unless
     `recheck` is off, as in `ltl_sat`.
     """
-    eng = _Engine(f, bound)
+    eng = _Engine(f)
     b = eng.b
     if eng.init == 0:
         return None
@@ -593,4 +580,4 @@ def z_sat(
     if good == 0:
         return None
     word = eng.extract_bi(good, fair_f, fair_b, region_f=r_f, region_b=r_b)
-    return _checked(f, word, "extracted word") if recheck else word
+    return checked(f, word, "extracted word") if recheck else word

@@ -24,11 +24,6 @@ from .pastelim import depast
 from .qtl import Qtl, TranslationContext, qtl_size, translate_kb
 from .solvers import SolverProfile, run_solver
 
-# the in-process checkers keep running until the subprocess-style limits
-# kill them, so the structural guard can be generous
-CHECK_SUBFORMULA_BOUND = 10**7
-
-
 @dataclass(frozen=True, slots=True)
 class StageRecord:
     name: str  # kb | qtl1 | ltlp | ltl
@@ -140,8 +135,7 @@ def check_kb(
             trace.qtl,
             trace.qtl_ctx,
             GroundingContext.from_kb(kb, trace.qtl_ctx),
-            optimize(trace.grounded),
-            CHECK_SUBFORMULA_BOUND,
+            trace.grounded,
         )
         return ("SAT" if word is not None else "UNSAT"), trace
     result = run_solver(

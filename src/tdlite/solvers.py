@@ -144,6 +144,11 @@ def load_profiles(path: Optional[str] = None) -> dict[str, SolverProfile]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     for entry in doc.get("profiles", []):
+        max_props = entry.get("max-props")
+        try:
+            max_props = None if max_props is None else int(max_props)
+        except (TypeError, ValueError) as e:
+            raise ProfileError(f"max-props must be an integer, not {max_props!r}") from e
         try:
             prof = SolverProfile(
                 name=entry["name"],
@@ -154,7 +159,7 @@ def load_profiles(path: Optional[str] = None) -> dict[str, SolverProfile]:
                 unsat_pattern=entry["unsat-pattern"],
                 cpu_seconds=float(entry.get("cpu-seconds", DEFAULT_CPU_SECONDS)),
                 memory_bytes=int(entry.get("memory-bytes", DEFAULT_MEMORY_BYTES)),
-                max_props=entry.get("max-props"),
+                max_props=max_props,
             )
         except KeyError as e:
             raise ProfileError(f"profile entry missing field {e}") from e

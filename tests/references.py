@@ -138,7 +138,7 @@ def z_sat_bounded(
             right_prefix=tuple(slot_val(ll + lp + 1 + i) for i in range(rp)),
             right_loop=tuple(slot_val(ll + lp + 1 + rp + i) for i in range(rl)),
         )
-        return oracle._checked(f, word, "bounded-search witness")
+        return oracle.checked(f, word, "bounded-search witness")
     return None
 
 

@@ -102,7 +102,7 @@ def test_past_elimination_soundness_on_random_formulas():
     for i in range(CORPUS_SIZE):
         f = _corpus_formula(rng)
         past_free, table = depast_with_table(f)
-        word = ltl_sat(past_free, bound=10**6)
+        word = ltl_sat(past_free)
         if z_sat_bounded(f) is not None:
             n_bounded += 1
             assert word is not None, f"formula {i}: model over Z but depast UNSAT"

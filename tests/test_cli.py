@@ -182,8 +182,30 @@ def test_bench_csv_schema(tmp_path, flow, jobs):
         assert rec["flow"] == flow
         assert rec["solver"] == "oracle"
         assert rec["verdict"] in {"SAT", "UNSAT", "TIMEOUT", "FAIL", "SKIPPED"}
+        if rec["verdict"] in {"SAT", "UNSAT"}:
+            assert rec["reason"] == ""
         assert rec["qtl-nodes"] and rec["ground-nodes"]
         if flow == "z":
             assert rec["depast-nodes"]
         else:
             assert rec["depast-nodes"] == ""
+
+
+def test_bench_names_the_error_behind_a_fail(tmp_path):
+    profiles = tmp_path / "solvers.json"
+    profiles.write_text(json.dumps({"profiles": [{
+        "name": "missing", "command": ["/nonexistent/solver", "{input}"],
+        "input-format": "infix-ltl", "sat-pattern": "^SAT$", "unsat-pattern": "^UNSAT$",
+    }]}))
+    out = tmp_path / "bench.csv"
+    code = run_cli(
+        "bench", "--F", "1", "--N", "1", "--Lt", "1", "--Lc", "2", "--seed", "1",
+        "--flow", "n", "--solvers", "missing", "--solvers-file", str(profiles),
+        "--out", str(out),
+    )
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rec = dict(zip(CSV_HEADER, rows[1]))
+    assert rec["verdict"] == "FAIL"
+    assert rec["reason"].startswith("FileNotFoundError: ")

@@ -12,12 +12,12 @@ from pathlib import Path
 import pytest
 
 import tdlite
-from tdlite import components, oracle
+from tdlite import components, oracle, pipeline
 from tdlite.components import product_word
 from tdlite.kbparse import parse_kb
 from tdlite.ltl import optimize, struct_eq
 from tdlite.oracle import BiLassoWord, LassoWord, WitnessCheckFailed, ltl_sat, z_sat
-from tdlite.pipeline import CHECK_SUBFORMULA_BOUND, check_kb, run_pipeline
+from tdlite.pipeline import check_kb, run_pipeline
 from tdlite.randgen import BatchSpec, generate_instance
 
 from conftest import load_toy, random_bilasso, random_lasso
@@ -36,7 +36,7 @@ def monolithic(kb, flow: str) -> str:
     """The verdict of one checker call on the whole optimized grounding."""
     g = optimize(run_pipeline(kb, flow).grounded)
     check = ltl_sat if flow == "n" else z_sat
-    return "SAT" if check(g, bound=CHECK_SUBFORMULA_BOUND) is not None else "UNSAT"
+    return "SAT" if check(g) is not None else "UNSAT"
 
 
 # --- the differential corpus --------------------------------------------------
@@ -133,6 +133,23 @@ def test_a_profile_run_records_no_decomposition():
     assert "decomposition" not in trace.as_dict()
 
 
+# --- each stage once --------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["ex2", "ex2_variant"])
+@pytest.mark.parametrize("flow", ["n", "z"])
+def test_a_check_optimizes_each_component_once_and_nothing_else(monkeypatch, name, flow):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return optimize(f)
+
+    for module in (components, pipeline):
+        monkeypatch.setattr(module, "optimize", counting)
+    _, trace = check_kb(load_toy(name), flow)
+    assert len(calls) == trace.decomposition.checker_calls
+
+
 # --- one component: today's formula, one checker call --------------------------
 
 @pytest.mark.parametrize("flow", ["n", "z"])
@@ -167,15 +184,25 @@ def test_a_sat_verdict_is_evaluated_once(monkeypatch, name, flow):
         return real(*args)
 
     monkeypatch.setattr(oracle, "eval_on_lasso", counting)
-    monkeypatch.setattr(components, "eval_on_lasso", counting)
     assert check_kb(load_toy(name), flow)[0] == "SAT"
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["ex1_tbox", "ex2_variant"])
 @pytest.mark.parametrize("flow", ["n", "z"])
+def test_the_combined_word_is_rechecked_on_the_grounding_itself(monkeypatch, name, flow):
+    seen = []
+    real = oracle.eval_on_lasso
+    monkeypatch.setattr(oracle, "eval_on_lasso", lambda f, *rest: seen.append(f) or real(f, *rest))
+    verdict, trace = check_kb(load_toy(name), flow)
+    assert verdict == "SAT"
+    assert len(seen) == 1 and seen[0] is trace.grounded
+
+
+@pytest.mark.parametrize("name", ["ex1_tbox", "ex2_variant"])
+@pytest.mark.parametrize("flow", ["n", "z"])
 def test_a_combined_word_failing_re_evaluation_raises(monkeypatch, name, flow):
-    monkeypatch.setattr(components, "eval_on_lasso", lambda *args: False)
+    monkeypatch.setattr(oracle, "eval_on_lasso", lambda *args: False)
     with pytest.raises(WitnessCheckFailed):
         check_kb(load_toy(name), flow)
 
@@ -184,13 +211,13 @@ COMBINED_CHECK_UNDER_O = """
 import sys
 if __debug__:
     sys.exit("not running under -O")
-from tdlite import components
+from tdlite import oracle
 from tdlite.kbparse import parse_kb
 from tdlite.pipeline import check_kb
-components.eval_on_lasso = lambda *args: False
+oracle.eval_on_lasso = lambda *args: False
 try:
     check_kb(parse_kb(sys.argv[1]), "n")
-except components.WitnessCheckFailed:
+except oracle.WitnessCheckFailed:
     sys.exit(0)
 sys.exit("check_kb returned an unchecked word")
 """

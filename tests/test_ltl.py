@@ -201,6 +201,21 @@ def test_optimize_preserves_meaning_on_random_formulas():
             assert eval_on_lasso(f, w, 0) == eval_on_lasso(g, w, 0), to_infix(f)
 
 
+@pytest.mark.parametrize(
+    "text,optimized",
+    [
+        # "a never changes" as a one-sided box body: ¬(◇a ∧ ◇¬a)
+        ("G ((~ ((F a) & (F (~ a)))) & b)",
+         "(~ (F (~ ((~ (a & (~ (X a)))) & (~ ((X a) & (~ a))) & b))))"),
+        # the same under a two-sided box: ¬(a ∧ ◇P◇F¬a)
+        ("H (G ((~ (a & (P (F (~ a))))) & b))",
+         "(~ (P (F (~ ((~ (a & (~ (X a)))) & (~ ((X a) & (~ a))) & b)))))"),
+    ],
+)
+def test_optimize_rewrites_constancy_into_one_step_form(text, optimized):
+    assert to_infix(optimize(parse_infix(text))) == optimized
+
+
 def test_struct_eq_ignores_object_identity():
     f = LAnd(LProp("a"), LSomeF(LProp("b")))
     g = LAnd(LProp("a"), LSomeF(LProp("b")))

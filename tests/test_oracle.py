@@ -18,7 +18,6 @@ from tdlite import oracle
 from tdlite.ltl import gc_paused, optimize, parse_infix
 from tdlite.oracle import (
     BiLassoWord,
-    FormulaTooLarge,
     LassoWord,
     WitnessCheckFailed,
     eval_on_lasso,
@@ -145,7 +144,7 @@ def test_eval_two_sided_past_is_unbounded():
 )
 def test_ltl_sat_hand_cases(text, is_sat):
     f = parse_infix(text)
-    word = ltl_sat(f, bound=10**6)
+    word = ltl_sat(f)
     if is_sat:
         assert word is not None
         assert eval_on_lasso(f, word, 0)
@@ -169,18 +168,12 @@ def test_ltl_sat_hand_cases(text, is_sat):
 )
 def test_z_sat_hand_cases(text, is_sat):
     f = parse_infix(text)
-    word = z_sat(f, bound=10**6)
+    word = z_sat(f)
     if is_sat:
         assert word is not None
         assert eval_on_lasso(f, word, 0)
     else:
         assert word is None
-
-
-def test_size_bound_is_enforced():
-    f = parse_infix(" & ".join(f"(X p{i})" for i in range(12)))
-    with pytest.raises(FormulaTooLarge):
-        ltl_sat(f, bound=4)
 
 
 @pytest.mark.parametrize("check", [ltl_sat, z_sat])
@@ -213,8 +206,8 @@ def test_z_sat_agrees_with_the_depast_route():
     rng = random.Random(55)
     for _ in range(80):
         f = random_ltlp(rng.randint(1, 9), rng)
-        via_z = z_sat(f, bound=10**6) is not None
-        via_depast = ltl_sat(depast(f), bound=10**6) is not None
+        via_z = z_sat(f) is not None
+        via_depast = ltl_sat(depast(f)) is not None
         assert via_z == via_depast
 
 

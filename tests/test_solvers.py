@@ -127,6 +127,27 @@ def test_load_profiles_from_json(tmp_path):
     assert ext.max_props == 500
 
 
+def _one_profile_file(tmp_path, **fields):
+    entry = {"name": "p", "command": "true", "input-format": "infix-ltl",
+             "sat-pattern": "^SAT$", "unsat-pattern": "^UNSAT$", **fields}
+    path = tmp_path / "solvers.json"
+    path.write_text(json.dumps({"profiles": [entry]}))
+    return str(path)
+
+
+def test_a_string_max_props_is_read_as_an_integer(tmp_path):
+    prof = load_profiles(_one_profile_file(tmp_path, **{"max-props": "3"}))["p"]
+    assert prof.max_props == 3
+    r = run_solver(prof, parse_infix("a & b & c & d"))
+    assert r.verdict == "SKIPPED"
+    assert r.reason == "4 propositions, max-props 3"
+
+
+def test_a_max_props_that_is_no_integer_is_a_profile_error(tmp_path):
+    with pytest.raises(ProfileError, match="max-props"):
+        load_profiles(_one_profile_file(tmp_path, **{"max-props": "three"}))
+
+
 def test_load_profiles_missing_field(tmp_path):
     path = tmp_path / "solvers.json"
     path.write_text(json.dumps({"profiles": [{"name": "x"}]}))
