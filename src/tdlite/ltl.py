@@ -509,9 +509,12 @@ OPTIMIZE_MAX_ROUNDS = 10
 
 @gc_paused()
 def optimize(f: Ltl) -> Ltl:
-    """simplify to a fixpoint: sibling merging can expose new merges one
-    nesting level down, so a few rounds are needed to fully collapse
-    box towers.  A round that leaves the size unchanged is the last."""
+    """The constancy rewrite then simplify, for at most
+    OPTIMIZE_MAX_ROUNDS rounds.  Sibling merging can expose new merges one
+    nesting level down (the ○-merge descends one level of an X-chain per
+    round), so a few rounds are needed to collapse box towers.  A round
+    that leaves the size unchanged is the last; a formula still shrinking
+    after the last round is returned short of its fixpoint."""
     for _ in range(OPTIMIZE_MAX_ROUNDS):
         size = f.size
         f = simplify(_rigidity_rewrite(f))

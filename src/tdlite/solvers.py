@@ -146,8 +146,9 @@ def load_profiles(path: Optional[str] = None) -> dict[str, SolverProfile]:
     for entry in doc.get("profiles", []):
         max_props = entry.get("max-props")
         try:
-            max_props = None if max_props is None else int(max_props)
-        except (TypeError, ValueError) as e:
+            # through str, so that a fraction such as 3.5 is refused, not cut
+            max_props = None if max_props is None else int(str(max_props))
+        except ValueError as e:
             raise ProfileError(f"max-props must be an integer, not {max_props!r}") from e
         try:
             prof = SolverProfile(

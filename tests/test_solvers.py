@@ -143,9 +143,10 @@ def test_a_string_max_props_is_read_as_an_integer(tmp_path):
     assert r.reason == "4 propositions, max-props 3"
 
 
-def test_a_max_props_that_is_no_integer_is_a_profile_error(tmp_path):
+@pytest.mark.parametrize("value", ["three", 3.5])
+def test_a_max_props_that_is_no_integer_is_a_profile_error(tmp_path, value):
     with pytest.raises(ProfileError, match="max-props"):
-        load_profiles(_one_profile_file(tmp_path, **{"max-props": "three"}))
+        load_profiles(_one_profile_file(tmp_path, **{"max-props": value}))
 
 
 def test_load_profiles_missing_field(tmp_path):
