@@ -17,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .kb import validate
 from .kbparse import KbSyntaxError, parse_kb
-from .ltl import optimize, to_infix, parse_infix, has_past, InfixSyntaxError
-from .oracle import ltl_sat, z_sat
+from .ltl import optimize, to_infix, parse_infix, InfixSyntaxError
+from .oracle import z_sat
 from .pipeline import check_kb, run_pipeline, solver_formula
 from .qtl import FlowViolation, qtl_to_text
 from .randgen import BatchSpec, generate_instance, write_batch
@@ -243,9 +243,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except InfixSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    g = optimize(f)
-    word = z_sat(g) if has_past(g) else ltl_sat(g)
-    if word is not None:
+    if z_sat(optimize(f)) is not None:
         print("SAT")
         return EXIT_SAT
     print("UNSAT")

@@ -12,22 +12,22 @@ times, every per-constant component — its universal conjuncts grounded at
 that constant plus the ABox and witness conjuncts that name it, each p_R
 replaced by its truth value — is satisfiable on its own.  Each component
 is a formula over one constant's propositions only, which keeps the BDD
-checkers' variable count small.
+checker's variable count small.  `oracle.z_sat` checks every component in
+both flows: an ℕ-flow grounding has no past operator, and on a past-free
+formula `z_sat` decides satisfiability over ℕ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Optional, Union
+from typing import Optional
 
 from . import names
 from .ground import GroundingContext, ground, split_by_constant
 from .ltl import Ltl, optimize
-from .oracle import BiLassoWord, LassoWord, checked, ltl_sat, z_sat
+from .oracle import BiLassoWord, checked, z_sat
 from .qtl import Qtl, TranslationContext, q_conj
-
-Word = Union[LassoWord, BiLassoWord]
 
 # the label of the constant-free conjuncts' component; not an identifier,
 # so no constant has it
@@ -58,7 +58,7 @@ def check_by_constant(
     ctx: TranslationContext,
     gctx: GroundingContext,
     grounded: Ltl,
-) -> tuple[Optional[Word], Decomposition]:
+) -> tuple[Optional[BiLassoWord], Decomposition]:
     """A model of `grounded` (the grounding of `q` over `gctx`) or None
     for unsatisfiable, deciding one component per constant.
 
@@ -81,19 +81,19 @@ def check_by_constant(
     pass over the components drops nothing, all of them are satisfiable
     under the same set, and their words combine into one model.
 
-    The SAT word is the product of the component words (prefixes padded
-    to the longest, loops to the lcm of their lengths) with each kept p_R
+    The SAT word is the product of the component bi-lassos (prefixes
+    padded to the longest, loops to the lcm of their lengths, on each
+    side) with each kept p_R
     true everywhere; it is re-checked once against `grounded` itself
     (`WitnessCheckFailed` if it is not a model), so the check does not
     rest on `optimize`.
     """
-    check = ltl_sat if ctx.flow == "n" else z_sat
     shared, per_const = split_by_constant(q, gctx.constants)
     groups = ([(SHARED, shared)] if shared else []) + list(per_const.items())
     role_props = [names.role_prop(r) for r in ctx.roles_of_k]
     demand = {names.witness_const(r): names.role_prop(r.inverse()) for r in ctx.roles_of_k}
     kept = set(role_props)
-    words: dict[tuple[str, frozenset[str]], Optional[Word]] = {}
+    words: dict[tuple[str, frozenset[str]], Optional[BiLassoWord]] = {}
 
     def record(refuted: Optional[str]) -> Decomposition:
         return Decomposition(len(groups), len(words), tuple(sorted(kept)), refuted)
@@ -107,7 +107,7 @@ def check_by_constant(
                 consts = () if label == SHARED else (label,)
                 fixed = {prop: prop in kept for prop in role_props}
                 g = ground(q_conj(parts), GroundingContext(consts), fixed)
-                words[key] = check(optimize(g), recheck=False)
+                words[key] = z_sat(optimize(g), recheck=False)
             if words[key] is None:
                 p = demand.get(label)
                 if p not in kept:
@@ -119,7 +119,7 @@ def check_by_constant(
     return checked(grounded, word, "the combined word"), record(None)
 
 
-def product_word(words: list[Word], extra: frozenset[str]) -> Word:
+def product_word(words: list[BiLassoWord], extra: frozenset[str]) -> BiLassoWord:
     """The word whose valuation at each position is the union of the
     words' valuations there plus `extra`: prefixes padded to the longest,
     loops unrolled to the lcm of their lengths."""
@@ -127,12 +127,6 @@ def product_word(words: list[Word], extra: frozenset[str]) -> Word:
     def at(n: int) -> frozenset[str]:
         return extra.union(*(w.valuation(n) for w in words))
 
-    if isinstance(words[0], LassoWord):
-        pre = max(len(w.prefix) for w in words)
-        per = lcm(*(len(w.loop) for w in words))
-        return LassoWord(
-            tuple(at(n) for n in range(pre)), tuple(at(n) for n in range(pre, pre + per))
-        )
     rp = max(len(w.right_prefix) for w in words)
     rl = lcm(*(len(w.right_loop) for w in words))
     lp = max(len(w.left_prefix) for w in words)

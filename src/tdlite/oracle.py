@@ -1,16 +1,17 @@
 """Reference semantics for the translated formulas.
 
-Three tools live here: a direct evaluator of formulas on ultimately
-periodic words (one-sided lassos over ℕ, two-sided bi-lassos over ℤ), a
-complete symbolic satisfiability checker for past-free LTL over ℕ with
-lasso extraction, and a complete checker for LTL with past over ℤ with
-bi-lasso extraction.
+Two tools live here: a direct evaluator of formulas on ultimately
+periodic bi-infinite words (bi-lassos), and a complete symbolic
+satisfiability checker with bi-lasso extraction.  The checker decides LTL
+with past over ℤ, and past-free LTL over ℕ as well: a past-free formula
+holds at 0 of an ℕ-word iff it holds at 0 of any ℤ-word with that right
+half.
 
-Both complete checkers build the usual tableau over elementary
-subformulas (propositions and next/eventually-subformulas of either
-direction) but represent state sets and the transition constraints as
-BDDs.  Over ℕ acceptance is an Emerson-Lei style fair-cycle fixpoint; over
-ℤ the anchor state additionally has to be reachable *from* a
+The checker builds the usual tableau over elementary subformulas
+(propositions and next/eventually-subformulas of either direction) but
+represents state sets and the transition constraints as BDDs.  Forward
+acceptance is an Emerson-Lei style fair-cycle fixpoint; with a past
+operator the anchor state additionally has to be reachable *from* a
 backward-fair cycle, where past eventualities play the role future ones
 play forward.  A direction without eventualities has the single fairness
 constraint "true", so every fair cycle is then just a cycle and one
@@ -36,7 +37,6 @@ from .ltl import (
     LSomeP,
     Ltl,
     _children,
-    has_past,
     structural_index,
 )
 
@@ -48,26 +48,6 @@ class WitnessCheckFailed(RuntimeError):
 
     A raise, not an `assert`, so the re-check also runs under `python -O`.
     """
-
-
-@dataclass(frozen=True, slots=True)
-class LassoWord:
-    """An ultimately periodic word over ℕ: prefix then loop forever."""
-
-    prefix: tuple[Valuation, ...]
-    loop: tuple[Valuation, ...]
-
-    def __post_init__(self) -> None:
-        if not self.loop:
-            raise ValueError("loop must be non-empty")
-
-    def valuation(self, n: int) -> Valuation:
-        if n < len(self.prefix):
-            return self.prefix[n]
-        return self.loop[(n - len(self.prefix)) % len(self.loop)]
-
-    def value(self, name: str, n: int) -> bool:
-        return name in self.valuation(n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,13 +82,10 @@ class BiLassoWord:
             return self.left_prefix[i]
         return self.left_loop[(i - len(self.left_prefix)) % len(self.left_loop)]
 
-    def value(self, name: str, n: int) -> bool:
-        return name in self.valuation(n)
 
-
-def eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
+def eval_on_lasso(f: Ltl, word: BiLassoWord, position: int = 0) -> bool:
     """Exact truth value of f at the given position of an ultimately
-    periodic word (over ℕ the position is at least 0).
+    periodic bi-infinite word.
 
     One bottom-up pass over the distinct subformulas gives each one truth
     sequence over a single window (Markey, Schnoebelen, "Model checking a
@@ -116,8 +93,8 @@ def eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
     up to one right-loop period the point from which its sequence repeats
     with the word's right loop; X and F never do.  So the window reaches
     prefix + (past-nesting depth + 1) right-loop periods, and its last
-    period repeats forever in every sequence.  Over ℤ the left edge is set
-    the same way by the future-nesting depth (X and F) and the left loop.
+    period repeats forever in every sequence.  The left edge is set the
+    same way by the future-nesting depth (X and F) and the left loop.
     Both edges also cover `position`.  ¬ and ∧ are pointwise, X and Y are
     shifts, and F and P are one suffix or prefix sweep, seeded by the loop
     period at the window's edge.
@@ -132,15 +109,9 @@ def eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
         future_depth.append(max((future_depth[k] for k in kids[uid]), default=0)
                             + isinstance(rep, (LNextF, LSomeF)))
     root = uid_of[id(f)]
-    if isinstance(word, LassoWord):
-        if position < 0:
-            raise ValueError("a position over ℕ is at least 0")
-        rl, ll, lo = len(word.loop), 0, 0  # ll = 0: nothing lies before 0
-        hi = len(word.prefix) + rl * (past_depth[root] + 1)
-    else:
-        rl, ll = len(word.right_loop), len(word.left_loop)
-        hi = len(word.right_prefix) + rl * (past_depth[root] + 1)
-        lo = min(position, -(len(word.left_prefix) + ll * (future_depth[root] + 1)))
+    rl, ll = len(word.right_loop), len(word.left_loop)
+    hi = len(word.right_prefix) + rl * (past_depth[root] + 1)
+    lo = min(position, -(len(word.left_prefix) + ll * (future_depth[root] + 1)))
     vals = [word.valuation(n) for n in range(lo, max(hi, position) + 1)]
     w = len(vals)
     seqs: list[list[bool]] = []
@@ -157,7 +128,7 @@ def eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
         elif isinstance(rep, LNextF):
             s = a[1:] + [a[w - rl]]
         elif isinstance(rep, LNextP):
-            s = [ll > 0 and a[ll - 1]] + a[:-1]
+            s = [a[ll - 1]] + a[:-1]
         elif isinstance(rep, LSomeF):
             s = list(accumulate(reversed(a), or_, initial=any(a[w - rl:])))[:0:-1]
         else:  # LSomeP
@@ -484,81 +455,63 @@ class _Engine:
         # seq[-1] equals seq[loop_start]; drop the duplicate closing state
         return prefix[:-1] + seq[:loop_start], seq[loop_start:-1]
 
-    def extract(self, fair: int, region: int | None = None) -> LassoWord:
-        b = self.b
-        if region is None:
-            region = self.state_ok
-        reach_fair = self.eu(region, fair)
-        start = self._pick(b.and_(self.init, reach_fair))
-        prefix, loop = self.run_to_fair(start, fair, region=region)
-        return LassoWord(
-            tuple(self.valuation_of(s) for s in prefix),
-            tuple(self.valuation_of(s) for s in loop),
-        )
-
     def extract_bi(
         self,
         anchor_set: int,
         fair_f: int,
-        fair_b: int,
+        fair_b: Optional[int],
         region_f: int | None = None,
         region_b: int | None = None,
     ) -> BiLassoWord:
+        """A bi-lasso through an anchor picked from anchor_set, leaving
+        into fair_f and entered from fair_b; with fair_b None (a formula
+        without past operators) the left half is one state with the empty
+        valuation."""
         anchor = self._pick(anchor_set)
-        right_prefix, right_loop = self.run_to_fair(anchor, fair_f, forward=True, region=region_f)
-        left_prefix, left_loop = self.run_to_fair(anchor, fair_b, forward=False, region=region_b)
+        right_prefix, right_loop = self._half(anchor, fair_f, True, region_f)
+        if fair_b is None:
+            left_prefix, left_loop = (), (frozenset(),)
+        else:
+            left_prefix, left_loop = self._half(anchor, fair_b, False, region_b)
+        return BiLassoWord(left_loop, left_prefix, self.valuation_of(anchor),
+                           right_prefix, right_loop)
 
-        def split(prefix, loop):
-            # the walk may enter its loop immediately; rotate so the loop
-            # starts one step after the anchor in that case
-            if prefix:
-                return prefix, loop
-            return [loop[0]], loop[1:] + loop[:1]
-
-        right_prefix, right_loop = split(right_prefix, right_loop)
-        left_prefix, left_loop = split(left_prefix, left_loop)
-        return BiLassoWord(
-            left_loop=tuple(self.valuation_of(s) for s in left_loop),
-            left_prefix=tuple(self.valuation_of(s) for s in left_prefix[1:]),
-            anchor=self.valuation_of(anchor),
-            right_prefix=tuple(self.valuation_of(s) for s in right_prefix[1:]),
-            right_loop=tuple(self.valuation_of(s) for s in right_loop),
-        )
-
-
-def ltl_sat(f: Ltl, recheck: bool = True) -> Optional[LassoWord]:
-    """Complete satisfiability over ℕ for past-free formulas.
-
-    Returns a satisfying lasso, or None for unsatisfiable.  The returned
-    word is re-checked against the formula by direct evaluation
-    (`WitnessCheckFailed` if it is not a model), unless `recheck` is off
-    because the caller re-checks a word built from it.
-    """
-    if has_past(f):
-        raise ValueError("the ℕ checker requires a past-free formula")
-    eng = _Engine(f)
-    if eng.init == 0:
-        return None
-    # the fair-cycle fixpoint runs inside the reachable states: everything
-    # a run from the initial set can touch, and usually far smaller than
-    # the full consistent state space
-    r = eng.reach()
-    fair = eng.fair_states(region=r)
-    if fair == 0:
-        return None
-    word = eng.extract(fair, region=r)
-    return checked(f, word, "extracted word") if recheck else word
+    def _half(self, anchor: dict[int, bool], fair: int, forward: bool,
+              region: int | None) -> tuple[tuple[Valuation, ...], tuple[Valuation, ...]]:
+        """The valuations after the anchor in the walk direction: the
+        prefix, then the loop."""
+        prefix, loop = self.run_to_fair(anchor, fair, forward, region)
+        # the walk may enter its loop immediately; rotate so the loop
+        # starts one step after the anchor in that case
+        if not prefix:
+            prefix, loop = [loop[0]], loop[1:] + loop[:1]
+        return (tuple(self.valuation_of(s) for s in prefix[1:]),
+                tuple(self.valuation_of(s) for s in loop))
 
 
 def z_sat(f: Ltl, recheck: bool = True) -> Optional[BiLassoWord]:
-    """Complete satisfiability over ℤ for LTL with past.
+    """Complete satisfiability over ℤ for LTL with past, and over ℕ for
+    past-free LTL.
 
     A formula holds at some integer iff a bi-infinite sequence of
     consistent tableau states runs through an anchor satisfying it,
     entered from a backward-fair cycle and leaving into a forward-fair
     one.  Returns a satisfying bi-lasso anchored at such a state, or None
-    for unsatisfiable; the word is re-checked by direct evaluation unless
-    `recheck` is off, as in `ltl_sat`.
+    for unsatisfiable.  The word is re-checked against the formula by
+    direct evaluation (`WitnessCheckFailed` if it is not a model), unless
+    `recheck` is off because the caller re-checks a word built from it.
+
+    The backward half (the backward reachability, the backward fixpoint
+    and the left walk) runs only when the formula has a past operator.
+    Without one it always succeeds: every consistent state has a
+    consistent predecessor — give it the empty valuation and set its X
+    and F subformulas, innermost first, from its own propositions and the
+    successor's values — and with no past eventuality every backward path
+    is fair.  Nor does the left half matter to the word, since the value
+    at 0 of a past-free formula reads no negative position; so it is one
+    state with the empty valuation.  By the same argument, a past-free
+    formula is satisfiable over ℕ iff it is over ℤ, with the right half as
+    its ℕ-model.
     """
     eng = _Engine(f)
     b = eng.b
@@ -571,12 +524,12 @@ def z_sat(f: Ltl, recheck: bool = True) -> Optional[BiLassoWord]:
     fair_f = eng.fair_states(forward=True, region=r_f)
     if fair_f == 0:
         return None
-    r_b = eng.reach(forward=False)
-    fair_b = eng.fair_states(forward=False, region=r_b)
-    if fair_b == 0:
-        return None
     good = b.and_(eng.init, eng.eu(r_f, fair_f, forward=True))
-    good = b.and_(good, eng.eu(r_b, fair_b, forward=False))
+    r_b = fair_b = None
+    if any(isinstance(rep, (LNextP, LSomeP)) for rep in eng.reps):
+        r_b = eng.reach(forward=False)
+        fair_b = eng.fair_states(forward=False, region=r_b)
+        good = b.and_(good, eng.eu(r_b, fair_b, forward=False))
     if good == 0:
         return None
     word = eng.extract_bi(good, fair_f, fair_b, region_f=r_f, region_b=r_b)

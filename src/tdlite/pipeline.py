@@ -122,12 +122,13 @@ def check_kb(
 ) -> tuple[str, PipelineTrace]:
     """Satisfiability verdict for a knowledge base.
 
-    Without a profile the built-in checkers run in process, one
-    component per constant (`check_by_constant`, recorded in
-    `trace.decomposition`): the lasso checker over ℕ, the two-sided one
-    over ℤ (no detour through past elimination, which roughly triples the
-    state variables).  With a profile, `solver_formula(trace)` is handed
-    to the external solver.
+    Without a profile the built-in checker `oracle.z_sat` runs in
+    process, one component per constant (`check_by_constant`, recorded in
+    `trace.decomposition`), in both flows: an ℕ-flow grounding is
+    past-free, and `z_sat` decides a past-free formula over ℕ.  Over ℤ
+    there is no detour through past elimination, which roughly triples
+    the state variables.  With a profile, `solver_formula(trace)` is
+    handed to the external solver.
     """
     trace = run_pipeline(kb, flow)
     if profile is None:

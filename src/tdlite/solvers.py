@@ -144,12 +144,6 @@ def load_profiles(path: Optional[str] = None) -> dict[str, SolverProfile]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     for entry in doc.get("profiles", []):
-        max_props = entry.get("max-props")
-        try:
-            # through str, so that a fraction such as 3.5 is refused, not cut
-            max_props = None if max_props is None else int(str(max_props))
-        except ValueError as e:
-            raise ProfileError(f"max-props must be an integer, not {max_props!r}") from e
         try:
             prof = SolverProfile(
                 name=entry["name"],
@@ -158,14 +152,28 @@ def load_profiles(path: Optional[str] = None) -> dict[str, SolverProfile]:
                 input_format=entry["input-format"],
                 sat_pattern=entry["sat-pattern"],
                 unsat_pattern=entry["unsat-pattern"],
-                cpu_seconds=float(entry.get("cpu-seconds", DEFAULT_CPU_SECONDS)),
-                memory_bytes=int(entry.get("memory-bytes", DEFAULT_MEMORY_BYTES)),
-                max_props=max_props,
+                cpu_seconds=_field(entry, "cpu-seconds", float, DEFAULT_CPU_SECONDS, "a number"),
+                memory_bytes=_field(entry, "memory-bytes", int, DEFAULT_MEMORY_BYTES,
+                                    "an integer"),
+                # through str, so that a fraction such as 3.5 is refused, not cut
+                max_props=_field(entry, "max-props", lambda v: None if v is None else int(str(v)),
+                                 None, "an integer"),
             )
         except KeyError as e:
             raise ProfileError(f"profile entry missing field {e}") from e
         profiles[prof.name] = prof
     return profiles
+
+
+def _field(entry: dict, name: str, read, default, kind: str):
+    """`read(entry[name])`, or `default` when the entry has no such field;
+    a value that `read` refuses is a ProfileError naming the field."""
+    if name not in entry:
+        return default
+    try:
+        return read(entry[name])
+    except (TypeError, ValueError) as e:
+        raise ProfileError(f"{name} must be {kind}, not {entry[name]!r}") from e
 
 
 # --- running -----------------------------------------------------------------
@@ -190,7 +198,6 @@ def run_solver(
     cpu_seconds: Optional[float] = None,
     memory_bytes: Optional[int] = None,
     keep_artifacts: bool = False,
-    workdir: Optional[str] = None,
 ) -> RunResult:
     """Emit f, run the profile's command on it under resource limits, and
     classify the outcome.  Never raises: every mishap is a FAIL (or
@@ -209,7 +216,7 @@ def run_solver(
     try:
         text = emit_smv(f) if profile.input_format == "smv" else emit_infix(f) + "\n"
         suffix = ".smv" if profile.input_format == "smv" else ".ltl"
-        tmpdir = tempfile.mkdtemp(prefix=f"tdlite-{profile.name}-", dir=workdir)
+        tmpdir = tempfile.mkdtemp(prefix=f"tdlite-{profile.name}-")
         in_path = os.path.join(tmpdir, "input" + suffix)
         out_path = os.path.join(tmpdir, "output.txt")
         with open(in_path, "w", encoding="utf-8") as fh:

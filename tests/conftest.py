@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tdlite.kb import KnowledgeBase
 from tdlite.kbparse import parse_kb
 from tdlite.ltl import FALSE, LAnd, LNextF, LNextP, LNot, LProp, LSomeF, LSomeP, Ltl
-from tdlite.oracle import BiLassoWord, LassoWord
+from tdlite.oracle import BiLassoWord
 
 PROPS = ("a", "b", "c", "d")
 UNARY_OPS = (LNot, LNextF, LNextP, LSomeF, LSomeP)
@@ -67,13 +67,6 @@ formulas = st.recursive(
 def _valuations(rng: random.Random, count: int, props: tuple[str, ...]):
     return tuple(
         frozenset(p for p in props if rng.random() < 0.5) for _ in range(count)
-    )
-
-
-def random_lasso(rng: random.Random, props: tuple[str, ...] = PROPS) -> LassoWord:
-    return LassoWord(
-        prefix=_valuations(rng, rng.randint(0, 3), props),
-        loop=_valuations(rng, rng.randint(1, 3), props),
     )
 
 

@@ -1,7 +1,7 @@
 """Reference procedures that only the tests use.
 
 A bounded, sound-but-incomplete model search over ℤ that cross-checks the
-complete checkers, a word evaluator that searches (node, position) pairs
+complete checker, a word evaluator that searches (node, position) pairs
 on demand, against which the bottom-up `oracle.eval_on_lasso` is tested,
 the read-back of a model with past from an ℕ model of its past-free
 translation, a walk that counts a formula's nodes, for the size each
@@ -28,7 +28,7 @@ from tdlite.ltl import (
     iter_nodes,
     prop_names,
 )
-from tdlite.oracle import BiLassoWord, LassoWord, Valuation
+from tdlite.oracle import BiLassoWord, Valuation
 from tdlite.pastelim import SubformulaTable
 from tdlite.qtl import TranslationContext
 
@@ -142,9 +142,10 @@ def z_sat_bounded(
     return None
 
 
-def searched_eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
+def searched_eval_on_lasso(f: Ltl, word: BiLassoWord, position: int = 0) -> bool:
     """Exact truth value of f at the given position of an ultimately
-    periodic word, by an on-demand search over (node, position) pairs.
+    periodic bi-infinite word, by an on-demand search over (node,
+    position) pairs.
 
     Diamonds are decided by inspecting a finite window: a subformula's
     truth sequence is periodic past the prefix, except that every past
@@ -152,26 +153,17 @@ def searched_eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
     half) can delay stabilization by up to one loop length, so the
     window grows by one period per opposite-direction operator.
     """
-    one_sided = isinstance(word, LassoWord)
     n_past_ops = sum(1 for x in iter_nodes(f) if isinstance(x, (LNextP, LSomeP)))
     n_future_ops = sum(1 for x in iter_nodes(f) if isinstance(x, (LNextF, LSomeF)))
-    if one_sided:
-        lp = len(word.loop)
-        fut_horizon = len(word.prefix) + lp * (n_past_ops + 1)
-    else:
-        rl = len(word.right_loop)
-        ll = len(word.left_loop)
-        fut_horizon = len(word.right_prefix) + rl * (n_past_ops + 1)
-        past_horizon = -(len(word.left_prefix) + ll * (n_future_ops + 1))
+    rl = len(word.right_loop)
+    ll = len(word.left_loop)
+    fut_horizon = len(word.right_prefix) + rl * (n_past_ops + 1)
+    past_horizon = -(len(word.left_prefix) + ll * (n_future_ops + 1))
 
     def future_bound(n: int) -> int:
-        if one_sided:
-            return max(n, fut_horizon) + lp - 1
         return max(n, fut_horizon) + rl - 1
 
     def past_bound(n: int) -> int:
-        if one_sided:
-            return 0
         return min(n, past_horizon) - ll + 1
 
     memo: dict[tuple[int, int], bool] = {}
@@ -185,10 +177,7 @@ def searched_eval_on_lasso(f: Ltl, word, position: int = 0) -> bool:
             memo[key] = False
             continue
         if isinstance(n, LProp):
-            memo[key] = word.value(n.name, pos) if (one_sided and pos >= 0) or not one_sided else False
-            continue
-        if isinstance(n, LNextP) and one_sided and pos == 0:
-            memo[key] = False  # no predecessor of time 0 over ℕ
+            memo[key] = n.name in word.valuation(pos)
             continue
         if not done:
             stack.append((n, pos, True))

@@ -18,7 +18,7 @@ from scipy import stats
 from tdlite.ground import GroundingContext, ground
 from tdlite.kb import normalize_kb
 from tdlite.ltl import tree_size
-from tdlite.oracle import BiLassoWord, eval_on_lasso, ltl_sat
+from tdlite.oracle import BiLassoWord, eval_on_lasso, z_sat
 from tdlite.pastelim import depast, depast_with_table
 from tdlite.pipeline import check_kb, run_pipeline, solver_formula
 from tdlite.qtl import build_context, translate_kb, translate_tbox
@@ -46,19 +46,21 @@ def _corpus_formula(rng):
     return random_ltlp(rng.randint(1, 10), rng)
 
 
-def _rebuild_z_word(word, table) -> BiLassoWord:
+def _rebuild_z_word(word: BiLassoWord, table) -> BiLassoWord:
     """The integer-time model induced by a natural-time model of the
-    past-free translation: non-negative instants read the plus copies,
-    negative instants the minus copies, both at the mirrored index."""
+    past-free translation, the right half of `word`: non-negative instants
+    read the plus copies, negative instants the minus copies, both at the
+    mirrored index."""
     props = sorted(table.prop_pairs)
 
     def proj(t):
         return frozenset(
-            p for p in props if reconstruct_value(table, p, t, word.value)
+            p for p in props
+            if reconstruct_value(table, p, t, lambda name, n: name in word.valuation(n))
         )
 
-    pre = max(0, len(word.prefix) - 1)
-    k = len(word.loop)
+    pre = len(word.right_prefix)
+    k = len(word.right_loop)
     return BiLassoWord(
         left_loop=tuple(proj(-(pre + 1 + i)) for i in range(k)),
         left_prefix=tuple(proj(-t) for t in range(1, pre + 1)),
@@ -102,7 +104,7 @@ def test_past_elimination_soundness_on_random_formulas():
     for i in range(CORPUS_SIZE):
         f = _corpus_formula(rng)
         past_free, table = depast_with_table(f)
-        word = ltl_sat(past_free)
+        word = z_sat(past_free)
         if z_sat_bounded(f) is not None:
             n_bounded += 1
             assert word is not None, f"formula {i}: model over Z but depast UNSAT"

@@ -16,11 +16,11 @@ from tdlite import components, oracle, pipeline
 from tdlite.components import product_word
 from tdlite.kbparse import parse_kb
 from tdlite.ltl import optimize, struct_eq
-from tdlite.oracle import BiLassoWord, LassoWord, WitnessCheckFailed, ltl_sat, z_sat
+from tdlite.oracle import BiLassoWord, WitnessCheckFailed, z_sat
 from tdlite.pipeline import check_kb, run_pipeline
 from tdlite.randgen import BatchSpec, generate_instance
 
-from conftest import load_toy, random_bilasso, random_lasso
+from conftest import load_toy, random_bilasso
 
 # no individuals; `>= 1 R` is empty, so each witness's demand is
 # unsatisfiable, and SAT needs the fixpoint to drop both role propositions
@@ -35,8 +35,7 @@ DROP_UNSAT_KB = (
 def monolithic(kb, flow: str) -> str:
     """The verdict of one checker call on the whole optimized grounding."""
     g = optimize(run_pipeline(kb, flow).grounded)
-    check = ltl_sat if flow == "n" else z_sat
-    return "SAT" if check(g) is not None else "UNSAT"
+    return "SAT" if z_sat(g) is not None else "UNSAT"
 
 
 # --- the differential corpus --------------------------------------------------
@@ -154,15 +153,14 @@ def test_a_check_optimizes_each_component_once_and_nothing_else(monkeypatch, nam
 
 @pytest.mark.parametrize("flow", ["n", "z"])
 def test_one_constant_without_roles_checks_the_whole_formula(monkeypatch, flow):
-    name = "ltl_sat" if flow == "n" else "z_sat"
     seen = []
-    real = getattr(components, name)
+    real = components.z_sat
 
     def spy(f, **kwargs):
         seen.append(f)
         return real(f, **kwargs)
 
-    monkeypatch.setattr(components, name, spy)
+    monkeypatch.setattr(components, "z_sat", spy)
     kb = load_toy("ex1_tbox")
     verdict, trace = check_kb(kb, flow)
     assert verdict == "SAT"
@@ -229,20 +227,16 @@ def _renamed(word, tag: str):
     def ren(vals):
         return tuple(frozenset(tag + p for p in v) for v in vals)
 
-    if isinstance(word, LassoWord):
-        return LassoWord(ren(word.prefix), ren(word.loop))
     return BiLassoWord(ren(word.left_loop), ren(word.left_prefix),
                        ren((word.anchor,))[0], ren(word.right_prefix), ren(word.right_loop))
 
 
-@pytest.mark.parametrize("make", [random_lasso, random_bilasso])
-def test_product_word_is_the_union_at_every_position(make):
+def test_product_word_is_the_union_at_every_position():
     rng = random.Random(17)
-    lo = 0 if make is random_lasso else -40
     for _ in range(50):
-        words = [_renamed(make(rng), f"{i}_") for i in range(rng.randint(1, 3))]
+        words = [_renamed(random_bilasso(rng), f"{i}_") for i in range(rng.randint(1, 3))]
         extra = frozenset({"p__r"})
         prod = product_word(words, extra)
-        for n in range(lo, 40):
+        for n in range(-40, 40):
             expect = extra.union(*(w.valuation(n) for w in words))
             assert prod.valuation(n) == expect

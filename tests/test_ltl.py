@@ -38,7 +38,7 @@ from tdlite.ltl import (
 from tdlite.oracle import eval_on_lasso
 from tdlite.pastelim import depast
 
-from conftest import UNARY_OPS, formulas, random_bilasso, random_lasso, random_ltlp
+from conftest import UNARY_OPS, formulas, random_bilasso, random_ltlp
 from references import walked_tree_size
 
 @st.composite
@@ -195,9 +195,6 @@ def test_optimize_preserves_meaning_on_random_formulas():
         g = optimize(f)
         for _ in range(4):
             w = random_bilasso(rng)
-            assert eval_on_lasso(f, w, 0) == eval_on_lasso(g, w, 0), to_infix(f)
-        for _ in range(4):
-            w = random_lasso(rng)
             assert eval_on_lasso(f, w, 0) == eval_on_lasso(g, w, 0), to_infix(f)
 
 

@@ -15,35 +15,19 @@ from hypothesis import given, settings, strategies as st
 
 import tdlite
 from tdlite import oracle
-from tdlite.ltl import gc_paused, optimize, parse_infix
-from tdlite.oracle import (
-    BiLassoWord,
-    LassoWord,
-    WitnessCheckFailed,
-    eval_on_lasso,
-    ltl_sat,
-    z_sat,
-)
+from tdlite.ltl import gc_paused, optimize, parse_infix, to_infix
+from tdlite.oracle import BiLassoWord, WitnessCheckFailed, eval_on_lasso, z_sat
 from tdlite.pastelim import depast
 from tdlite.pipeline import run_pipeline
 from tdlite.randgen import BatchSpec, generate_instance
 
-from conftest import formulas, random_bilasso, random_lasso, random_ltlp
+from conftest import FUTURE_UNARY_OPS, formulas, random_bilasso, random_ltlp
 from references import searched_eval_on_lasso, z_sat_bounded
 
 V = frozenset
 A = V({"a"})
 B = V({"b"})
 E = V()
-
-
-def test_lasso_word_indexing():
-    w = LassoWord(prefix=(A, E), loop=(B,))
-    assert w.valuation(0) == A
-    assert w.valuation(1) == E
-    assert all(w.valuation(n) == B for n in range(2, 8))
-    with pytest.raises(ValueError):
-        LassoWord(prefix=(), loop=())
 
 
 def test_bilasso_word_indexing():
@@ -53,6 +37,8 @@ def test_bilasso_word_indexing():
     assert w.valuation(0) == A
     assert w.valuation(1) == E and w.valuation(-1) == E
     assert w.valuation(5) == B and w.valuation(-5) == B
+    with pytest.raises(ValueError):
+        BiLassoWord(left_loop=(), left_prefix=(), anchor=A, right_prefix=(), right_loop=(B,))
 
 
 @pytest.mark.parametrize(
@@ -62,20 +48,20 @@ def test_bilasso_word_indexing():
         ("X a", False),
         ("F b", True),
         ("G b", False),
-        ("Y a", False),  # no predecessor of the first instant
+        ("Y a", False),  # nothing before 0 holds a
         ("P a", True),
         ("F (Y a)", True),
     ],
 )
 def test_eval_on_lasso_hand_cases(text, expected):
-    w = LassoWord(prefix=(A,), loop=(B,))
+    w = BiLassoWord(left_loop=(E,), left_prefix=(), anchor=A, right_prefix=(), right_loop=(B,))
     assert eval_on_lasso(parse_infix(text), w, 0) is expected
 
 
 def test_eval_window_extends_past_operators_under_future_diamonds():
     # b holds at odd positions only; X b is true at even positions, so
     # F (Y b) needs to look beyond the first loop traversal
-    w = LassoWord(prefix=(), loop=(E, B))
+    w = BiLassoWord(left_loop=(E,), left_prefix=(), anchor=E, right_prefix=(), right_loop=(B, E))
     assert eval_on_lasso(parse_infix("F (Y b)"), w, 0)
     assert not eval_on_lasso(parse_infix("F (Y a)"), w, 0)
 
@@ -91,21 +77,12 @@ def test_eval_window_regression_on_bilasso():
     assert eval_on_lasso(parse_infix("X (P (F b))"), w, 0)
 
 
-def test_eval_rejects_a_negative_position_over_the_naturals():
-    with pytest.raises(ValueError):
-        eval_on_lasso(parse_infix("a"), LassoWord(prefix=(), loop=(A,)), -1)
-
-
-@given(formulas, st.randoms(use_true_random=False), st.booleans())
+@given(formulas, st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
-def test_eval_agrees_with_the_search_reference(f, rng, two_sided):
-    # every position from below the left prefix to beyond either prefix;
-    # over ℕ only the non-negative ones exist
-    if two_sided:
-        word, positions = random_bilasso(rng, ("a", "b", "c")), range(-12, 16)
-    else:
-        word, positions = random_lasso(rng, ("a", "b", "c")), range(16)
-    for n in positions:
+def test_eval_agrees_with_the_search_reference(f, rng):
+    # every position from below the left prefix to beyond the right one
+    word = random_bilasso(rng, ("a", "b", "c"))
+    for n in range(-12, 16):
         assert eval_on_lasso(f, word, n) == searched_eval_on_lasso(f, word, n), n
 
 
@@ -143,8 +120,9 @@ def test_eval_two_sided_past_is_unbounded():
     ],
 )
 def test_ltl_sat_hand_cases(text, is_sat):
+    # past-free: z_sat decides them as it would over ℕ
     f = parse_infix(text)
-    word = ltl_sat(f)
+    word = z_sat(f)
     if is_sat:
         assert word is not None
         assert eval_on_lasso(f, word, 0)
@@ -176,16 +154,55 @@ def test_z_sat_hand_cases(text, is_sat):
         assert word is None
 
 
-@pytest.mark.parametrize("check", [ltl_sat, z_sat])
-def test_a_check_hash_conses_its_formula_once(monkeypatch, check):
+def test_a_check_hash_conses_its_formula_once(monkeypatch):
     # once for the engine, and once more when the witness is re-checked
     calls = []
     index = oracle.structural_index
     monkeypatch.setattr(oracle, "structural_index", lambda f: calls.append(f) or index(f))
-    assert check(parse_infix("(G (F a)) & (X b)"), recheck=False) is not None
+    assert z_sat(parse_infix("(G (F a)) & (X b)"), recheck=False) is not None
     assert len(calls) == 1
-    assert check(parse_infix("(G (F a)) & (X b)")) is not None
+    assert z_sat(parse_infix("(G (F a)) & (X b)")) is not None
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "text,backward",
+    [
+        ("(G (a -> X b)) & (F a)", False),
+        ("(G (F a)) & (Y b)", True),
+        ("a & (P (~ a))", True),
+    ],
+)
+def test_z_sat_searches_backward_only_for_a_past_operator(monkeypatch, text, backward):
+    directions = []
+    for name in ("reach", "fair_states"):
+        real = getattr(oracle._Engine, name)
+
+        def spy(self, forward=True, *args, _real=real, **kwargs):
+            directions.append(forward)
+            return _real(self, forward, *args, **kwargs)
+
+        monkeypatch.setattr(oracle._Engine, name, spy)
+    word = z_sat(parse_infix(text))
+    assert word is not None
+    assert (False in directions) is backward
+    if not backward:
+        assert word.left_prefix == () and word.left_loop == (E,)
+
+
+def test_z_sat_finds_every_past_free_model_the_bounded_search_finds():
+    # the bounded search is an independent reference; over ℕ nothing
+    # before 0 is read, so this is the ℕ side of the complete checker
+    rng = random.Random(73)
+    found = unsat = 0
+    for _ in range(150):
+        f = random_ltlp(rng.randint(1, 10), rng, FUTURE_UNARY_OPS, ("a", "b", "c"))
+        word = z_sat(f)
+        if z_sat_bounded(f) is not None:
+            found += 1
+            assert word is not None, to_infix(f)
+        unsat += word is None
+    assert found > 0 and unsat > 0
 
 
 def test_z_sat_bounded_is_sound():
@@ -207,13 +224,13 @@ def test_z_sat_agrees_with_the_depast_route():
     for _ in range(80):
         f = random_ltlp(rng.randint(1, 9), rng)
         via_z = z_sat(f) is not None
-        via_depast = ltl_sat(depast(f)) is not None
+        via_depast = z_sat(depast(f)) is not None
         assert via_z == via_depast
 
 
 # --- a witness that fails re-evaluation is an error, also under -O ----------
 
-@pytest.mark.parametrize("check", [ltl_sat, z_sat, z_sat_bounded])
+@pytest.mark.parametrize("check", [z_sat, z_sat_bounded])
 def test_a_witness_failing_re_evaluation_raises(monkeypatch, check):
     monkeypatch.setattr(oracle, "eval_on_lasso", lambda *args: False)
     with pytest.raises(WitnessCheckFailed):
@@ -228,7 +245,7 @@ from tdlite import oracle
 from tdlite.ltl import parse_infix
 from references import z_sat_bounded
 oracle.eval_on_lasso = lambda *args: False
-for check in (oracle.ltl_sat, oracle.z_sat, z_sat_bounded):
+for check in (oracle.z_sat, z_sat_bounded):
     try:
         check(parse_infix("F a"))
     except oracle.WitnessCheckFailed:
@@ -259,7 +276,7 @@ def test_a_finished_check_frees_its_bdd_without_the_collector(monkeypatch):
 
     monkeypatch.setattr(oracle._Engine, "__init__", init)
     with gc_paused():
-        for check in (ltl_sat, z_sat):
-            assert check(parse_infix("G (a -> X b) & F a")) is not None
+        for text in ("G (a -> X b) & F a", "G (a -> Y b) & P a"):
+            assert z_sat(parse_infix(text)) is not None
         assert len(refs) == 2
         assert all(r() is None for r in refs)

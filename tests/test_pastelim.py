@@ -15,7 +15,7 @@ from tdlite.ltl import (
     prop_names,
     tree_size,
 )
-from tdlite.oracle import eval_on_lasso, ltl_sat
+from tdlite.oracle import eval_on_lasso, z_sat
 from tdlite.pastelim import build_table, depast, depast_with_table
 
 from conftest import random_ltlp
@@ -93,11 +93,11 @@ def test_unsatisfiable_past_formula_stays_unsatisfiable():
     # a ∧ ◇P ¬◇F a is unsatisfiable: the diamond reaches back to a point
     # whose future contains the present
     f = LAnd(LProp("a"), LSomeP(LNot(LSomeF(LProp("a")))))
-    assert ltl_sat(depast(f)) is None
+    assert z_sat(depast(f)) is None
 
 
 def test_satisfiable_past_formula_stays_satisfiable():
     f = LAnd(LProp("a"), LSomeP(LNot(LProp("a"))))
-    word = ltl_sat(depast(f))
+    word = z_sat(depast(f))
     assert word is not None
     assert eval_on_lasso(depast(f), word, 0)

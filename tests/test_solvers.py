@@ -149,6 +149,13 @@ def test_a_max_props_that_is_no_integer_is_a_profile_error(tmp_path, value):
         load_profiles(_one_profile_file(tmp_path, **{"max-props": value}))
 
 
+@pytest.mark.parametrize("field,value", [("cpu-seconds", "ten"), ("memory-bytes", "lots"),
+                                         ("cpu-seconds", None)])
+def test_a_limit_that_is_no_number_is_a_profile_error(tmp_path, field, value):
+    with pytest.raises(ProfileError, match=field):
+        load_profiles(_one_profile_file(tmp_path, **{field: value}))
+
+
 def test_load_profiles_missing_field(tmp_path):
     path = tmp_path / "solvers.json"
     path.write_text(json.dumps({"profiles": [{"name": "x"}]}))
