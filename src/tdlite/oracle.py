@@ -459,7 +459,7 @@ class _Engine:
         self,
         anchor_set: int,
         fair_f: int,
-        fair_b: Optional[int],
+        fair_b: int | None,
         region_f: int | None = None,
         region_b: int | None = None,
     ) -> BiLassoWord:
