@@ -48,9 +48,6 @@ class Bdd:
     def var(self, level: int) -> int:
         return self.mk(level, 0, 1)
 
-    def nvar(self, level: int) -> int:
-        return self.mk(level, 1, 0)
-
     def _cofactors(self, f: int, level: int) -> tuple[int, int]:
         fl, lo, hi = self.nodes[f]
         if fl == level:
@@ -113,80 +110,64 @@ class Bdd:
         return qid
 
     def exist(self, f: int, levels: frozenset[int]) -> int:
-        qid = self._qid(levels)
+        return self._exist(f, levels, self._qid(levels))
 
-        def go(f: int) -> int:
-            if f < 2:
-                return f
-            level, lo, hi = self.nodes[f]
-            key = ("e", f, qid)
-            r = self.cache.get(key)
-            if r is not None:
-                return r
-            l, h = go(lo), go(hi)
-            r = self.or_(l, h) if level in levels else self.mk(level, l, h)
-            self.cache[key] = r
+    def _exist(self, f: int, levels: frozenset[int], qid: int) -> int:
+        if f < 2:
+            return f
+        level, lo, hi = self.nodes[f]
+        key = ("e", f, qid)
+        r = self.cache.get(key)
+        if r is not None:
             return r
-
-        try:
-            return go(f)
-        finally:
-            # `go` reaches itself, and `self`, through its closure; unlinked,
-            # a finished engine's tables are freed when its last user drops
-            # it instead of at the next cyclic collection
-            del go
+        l, h = self._exist(lo, levels, qid), self._exist(hi, levels, qid)
+        r = self.or_(l, h) if level in levels else self.mk(level, l, h)
+        self.cache[key] = r
+        return r
 
     def and_exist(self, f: int, g: int, levels: frozenset[int]) -> int:
         """∃ levels. (f ∧ g), without building the full conjunction."""
-        qid = self._qid(levels)
+        return self._and_exist(f, g, levels, self._qid(levels))
 
-        def go(f: int, g: int) -> int:
-            if f == 0 or g == 0:
-                return 0
-            if f == 1:
-                return self.exist(g, levels)
-            if g == 1:
-                return self.exist(f, levels)
-            if f > g:
-                f, g = g, f
-            key = ("ae", f, g, qid)
-            r = self.cache.get(key)
-            if r is not None:
-                return r
-            level = min(self.level(f), self.level(g))
-            f0, f1 = self._cofactors(f, level)
-            g0, g1 = self._cofactors(g, level)
-            l, h = go(f0, g0), go(f1, g1)
-            r = self.or_(l, h) if level in levels else self.mk(level, l, h)
-            self.cache[key] = r
+    def _and_exist(self, f: int, g: int, levels: frozenset[int], qid: int) -> int:
+        if f == 0 or g == 0:
+            return 0
+        if f == 1:
+            return self._exist(g, levels, qid)
+        if g == 1:
+            return self._exist(f, levels, qid)
+        if f > g:
+            f, g = g, f
+        key = ("ae", f, g, qid)
+        r = self.cache.get(key)
+        if r is not None:
             return r
-
-        try:
-            return go(f, g)
-        finally:
-            del go  # unlinked, as in `exist`
+        level = min(self.level(f), self.level(g))
+        f0, f1 = self._cofactors(f, level)
+        g0, g1 = self._cofactors(g, level)
+        l, h = self._and_exist(f0, g0, levels, qid), self._and_exist(f1, g1, levels, qid)
+        r = self.or_(l, h) if level in levels else self.mk(level, l, h)
+        self.cache[key] = r
+        return r
 
     # --- renaming (mapping must be monotone on the support) ---
 
     def rename(self, f: int, mapping: dict[int, int]) -> int:
         rid = self._rename_ids.setdefault(tuple(sorted(mapping.items())), len(self._rename_ids))
+        return self._rename(f, mapping, rid)
 
-        def go(f: int) -> int:
-            if f < 2:
-                return f
-            key = ("r", f, rid)
-            r = self.cache.get(key)
-            if r is not None:
-                return r
-            level, lo, hi = self.nodes[f]
-            r = self.mk(mapping.get(level, level), go(lo), go(hi))
-            self.cache[key] = r
+    def _rename(self, f: int, mapping: dict[int, int], rid: int) -> int:
+        if f < 2:
+            return f
+        key = ("r", f, rid)
+        r = self.cache.get(key)
+        if r is not None:
             return r
-
-        try:
-            return go(f)
-        finally:
-            del go  # unlinked, as in `exist`
+        level, lo, hi = self.nodes[f]
+        r = self.mk(mapping.get(level, level),
+                    self._rename(lo, mapping, rid), self._rename(hi, mapping, rid))
+        self.cache[key] = r
+        return r
 
     # --- witnesses ---
 
@@ -206,10 +187,11 @@ class Bdd:
         return out
 
     def cube(self, assignment: dict[int, bool]) -> int:
+        """The conjunction of the assigned literals: one path, built from
+        the deepest level up."""
         out = 1
         for level in sorted(assignment, reverse=True):
-            v = self.var(level) if assignment[level] else self.nvar(level)
-            out = self.and_(v, out)
+            out = self.mk(level, 0, out) if assignment[level] else self.mk(level, out, 0)
         return out
 
     def size(self, f: int) -> int:

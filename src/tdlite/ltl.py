@@ -144,7 +144,6 @@ class LSomeP(Ltl):
 
 
 _UNARY = (LNot, LNextF, LNextP, LSomeF, LSomeP)
-_PAST = (LNextP, LSomeP)
 
 FALSE = LFalse()
 TRUE = LNot(FALSE)
@@ -242,10 +241,6 @@ def prop_names(f: Ltl) -> set[str]:
 
 def count_props(f: Ltl) -> int:
     return len(prop_names(f))
-
-
-def has_past(f: Ltl) -> bool:
-    return any(isinstance(n, _PAST) for n in iter_nodes(f))
 
 
 def _intern(

@@ -15,7 +15,11 @@ operator the anchor state additionally has to be reachable *from* a
 backward-fair cycle, where past eventualities play the role future ones
 play forward.  A direction without eventualities has the single fairness
 constraint "true", so every fair cycle is then just a cycle and one
-fixpoint loop serves both cases.
+fixpoint loop serves both cases.  A witness is built the standard
+symbolic way (Clarke, Grumberg, McMillan, Zhao, DAC 1995), from one kind
+of walk: a shortest walk into the fair region, then shortest walks to
+each fairness constraint in turn until a (state, constraint) pair
+repeats and closes the loop.
 """
 
 from __future__ import annotations
@@ -150,13 +154,16 @@ _ELEM_KINDS = (LProp, LNextF, LNextP, LSomeF, LSomeP)
 
 
 class _Engine:
-    """Tableau-with-BDDs machinery shared by the sat checks and the
+    """Tableau-with-BDDs machinery shared by the sat check and the
     witness extraction.
 
     States valuate the elementary subformulas; the transition relation is
     the conjunction of one local constraint per elementary temporal
     subformula.  Past operators get the mirror-image constraints of their
     future counterparts, with their own (backward) fairness requirements.
+    Level 2i holds elementary subformula i now and level 2i + 1 next.  A
+    single state on a witness walk is the BDD of its full cube over the
+    unprimed levels, so one node id is both the state and its key.
     """
 
     def __init__(self, f: Ltl):
@@ -301,11 +308,16 @@ class _Engine:
         s_primed = self.b.rename(s, self.to_primed)
         return self.b.and_exist(self.trans, s_primed, self.primed)
 
-    def ex(self, s: int, forward: bool = True) -> int:
-        """States with a successor in s (forward) or a predecessor in s."""
-        return self.preimage(s) if forward else self.image(s)
+    def _step(self, s: int, forward: bool) -> int:
+        """The states one step from s in the walk direction: successors
+        forward, predecessors backward."""
+        return self.image(s) if forward else self.preimage(s)
 
-    def eu(self, region: int, target: int, forward: bool = True) -> int:
+    def ex(self, s: int, forward: bool) -> int:
+        """States with a successor in s (forward) or a predecessor in s."""
+        return self._step(s, not forward)
+
+    def eu(self, region: int, target: int, forward: bool) -> int:
         """States with a path inside region to target — following the
         transition relation forward, or against it."""
         b = self.b
@@ -316,25 +328,23 @@ class _Engine:
                 return y
             y = yn
 
-    def reach(self, forward: bool = True) -> int:
+    def reach(self, forward: bool) -> int:
         """States reachable from the initial set going with the transition
         relation (forward) or against it (predecessors of the anchor)."""
         b = self.b
         r = self.init
         frontier = r
         while frontier != 0:
-            step = self.image(frontier) if forward else self.preimage(frontier)
-            frontier = b.and_(b.and_(self.state_ok, step), b.not_(r))
+            frontier = b.and_(b.and_(self.state_ok, self._step(frontier, forward)), b.not_(r))
             r = b.or_(r, frontier)
         return r
 
-    def fair_states(self, forward: bool = True, region: int | None = None) -> int:
+    def fair_states(self, forward: bool, region: int) -> int:
         """The Emerson-Lei fixpoint: states on a cycle visiting every
-        fairness constraint of the given direction, within the region
-        (all locally consistent states when none is given)."""
+        fairness constraint of the given direction, within the region."""
         b = self.b
         fairness = self.fairness_f if forward else self.fairness_b
-        z = self.state_ok if region is None else region
+        z = region
         while True:
             z_old = z
             for fj in fairness:
@@ -346,70 +356,39 @@ class _Engine:
 
     # --- witness extraction ---
 
-    def _complete(self, partial: dict[int, bool]) -> dict[int, bool]:
-        out = {lvl: False for lvl in self.unprimed}
-        out.update({lvl: v for lvl, v in partial.items() if lvl in out})
-        return out
+    def _pick(self, s: int) -> int:
+        """One state of the set s; levels off the chosen path are false."""
+        partial = self.b.sat_one(s)
+        return self.b.cube({lvl: partial.get(lvl, False) for lvl in self.unprimed})
 
-    def _state_cube(self, state: dict[int, bool]) -> int:
-        return self.b.cube(state)
-
-    def _state_key(self, state: dict[int, bool]) -> tuple:
-        return tuple(state[lvl] for lvl in sorted(state))
-
-    def _pick(self, s: int) -> dict[int, bool]:
-        return self._complete(self.b.sat_one(s))
-
-    def _navigate(
-        self,
-        start: dict[int, bool],
-        target: int,
-        region: int,
-        forward: bool = True,
-    ) -> list[dict[int, bool]]:
+    def _navigate(self, start: int, target: int, region: int, forward: bool) -> list[int]:
         """A shortest walk of at least one step from start to a target
         state within region; returns the visited states, start excluded.
         Forward walks follow transitions, backward walks go against them."""
         b = self.b
-
-        def step(s: int) -> int:
-            return self.image(s) if forward else self.preimage(s)
-
-        def backstep(s: int) -> int:
-            return self.preimage(s) if forward else self.image(s)
-
-        seen = self._state_cube(start)
-        layers = [b.and_(step(seen), region)]
+        seen = start
+        layers = [b.and_(self._step(start, forward), region)]
         while b.and_(layers[-1], target) == 0:
-            frontier = b.and_(step(layers[-1]), region)
+            frontier = b.and_(self._step(layers[-1], forward), region)
             frontier = b.and_(frontier, b.not_(seen))
             if frontier == 0:
                 raise AssertionError("navigation target unreachable")
             layers.append(frontier)
             seen = b.or_(seen, frontier)
-        goal = self._pick(b.and_(layers[-1], target))
-        path = [goal]
+        path = [self._pick(b.and_(layers[-1], target))]
         for layer in reversed(layers[:-1]):
-            prev = b.and_(layer, backstep(self._state_cube(path[0])))
-            path.insert(0, self._pick(prev))
+            path.insert(0, self._pick(b.and_(layer, self._step(path[0], not forward))))
         return path
 
-    def valuation_of(self, state: dict[int, bool]) -> Valuation:
-        out = set()
-        for uid in self.elem:
-            rep = self.reps[uid]
-            if isinstance(rep, LProp) and state[2 * self.slot[uid]]:
-                out.add(rep.name)
-        return frozenset(out)
+    def valuation_of(self, state: int) -> Valuation:
+        bits = self.b.sat_one(state)
+        return frozenset(rep.name for uid in self.elem
+                         if isinstance(rep := self.reps[uid], LProp) and bits[2 * self.slot[uid]])
 
-    def run_to_fair(
-        self,
-        start: dict[int, bool],
-        fair: int,
-        forward: bool = True,
-        region: int | None = None,
-    ) -> tuple[list[dict[int, bool]], list[dict[int, bool]]]:
-        """A walk from start into the fair region followed by a fair loop.
+    def run_to_fair(self, start: int, fair: int, forward: bool,
+                    region: int) -> tuple[list[int], list[int]]:
+        """A walk from start into the fair region followed by a fair loop
+        (Clarke, Grumberg, McMillan, Zhao, DAC 1995).
 
         Returns (prefix, loop): prefix begins with start, consecutive
         states are one step apart in the walk direction, and the loop —
@@ -417,52 +396,28 @@ class _Engine:
         the last prefix state and closes on itself.
         """
         b = self.b
-        if region is None:
-            region = self.state_ok
-
-        # to the fair region, steering by distance layers grown backwards
-        layers = [fair]
-        acc = fair
-        while b.and_(self._state_cube(start), acc) == 0:
-            nxt = b.or_(acc, b.and_(region, self.ex(acc, forward)))
-            layers.append(nxt)
-            acc = nxt
-        depth = next(i for i, l in enumerate(layers) if b.and_(self._state_cube(start), l) != 0)
         prefix = [start]
-        cur = start
-        for d in range(depth, 0, -1):
-            step = self.image(self._state_cube(cur)) if forward else self.preimage(self._state_cube(cur))
-            cur = self._pick(b.and_(step, layers[d - 1]))
-            prefix.append(cur)
+        if b.and_(start, fair) == 0:
+            prefix += self._navigate(start, fair, region, forward)
 
         # cycle inside the fair region: schedule every fairness constraint,
         # always moving at least one step, until a (state, phase) pair
         # repeats; the segment between repeats is a genuine fair loop
         fairness = self.fairness_f if forward else self.fairness_b
-        seq = [cur]
+        seq = [prefix[-1]]
         phase = 0
-        seen: dict[tuple, int] = {}
-        while True:
-            key = (self._state_key(seq[-1]), phase)
-            if key in seen:
-                loop_start = seen[key]
-                break
-            seen[key] = len(seq) - 1
-            target = b.and_(fair, fairness[phase])
-            seq.extend(self._navigate(seq[-1], target, fair, forward))
+        seen: dict[tuple[int, int], int] = {}
+        while (seq[-1], phase) not in seen:
+            seen[seq[-1], phase] = len(seq) - 1
+            seq.extend(self._navigate(seq[-1], b.and_(fair, fairness[phase]), fair, forward))
             phase = (phase + 1) % len(fairness)
+        loop_start = seen[seq[-1], phase]
 
         # seq[-1] equals seq[loop_start]; drop the duplicate closing state
         return prefix[:-1] + seq[:loop_start], seq[loop_start:-1]
 
-    def extract_bi(
-        self,
-        anchor_set: int,
-        fair_f: int,
-        fair_b: int | None,
-        region_f: int | None = None,
-        region_b: int | None = None,
-    ) -> BiLassoWord:
+    def extract_bi(self, anchor_set: int, fair_f: int, fair_b: int | None,
+                   region_f: int, region_b: int | None) -> BiLassoWord:
         """A bi-lasso through an anchor picked from anchor_set, leaving
         into fair_f and entered from fair_b; with fair_b None (a formula
         without past operators) the left half is one state with the empty
@@ -476,8 +431,8 @@ class _Engine:
         return BiLassoWord(left_loop, left_prefix, self.valuation_of(anchor),
                            right_prefix, right_loop)
 
-    def _half(self, anchor: dict[int, bool], fair: int, forward: bool,
-              region: int | None) -> tuple[tuple[Valuation, ...], tuple[Valuation, ...]]:
+    def _half(self, anchor: int, fair: int, forward: bool,
+              region: int) -> tuple[tuple[Valuation, ...], tuple[Valuation, ...]]:
         """The valuations after the anchor in the walk direction: the
         prefix, then the loop."""
         prefix, loop = self.run_to_fair(anchor, fair, forward, region)

@@ -50,6 +50,12 @@ class SubformulaTable:
     prop_pairs: dict[str, tuple[str, str]]
     surrogate_pairs: dict[int, tuple[str, str]]
 
+    def output_props(self) -> int:
+        """How many propositions the past-free translation names: both
+        names of every pair, since its time-zero sync conjunction names
+        each pair."""
+        return 2 * (len(self.prop_pairs) + len(self.surrogate_pairs))
+
 
 def build_table(f: Ltl) -> SubformulaTable:
     uid_of, reps = structural_index(f)

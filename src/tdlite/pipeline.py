@@ -20,7 +20,7 @@ from .components import Decomposition, check_by_constant
 from .ground import GroundingContext, ground
 from .kb import KnowledgeBase, concept_size
 from .ltl import Ltl, count_props, optimize, tree_size
-from .pastelim import depast
+from .pastelim import depast, depast_with_table
 from .qtl import Qtl, TranslationContext, qtl_size, translate_kb
 from .solvers import SolverProfile, run_solver
 
@@ -103,10 +103,10 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
 
     if flow == "z":
         t0 = time.monotonic()
-        pf = depast(g)
+        pf, table = depast_with_table(g)
         wall = (time.monotonic() - t0) * 1000.0
         trace.past_free = pf
-        trace.stages.append(StageRecord("ltl", tree_size(pf), count_props(pf), wall))
+        trace.stages.append(StageRecord("ltl", tree_size(pf), table.output_props(), wall))
     else:
         trace.past_free = g
     return trace

@@ -35,7 +35,6 @@ from .ltl import (
     LSomeP,
     Ltl,
     PastOperatorPresent,
-    count_props,
     print_formula,
 )
 
@@ -70,6 +69,12 @@ class SolverProfile:
     def __post_init__(self) -> None:
         if self.input_format not in ("infix-ltl", "smv"):
             raise ProfileError(f"unknown input format {self.input_format!r}")
+        for field_name, pattern in (("sat-pattern", self.sat_pattern),
+                                    ("unsat-pattern", self.unsat_pattern)):
+            try:
+                re.compile(pattern, re.MULTILINE)
+            except (TypeError, re.error) as e:
+                raise ProfileError(f"{field_name} {pattern!r} is no regular expression: {e}") from e
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,13 +121,22 @@ def emit_smv(f: Ltl) -> str:
     alphabet; the specification asserts ¬f, hence a counterexample is a
     model of f and "specification is false" means satisfiable.
     """
+    return emit(f, "smv")[0]
+
+
+def emit(f: Ltl, input_format: str) -> tuple[str, set[str]]:
+    """The text of a solver's input file for f in the given format, and
+    the propositions it names, from one walk of f."""
+    if input_format != "smv":
+        expr, props = print_formula(f, _INFIX_TOKENS)
+        return expr + "\n", props
     expr, props = print_formula(f, _SMV_TOKENS)
     lines = ["MODULE main"]
     if props:
         lines.append("VAR")
         lines.extend(f"  {p} : boolean;" for p in sorted(props))
     lines.append(f"LTLSPEC !({expr})")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", props
 
 
 # --- profile files -----------------------------------------------------------
@@ -143,12 +157,18 @@ def load_profiles(path: Optional[str] = None) -> dict[str, SolverProfile]:
         return profiles
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    for entry in doc.get("profiles", []):
+    if not isinstance(doc, dict):
+        raise ProfileError(f"{path}: the top level must be an object")
+    entries = doc.get("profiles", [])
+    if not isinstance(entries, list):
+        raise ProfileError(f"{path}: profiles must be a list")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ProfileError(f"profile entry must be an object, not {entry!r}")
         try:
             prof = SolverProfile(
                 name=entry["name"],
-                command=tuple(entry["command"]) if isinstance(entry["command"], list)
-                else tuple(shlex.split(entry["command"])),
+                command=_command(entry["command"]),
                 input_format=entry["input-format"],
                 sat_pattern=entry["sat-pattern"],
                 unsat_pattern=entry["unsat-pattern"],
@@ -163,6 +183,19 @@ def load_profiles(path: Optional[str] = None) -> dict[str, SolverProfile]:
             raise ProfileError(f"profile entry missing field {e}") from e
         profiles[prof.name] = prof
     return profiles
+
+
+def _command(value) -> tuple[str, ...]:
+    """A profile's argv: a list of strings, or one string split as a
+    shell would."""
+    if isinstance(value, list) and all(isinstance(a, str) for a in value):
+        return tuple(value)
+    if isinstance(value, str):
+        try:
+            return tuple(shlex.split(value))
+        except ValueError as e:
+            raise ProfileError(f"command {value!r}: {e}") from e
+    raise ProfileError(f"command must be a string or a list of strings, not {value!r}")
 
 
 def _field(entry: dict, name: str, read, default, kind: str):
@@ -206,15 +239,12 @@ def run_solver(
     cpu = profile.cpu_seconds if cpu_seconds is None else cpu_seconds
     mem = profile.memory_bytes if memory_bytes is None else memory_bytes
 
-    if profile.max_props is not None:
-        n_props = count_props(f)
-        if n_props > profile.max_props:
-            return RunResult("SKIPPED", 0.0, 0.0, 0, "",
-                             f"{n_props} propositions, max-props {profile.max_props}")
-
     tmpdir = None
     try:
-        text = emit_smv(f) if profile.input_format == "smv" else emit_infix(f) + "\n"
+        text, props = emit(f, profile.input_format)
+        if profile.max_props is not None and len(props) > profile.max_props:
+            return RunResult("SKIPPED", 0.0, 0.0, 0, "",
+                             f"{len(props)} propositions, max-props {profile.max_props}")
         suffix = ".smv" if profile.input_format == "smv" else ".ltl"
         tmpdir = tempfile.mkdtemp(prefix=f"tdlite-{profile.name}-")
         in_path = os.path.join(tmpdir, "input" + suffix)

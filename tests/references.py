@@ -5,7 +5,8 @@ complete checker, a word evaluator that searches (node, position) pairs
 on demand, against which the bottom-up `oracle.eval_on_lasso` is tested,
 the read-back of a model with past from an ℕ model of its past-free
 translation, a walk that counts a formula's nodes, for the size each
-node stores, and the closed-form count of a TBox's monotonicity conjuncts.
+node stores, the closed-form count of a TBox's monotonicity conjuncts,
+and a test for past operators.
 """
 
 from __future__ import annotations
@@ -253,3 +254,8 @@ def walked_tree_size(f: Ltl) -> int:
             stack.append((n, True))
             stack.extend((k, False) for k in kids)
     return memo[id(f)]
+
+
+def has_past(f: Ltl) -> bool:
+    """Whether f has a past operator (Y or P) anywhere."""
+    return any(isinstance(n, (LNextP, LSomeP)) for n in iter_nodes(f))

@@ -13,7 +13,7 @@ from tdlite.kb import (
     Signature,
     normalize_kb,
 )
-from tdlite.ltl import has_past, prop_names, tree_size
+from tdlite.ltl import prop_names, tree_size
 from tdlite.names import SYNTHETIC_CONST, witness_const
 from tdlite.qtl import (
     ConceptPred,
@@ -28,6 +28,7 @@ from tdlite.qtl import (
 )
 
 from conftest import load_toy
+from references import has_past
 
 
 def _translate(name, flow):

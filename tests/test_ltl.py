@@ -23,7 +23,6 @@ from tdlite.ltl import (
     alw_f,
     conj,
     count_props,
-    has_past,
     iff,
     implies,
     lor,
@@ -39,7 +38,7 @@ from tdlite.oracle import eval_on_lasso
 from tdlite.pastelim import depast
 
 from conftest import UNARY_OPS, formulas, random_bilasso, random_ltlp
-from references import walked_tree_size
+from references import has_past, walked_tree_size
 
 @st.composite
 def shared_formulas(draw):

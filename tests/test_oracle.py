@@ -11,7 +11,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tdlite
 from tdlite import oracle
@@ -203,6 +203,30 @@ def test_z_sat_finds_every_past_free_model_the_bounded_search_finds():
             assert word is not None, to_infix(f)
         unsat += word is None
     assert found > 0 and unsat > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas)
+@example(parse_infix("(G (F a)) & (G (F (~ a))) & (H (P b)) & (H (P (~ b)))"))
+def test_run_to_fair_walks_into_a_closed_fair_loop(f):
+    eng = oracle._Engine(f)
+    b = eng.b
+    for forward, fairness in ((True, eng.fairness_f), (False, eng.fairness_b)):
+        region = eng.reach(forward)
+        fair = eng.fair_states(forward, region)
+        starts = b.and_(eng.init, eng.eu(region, fair, forward))
+        if starts == 0:
+            continue
+        start = eng._pick(starts)
+        prefix, loop = eng.run_to_fair(start, fair, forward, region)
+        walk = prefix + loop + loop[:1]
+        step = eng.image if forward else eng.preimage
+        assert walk[0] == start
+        for s, t in zip(walk, walk[1:]):
+            assert b.and_(step(s), t) == t
+        assert all(b.and_(s, fair) == s for s in loop)
+        for fj in fairness:
+            assert any(b.and_(s, fj) != 0 for s in loop)
 
 
 def test_z_sat_bounded_is_sound():

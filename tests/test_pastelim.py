@@ -11,7 +11,6 @@ from tdlite.ltl import (
     LProp,
     LSomeF,
     LSomeP,
-    has_past,
     prop_names,
     tree_size,
 )
@@ -19,7 +18,7 @@ from tdlite.oracle import eval_on_lasso, z_sat
 from tdlite.pastelim import build_table, depast, depast_with_table
 
 from conftest import random_ltlp
-from references import reconstruct_value
+from references import has_past, reconstruct_value
 
 
 def test_output_is_past_free():

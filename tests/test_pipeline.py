@@ -9,7 +9,7 @@ import pytest
 from tdlite.ground import GroundingContext, ground
 from tdlite.kbparse import parse_kb
 from tdlite import ltl
-from tdlite.ltl import has_past, optimize, tree_size
+from tdlite.ltl import count_props, optimize, tree_size
 from tdlite.pipeline import (
     check_kb,
     kb_node_count,
@@ -21,7 +21,7 @@ from tdlite.randgen import BatchSpec, generate_instance
 from tdlite.solvers import oracle_profile, run_solver
 
 from conftest import TOY_VERDICTS, load_toy, toy_text
-from references import walked_tree_size
+from references import has_past, walked_tree_size
 
 UNSAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB BOT\nABOX\nA(x)@0\n"
 SAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB X A\nABOX\nA(x)@0\n"
@@ -106,6 +106,14 @@ def test_stage_sizes_count_every_occurrence():
         for f in (trace.grounded, trace.past_free, solver_formula(trace)):
             assert tree_size(f) == walked_tree_size(f), label
         assert trace.stage("ltl" if flow == "z" else "ltlp").nodes == walked_tree_size(trace.past_free)
+
+
+def test_stage_props_count_every_proposition():
+    # the ltl stage takes its count from past elimination's table, not
+    # from a walk of the formula
+    for label, kb, flow in _handoff_kbs():
+        trace = run_pipeline(kb, flow)
+        assert trace.stage("ltl" if flow == "z" else "ltlp").props == count_props(trace.past_free), label
 
 
 def test_run_solver_on_solver_formula():

@@ -156,6 +156,40 @@ def test_a_limit_that_is_no_number_is_a_profile_error(tmp_path, field, value):
         load_profiles(_one_profile_file(tmp_path, **{field: value}))
 
 
+def _profile_file(tmp_path, doc):
+    path = tmp_path / "solvers.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_a_profile_file_that_is_no_object_is_a_profile_error(tmp_path):
+    with pytest.raises(ProfileError, match="top level"):
+        load_profiles(_profile_file(tmp_path, [{"name": "p"}]))
+
+
+def test_profiles_that_are_no_list_are_a_profile_error(tmp_path):
+    with pytest.raises(ProfileError, match="profiles must be a list"):
+        load_profiles(_profile_file(tmp_path, {"profiles": {"name": "p"}}))
+
+
+def test_a_profile_entry_that_is_no_object_is_a_profile_error(tmp_path):
+    with pytest.raises(ProfileError, match="entry must be an object"):
+        load_profiles(_profile_file(tmp_path, {"profiles": ["p"]}))
+
+
+@pytest.mark.parametrize("command", [5, ["mysolver", 5], "mysolver '{input}"],
+                         ids=["number", "list-with-a-number", "unclosed-quote"])
+def test_a_command_that_is_no_string_or_list_of_strings_is_a_profile_error(tmp_path, command):
+    with pytest.raises(ProfileError, match="command"):
+        load_profiles(_one_profile_file(tmp_path, command=command))
+
+
+@pytest.mark.parametrize("field", ["sat-pattern", "unsat-pattern"])
+def test_a_pattern_that_does_not_compile_is_a_profile_error(tmp_path, field):
+    with pytest.raises(ProfileError, match=field):
+        load_profiles(_one_profile_file(tmp_path, **{field: "(SAT"}))
+
+
 def test_load_profiles_missing_field(tmp_path):
     path = tmp_path / "solvers.json"
     path.write_text(json.dumps({"profiles": [{"name": "x"}]}))
