@@ -390,8 +390,9 @@ class _Engine:
         """A walk from start into the fair region followed by a fair loop
         (Clarke, Grumberg, McMillan, Zhao, DAC 1995).
 
-        Returns (prefix, loop): prefix begins with start, consecutive
-        states are one step apart in the walk direction, and the loop —
+        Returns (prefix, loop): prefix + loop begins with start (the
+        prefix is empty when start lies on the loop), consecutive states
+        are one step apart in the walk direction, and the loop —
         which visits every fairness constraint of that direction — follows
         the last prefix state and closes on itself.
         """
