@@ -20,12 +20,11 @@ address-space limit), the side that runs first alternating: the ℕ batch
 `BatchSpec(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)`, the ℤ batch
 `BatchSpec(F=20, N=2, Lt=2, Lc=2, Q=1, seed=777, abox_size=4)`,
 `ex2_variant` over ℕ 5 times, and the ABox-timestamp sweep `A SUB A` with
-`A(b)@t` for t in 100, 200, 400 and 800, in each flow.  Each is added
-under "fixed/<input>" with,
-per side, how many checks were decided within the cap, the verdicts, and
-the median and p90 (nearest rank) of the checks' CPU seconds, an
-undecided check counting as over the cap (a percentile that lands on one
-is recorded as null).
+`A(b)@t` for t in 100, 200, 400, 800, 1600 and 3200, in each flow.  Each
+is added under "fixed/<input>" with, per side, how many checks were
+decided within the cap, the verdicts, and the median and p90 (nearest
+rank) of the checks' CPU seconds, an undecided check counting as over
+the cap (a percentile that lands on one is recorded as null).
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ ABOX4_BATCH = dict(F=20, N=2, Lt=2, Lc=2, Q=1, seed=777, abox_size=4)
 CHILD_CPU_SECONDS = 10
 CHILD_AS_BYTES = 2 << 30
 EX2_VARIANT_REPEATS = 5
-SWEEP_TIMESTAMPS = (100, 200, 400, 800)
+SWEEP_TIMESTAMPS = (100, 200, 400, 800, 1600, 3200)
 SWEEP_KB = "SIG\nconcept A\nindividual b\nTBOX\nA SUB A\nABOX\nA(b)@{t}\n"
 
 # one in-process check, in a child started from the checkout's root; argv

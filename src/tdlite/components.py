@@ -15,6 +15,13 @@ is a formula over one constant's propositions only, which keeps the BDD
 checker's variable count small.  `oracle.z_sat` checks every component in
 both flows: an ℕ-flow grounding has no past operator, and on a past-free
 formula `z_sat` decides satisfiability over ℕ.
+
+A component's ABox facts (one literal about its constant at a time t,
+which the translation wraps in t next-operators) are not grounded into
+its formula.  `z_sat` gets them as constraints on an explicit chain of
+image steps over the tableau of the rest, so a timestamp costs image
+steps, not one BDD state variable per time unit.  That is the same
+satisfiability question: a fact `○^t ℓ` holds at 0 iff ℓ holds at t.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from . import names
 from .ground import GroundingContext, ground, split_by_constant
 from .ltl import Ltl, optimize
 from .oracle import BiLassoWord, checked, z_sat
-from .qtl import Qtl, TranslationContext, q_conj
+from .qtl import Const, QAtom, QNot, Qtl, TranslationContext, q_conj, unshift
 
 # the label of the constant-free conjuncts' component; not an identifier,
 # so no constant has it
@@ -67,7 +74,8 @@ def check_by_constant(
     of w_R is unsatisfiable under the current set (which then includes
     the demand `≥1 R(w_R)` that p_R⁻ implies).  Individuals are checked
     before witnesses, each component once per set it is checked under,
-    and each is optimized once before its checker call.
+    and each is optimized once before its checker call, without its ABox
+    facts (`split_facts`), which the checker takes on their own.
 
     Why this is complete: a component's conjuncts other than the demand
     mention p_R only as the consequent of `∃R(c) → □* p_R`, so they only
@@ -89,7 +97,8 @@ def check_by_constant(
     rest on `optimize`.
     """
     shared, per_const = split_by_constant(q, gctx.constants)
-    groups = ([(SHARED, shared)] if shared else []) + list(per_const.items())
+    labelled = ([(SHARED, shared)] if shared else []) + list(per_const.items())
+    groups = [(label, *split_facts(parts, gctx)) for label, parts in labelled]
     role_props = [names.role_prop(r) for r in ctx.roles_of_k]
     demand = {names.witness_const(r): names.role_prop(r.inverse()) for r in ctx.roles_of_k}
     kept = set(role_props)
@@ -101,13 +110,13 @@ def check_by_constant(
     dropped = True
     while dropped:
         dropped = False
-        for label, parts in groups:
+        for label, rest, facts in groups:
             key = (label, frozenset(kept))
             if key not in words:
                 consts = () if label == SHARED else (label,)
                 fixed = {prop: prop in kept for prop in role_props}
-                g = ground(q_conj(parts), GroundingContext(consts), fixed)
-                words[key] = z_sat(optimize(g), recheck=False)
+                g = ground(q_conj(rest), GroundingContext(consts), fixed)
+                words[key] = z_sat(optimize(g), recheck=False, facts=facts)
             if words[key] is None:
                 p = demand.get(label)
                 if p not in kept:
@@ -115,8 +124,27 @@ def check_by_constant(
                 kept.discard(p)
                 dropped = True
     final = frozenset(kept)
-    word = product_word([words[(label, final)] for label, _ in groups], final)
+    word = product_word([words[(label, final)] for label, _, _ in groups], final)
     return checked(grounded, word, "the combined word"), record(None)
+
+
+def split_facts(
+    parts: list[Qtl], gctx: GroundingContext
+) -> tuple[list[Qtl], tuple[tuple[int, str, bool], ...]]:
+    """A component's conjuncts without its ABox facts, and those facts as
+    `z_sat` takes them: (t, proposition, truth value) for each conjunct
+    of the shape `qtl.translate_abox` builds, one literal about a
+    constant shifted to time t."""
+    rest: list[Qtl] = []
+    facts: list[tuple[int, str, bool]] = []
+    for part in parts:
+        lit, t = unshift(part)
+        atom = lit.arg if isinstance(lit, QNot) else lit
+        if isinstance(atom, QAtom) and isinstance(atom.term, Const):
+            facts.append((t, ground(atom, gctx).name, atom is lit))
+        else:
+            rest.append(part)
+    return rest, tuple(facts)
 
 
 def product_word(words: list[BiLassoWord], extra: frozenset[str]) -> BiLassoWord:

@@ -15,7 +15,12 @@ operator the anchor state additionally has to be reachable *from* a
 backward-fair cycle, where past eventualities play the role future ones
 play forward.  A direction without eventualities has the single fairness
 constraint "true", so every fair cycle is then just a cycle and one
-fixpoint loop serves both cases.  A witness is built the standard
+fixpoint loop serves both cases.  Facts (a proposition's truth value at
+a given time, such as an ABox assertion) constrain the states of an
+explicit chain of image steps from the anchor to the fact's time, not
+X/Y-chains inside the formula: a fact at time t costs t image steps over
+the tableau of the rest, where an X-chain costs t state variables (see
+`z_sat` for why the chain is complete).  A witness is built the standard
 symbolic way (Clarke, Grumberg, McMillan, Zhao, DAC 1995), from one kind
 of walk: a shortest walk into the fair region, then shortest walks to
 each fairness constraint in turn until a (state, constraint) pair
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .bdd import Bdd
 from .ltl import (
@@ -166,13 +171,17 @@ class _Engine:
     unprimed levels, so one node id is both the state and its key.
     """
 
-    def __init__(self, f: Ltl):
+    def __init__(self, f: Ltl, props: Iterable[str] = ()):
         uid_of, reps = structural_index(f)
         self.uid_of, self.reps = uid_of, reps
         self.b = Bdd()
         b = self.b
 
-        elem = self._variable_order(f)
+        # propositions that f does not name still get a state variable,
+        # placed last: nothing in f constrains them
+        extra = sorted(set(props) - {rep.name for rep in reps if isinstance(rep, LProp)})
+        elem = self._variable_order(f) + list(range(len(reps), len(reps) + len(extra)))
+        reps.extend(LProp(name) for name in extra)
         self.elem = elem
         self.slot = {uid: i for i, uid in enumerate(elem)}
         self.unprimed = frozenset(2 * i for i in range(len(elem)))
@@ -194,6 +203,8 @@ class _Engine:
             else:
                 raise AssertionError("temporal subformula missed the variable order")
         self.val = val
+        self.prop_var = {rep.name: val[uid] for uid in elem
+                         if isinstance(rep := reps[uid], LProp)}
 
         trans_parts: list[int] = []
         self.fairness_f: list[int] = []
@@ -225,6 +236,7 @@ class _Engine:
         self.state_ok = state_ok
         self.trans = b.conj(sorted(trans_parts, key=b.size))
         self.init = b.and_(val[uid_of[id(f)]], state_ok)
+        self._steps: dict[tuple[int, bool], int] = {}
 
     def _variable_order(self, f: Ltl) -> list[int]:
         """State-variable order for the BDDs.
@@ -311,7 +323,11 @@ class _Engine:
     def _step(self, s: int, forward: bool) -> int:
         """The states one step from s in the walk direction: successors
         forward, predecessors backward."""
-        return self.image(s) if forward else self.preimage(s)
+        key = (s, forward)
+        out = self._steps.get(key)
+        if out is None:
+            out = self._steps[key] = self.image(s) if forward else self.preimage(s)
+        return out
 
     def ex(self, s: int, forward: bool) -> int:
         """States with a successor in s (forward) or a predecessor in s."""
@@ -353,6 +369,18 @@ class _Engine:
                     return 0
             if z == z_old:
                 return z
+
+    def chain(self, end: int, region: int, lits: Sequence[int], forward: bool) -> list[int]:
+        """Layers C[0..n] of a chain of n = len(lits) - 1 steps in the walk
+        direction: C[n] = lits[n] ∧ end, and C[k] = lits[k] ∧ region ∧ the
+        states one step before C[k + 1].  A state is in C[0] iff a walk
+        inside region starts there, meets lits[k] after k steps and ends
+        in end after n."""
+        b = self.b
+        layers = [b.and_(lits[-1], end)]
+        for lit in reversed(lits[:-1]):
+            layers.append(b.and_(b.and_(lit, region), self.ex(layers[-1], forward)))
+        return layers[::-1]
 
     # --- witness extraction ---
 
@@ -417,26 +445,31 @@ class _Engine:
         # seq[-1] equals seq[loop_start]; drop the duplicate closing state
         return prefix[:-1] + seq[:loop_start], seq[loop_start:-1]
 
-    def extract_bi(self, anchor_set: int, fair_f: int, fair_b: int | None,
-                   region_f: int, region_b: int | None) -> BiLassoWord:
-        """A bi-lasso through an anchor picked from anchor_set, leaving
-        into fair_f and entered from fair_b; with fair_b None (a formula
-        without past operators) the left half is one state with the empty
-        valuation."""
+    def extract_bi(self, anchor_set: int, right: tuple[list[int], int, int],
+                   left: tuple[list[int], int, int] | None) -> BiLassoWord:
+        """A bi-lasso through an anchor picked from anchor_set.  Each half
+        is (chain layers, fair states, region) in its direction: the walk
+        steps through the layers, then runs into the fair region.  With
+        left None (no past operator and no fact before 0) the left half
+        is one state with the empty valuation."""
         anchor = self._pick(anchor_set)
-        right_prefix, right_loop = self._half(anchor, fair_f, True, region_f)
-        if fair_b is None:
+        right_prefix, right_loop = self._half(anchor, *right, True)
+        if left is None:
             left_prefix, left_loop = (), (frozenset(),)
         else:
-            left_prefix, left_loop = self._half(anchor, fair_b, False, region_b)
+            left_prefix, left_loop = self._half(anchor, *left, False)
         return BiLassoWord(left_loop, left_prefix, self.valuation_of(anchor),
                            right_prefix, right_loop)
 
-    def _half(self, anchor: int, fair: int, forward: bool,
-              region: int) -> tuple[tuple[Valuation, ...], tuple[Valuation, ...]]:
+    def _half(self, anchor: int, layers: list[int], fair: int, region: int,
+              forward: bool) -> tuple[tuple[Valuation, ...], tuple[Valuation, ...]]:
         """The valuations after the anchor in the walk direction: the
         prefix, then the loop."""
-        prefix, loop = self.run_to_fair(anchor, fair, forward, region)
+        walk = [anchor]
+        for layer in layers[1:]:
+            walk.append(self._pick(self.b.and_(layer, self._step(walk[-1], forward))))
+        prefix, loop = self.run_to_fair(walk.pop(), fair, forward, region)
+        prefix = walk + prefix
         # the walk may enter its loop immediately; rotate so the loop
         # starts one step after the anchor in that case
         if not prefix:
@@ -445,34 +478,58 @@ class _Engine:
                 tuple(self.valuation_of(s) for s in loop))
 
 
-def z_sat(f: Ltl, recheck: bool = True) -> Optional[BiLassoWord]:
+def z_sat(f: Ltl, recheck: bool = True,
+          facts: Sequence[tuple[int, str, bool]] = ()) -> Optional[BiLassoWord]:
     """Complete satisfiability over ℤ for LTL with past, and over ℕ for
-    past-free LTL.
+    past-free LTL, of f at 0 together with `facts`: (t, p, v) says that
+    proposition p has truth value v at time t.
 
     A formula holds at some integer iff a bi-infinite sequence of
     consistent tableau states runs through an anchor satisfying it,
     entered from a backward-fair cycle and leaving into a forward-fair
     one.  Returns a satisfying bi-lasso anchored at such a state, or None
-    for unsatisfiable.  The word is re-checked against the formula by
-    direct evaluation (`WitnessCheckFailed` if it is not a model), unless
-    `recheck` is off because the caller re-checks a word built from it.
+    for unsatisfiable.  The word is re-checked against the formula and
+    the facts by direct evaluation (`WitnessCheckFailed` if it is not a
+    model), unless `recheck` is off because the caller re-checks a word
+    built from it.
+
+    The facts constrain the states at their times, on an explicit chain
+    of image steps over f's tableau instead of as X/Y-chains inside the
+    formula (one state variable per nesting level).  With L[t] the
+    conjunction of the facts at t, t_max ≥ 0 the latest fact time and
+    t_min ≤ 0 the earliest: G[t_max] = L[t_max] ∧ E[r_f U fair_f] and
+    G[k] = L[k] ∧ r_f ∧ pre(G[k + 1]), so a state is in G[0] iff a walk
+    from it meets L[k] at every k ≥ 0 and then runs into a forward-fair
+    cycle.  H mirrors G backward from t_min over r_b and fair_b, and the
+    anchors are init ∧ G[0] ∧ H[0].  This is complete and sound: the
+    states of a model at each time form such a run, and the tableau
+    constraints are all between neighbouring states, so the walks of G
+    and H, joined at the anchor, are a consistent fair run whose word
+    satisfies f at 0 and the facts at their times.  The witness walks
+    s_k ∈ G[k] ∧ img(s_{k−1}), then runs to a fair loop from s_{t_max},
+    and the left half mirrors this.  Without facts G[0] and H[0] are the
+    plain E[r U fair] sets, so this is the ordinary check.
 
     The backward half (the backward reachability, the backward fixpoint
-    and the left walk) runs only when the formula has a past operator.
-    Without one it always succeeds: every consistent state has a
-    consistent predecessor — give it the empty valuation and set its X
-    and F subformulas, innermost first, from its own propositions and the
-    successor's values — and with no past eventuality every backward path
-    is fair.  Nor does the left half matter to the word, since the value
-    at 0 of a past-free formula reads no negative position; so it is one
-    state with the empty valuation.  By the same argument, a past-free
-    formula is satisfiable over ℕ iff it is over ℤ, with the right half as
-    its ℕ-model.
+    and the left walk) runs only when the formula has a past operator or
+    a fact lies before 0.  Otherwise it always succeeds: every consistent
+    state has a consistent predecessor — give it the empty valuation and
+    set its X and F subformulas, innermost first, from its own
+    propositions and the successor's values — and with no past
+    eventuality every backward path is fair.  Nor does the left half
+    matter to the word, since the value at 0 of a past-free formula reads
+    no negative position; so it is one state with the empty valuation.
+    By the same argument, a past-free formula is satisfiable over ℕ iff
+    it is over ℤ, with the right half as its ℕ-model.
     """
-    eng = _Engine(f)
+    eng = _Engine(f, {p for _, p, _ in facts})
     b = eng.b
     if eng.init == 0:
         return None
+    lits: dict[int, int] = {}
+    for t, p, v in facts:
+        lits[t] = b.and_(lits.get(t, 1), eng.prop_var[p] if v else b.not_(eng.prop_var[p]))
+    t_min, t_max = min([0, *lits]), max([0, *lits])
     # restrict each fair-cycle fixpoint to the half of the run it serves:
     # states reachable from an anchor forward, respectively states that
     # can reach an anchor (the run's past)
@@ -480,13 +537,22 @@ def z_sat(f: Ltl, recheck: bool = True) -> Optional[BiLassoWord]:
     fair_f = eng.fair_states(forward=True, region=r_f)
     if fair_f == 0:
         return None
-    good = b.and_(eng.init, eng.eu(r_f, fair_f, forward=True))
-    r_b = fair_b = None
-    if any(isinstance(rep, (LNextP, LSomeP)) for rep in eng.reps):
+    right_lits = [lits.get(t, 1) for t in range(t_max + 1)]
+    right = eng.chain(eng.eu(r_f, fair_f, forward=True), r_f, right_lits, forward=True)
+    good = b.and_(eng.init, right[0])
+    left = None
+    if t_min < 0 or any(isinstance(rep, (LNextP, LSomeP)) for rep in eng.reps):
         r_b = eng.reach(forward=False)
         fair_b = eng.fair_states(forward=False, region=r_b)
-        good = b.and_(good, eng.eu(r_b, fair_b, forward=False))
+        left_lits = [lits.get(-t, 1) for t in range(-t_min + 1)]
+        left = (eng.chain(eng.eu(r_b, fair_b, forward=False), r_b, left_lits, forward=False),
+                fair_b, r_b)
+        good = b.and_(good, left[0][0])
     if good == 0:
         return None
-    word = eng.extract_bi(good, fair_f, fair_b, region_f=r_f, region_b=r_b)
-    return checked(f, word, "extracted word") if recheck else word
+    word = eng.extract_bi(good, (right, fair_f, r_f), left)
+    if not recheck:
+        return word
+    if any((p in word.valuation(t)) != v for t, p, v in facts):
+        raise WitnessCheckFailed("extracted word breaks a fact")
+    return checked(f, word, "extracted word")

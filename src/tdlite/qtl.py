@@ -345,6 +345,19 @@ def _shift(f: Qtl, n: int) -> Qtl:
     return f
 
 
+def unshift(f: Qtl) -> tuple[Qtl, int]:
+    """The inverse of `_shift`: (g, n) with `_shift(g, n)` equal to f and
+    g not a next-operator, or n = 0 when f mixes the two directions."""
+    if not isinstance(f, (QNextF, QNextP)):
+        return f, 0
+    kind, n, g = type(f), 0, f
+    while isinstance(g, kind):
+        g, n = g.arg, n + 1
+    if isinstance(g, (QNextF, QNextP)):
+        return f, 0
+    return g, n if kind is QNextF else -n
+
+
 def translate_abox(kb: KnowledgeBase, ctx: TranslationContext) -> Qtl:
     """The conjunction of all concept-assertion literals, cardinality atoms
     for positive role facts, and translation-time clashes for negated role

@@ -156,7 +156,10 @@ def load_profiles(path: Optional[str] = None) -> dict[str, SolverProfile]:
     if not path:
         return profiles
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ProfileError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ProfileError(f"{path}: the top level must be an object")
     entries = doc.get("profiles", [])
@@ -165,6 +168,8 @@ def load_profiles(path: Optional[str] = None) -> dict[str, SolverProfile]:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ProfileError(f"profile entry must be an object, not {entry!r}")
+        if "name" in entry and not isinstance(entry["name"], str):
+            raise ProfileError(f"profile name must be a string, not {entry['name']!r}")
         try:
             prof = SolverProfile(
                 name=entry["name"],

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,10 @@ import tdlite
 from tdlite import components, oracle, pipeline
 from tdlite.components import product_word
 from tdlite.kbparse import parse_kb
-from tdlite.ltl import optimize, struct_eq
+from tdlite.ltl import LNextP, LSomeP, optimize, struct_eq, structural_index
 from tdlite.oracle import BiLassoWord, WitnessCheckFailed, z_sat
 from tdlite.pipeline import check_kb, run_pipeline
-from tdlite.randgen import BatchSpec, generate_instance
+from tdlite.randgen import BatchSpec, generate_instance, random_abox
 
 from conftest import load_toy, random_bilasso
 
@@ -65,6 +66,118 @@ def test_per_constant_verdict_matches_the_monolithic_one(size, index, flow, expe
     kb = generate_instance(BatchSpec(abox_size=size, **DIFF_SPEC), index,
                            allow_bottom=True, flow=flow)
     assert check_kb(kb, flow)[0] == monolithic(kb, flow) == expected
+
+
+# --- ABox facts on a chain of image steps, against the X-chain route --------------
+
+# ex1's terminology: adults stay adults, and nobody is both adult and minor
+TIMELINE_TBOX = (
+    "SIG\nconcept Adult\nconcept Minor\nconcept Person\nindividual John\nTBOX\n"
+    "Adult SUB Person\nMinor SUB Person\nMinor AND Adult SUB BOT\nAdult SUB ALWF Adult\nABOX\n"
+)
+
+
+def timeline(span: int, consistent: bool) -> str:
+    """Facts about John over 0..span: a minor until the middle and an adult
+    at the end; inconsistent when an adult fact comes before a minor one."""
+    m = span // 2
+    early, late = ("Minor", "Adult") if consistent else ("Adult", "Minor")
+    facts = [(early, m // 2), ("Minor", m), (late, (m + span) // 2), ("Adult", span)]
+    return TIMELINE_TBOX + "".join(f"{c}(John)@{t}\n" for c, t in facts)
+
+
+@pytest.mark.parametrize("flow", ["n", "z"])
+@pytest.mark.parametrize("span", [8, 12, 16, 20, 24])
+@pytest.mark.parametrize("consistent", [True, False], ids=["SAT", "UNSAT"])
+def test_a_timeline_verdict_matches_the_x_chain_route(span, consistent, flow):
+    kb = parse_kb(timeline(span, consistent))
+    expected = "SAT" if consistent else "UNSAT"
+    assert check_kb(kb, flow)[0] == monolithic(kb, flow) == expected
+
+
+# random ABoxes over a window of ±40 (ℕ: 0..40) on DIFF_SPEC's TBoxes, with
+# allow_bottom and ABox seed 1000 * abox_size + index: every case of
+# abox_size 1-3, both flows, whose monolithic check took at most 1.5 CPU
+# seconds on a 2-core machine (15 of 72; none disagreed among the 23 it
+# decided within 4 s), with its verdict: (abox_size, index, flow, seed, verdict)
+WIDE_ABOX_CORPUS = [
+    (1, 1, "z", 1001, "SAT"), (1, 3, "n", 1003, "SAT"), (1, 3, "z", 1003, "UNSAT"),
+    (1, 6, "z", 1006, "SAT"), (1, 7, "z", 1007, "SAT"), (1, 8, "z", 1008, "SAT"),
+    (1, 10, "z", 1010, "SAT"), (1, 11, "z", 1011, "SAT"), (2, 2, "n", 2002, "UNSAT"),
+    (2, 5, "n", 2005, "UNSAT"), (2, 8, "z", 2008, "UNSAT"), (2, 10, "n", 2010, "UNSAT"),
+    (2, 10, "z", 2010, "SAT"), (3, 3, "z", 3003, "UNSAT"), (3, 8, "z", 3008, "SAT"),
+]
+
+
+def wide_abox_instance(size: int, index: int, flow: str, seed: int):
+    kb = generate_instance(BatchSpec(**DIFF_SPEC), index, allow_bottom=True, flow=flow)
+    window = (0, 40) if flow == "n" else (-40, 40)
+    return random_abox(kb, size, random.Random(seed), flow=flow, window=window)
+
+
+def test_the_wide_abox_corpus_has_unsat_instances_in_both_flows():
+    assert {flow for _, _, flow, _, verdict in WIDE_ABOX_CORPUS if verdict == "UNSAT"} == {"n", "z"}
+
+
+@pytest.mark.parametrize("size,index,flow,seed,expected", WIDE_ABOX_CORPUS)
+def test_a_wide_abox_verdict_matches_the_x_chain_route(size, index, flow, seed, expected):
+    kb = wide_abox_instance(size, index, flow, seed)
+    assert check_kb(kb, flow)[0] == monolithic(kb, flow) == expected
+
+
+HAND_FACT_CASES = [
+    # a fact on a concept that no axiom names
+    ("A SUB ALWF A", "A(b)@2\nB(b)@5\n", "nz", "SAT"),
+    ("A SUB ALWF A", "B(b)@5\nNOT B(b)@5\n", "nz", "UNSAT"),
+    ("A SUB ALWF A", "A(b)@3\nNOT A(b)@3\n", "nz", "UNSAT"),
+    ("A SUB ALWF A", "A(b)@3\nNOT A(b)@7\n", "nz", "UNSAT"),
+    # before 0, over a TBox part without a past operator (over ℤ every
+    # axiom is boxed by H G, so an empty TBox)
+    ("", "A(b)@-3\nNOT A(b)@-3\n", "z", "UNSAT"),
+    ("", "A(b)@-3\nNOT A(b)@2\nB(b)@-1\n", "z", "SAT"),
+    ("A SUB ALWF A", "A(b)@-3\nNOT A(b)@2\n", "z", "UNSAT"),
+]
+
+
+@pytest.mark.parametrize(
+    "tbox,abox,flow,expected",
+    [(t, a, flow, v) for t, a, flows, v in HAND_FACT_CASES for flow in flows],
+)
+def test_a_hand_written_abox_verdict_matches_the_x_chain_route(monkeypatch, tbox, abox, flow,
+                                                               expected):
+    checked_formulas = []
+    real = components.z_sat
+
+    def spy(f, **kwargs):
+        checked_formulas.append(f)
+        return real(f, **kwargs)
+
+    monkeypatch.setattr(components, "z_sat", spy)
+    kb = parse_kb(f"SIG\nconcept A\nconcept B\nindividual b\nTBOX\n{tbox}\nABOX\n{abox}")
+    assert check_kb(kb, flow)[0] == monolithic(kb, flow) == expected
+    if not tbox:
+        # the component's formula has no past operator; the facts before 0
+        # alone make the checker run its backward half
+        _, reps = structural_index(checked_formulas[0])
+        assert not any(isinstance(rep, (LNextP, LSomeP)) for rep in reps)
+
+
+# --- scale: a timestamp costs image steps, not state variables ---------------------
+
+SWEEP_KB = "SIG\nconcept A\nindividual b\nTBOX\nA SUB A\nABOX\nA(b)@{t}\n"
+
+
+@pytest.mark.parametrize(
+    "text,flow",
+    [(SWEEP_KB.format(t=800), "n"), (SWEEP_KB.format(t=800), "z"), (timeline(50, True), "n")],
+    ids=["A(b)@800-n", "A(b)@800-z", "ex1-span50-n"],
+)
+def test_a_far_timestamp_is_decided_in_process_within_two_cpu_seconds(text, flow):
+    kb = parse_kb(text)
+    start = time.process_time()
+    verdict, _ = check_kb(kb, flow)
+    assert verdict == "SAT"
+    assert time.process_time() - start < 2.0
 
 
 # --- the role-proposition fixpoint --------------------------------------------

@@ -15,13 +15,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import tdlite
 from tdlite import oracle
-from tdlite.ltl import gc_paused, optimize, parse_infix, to_infix
+from tdlite.ltl import (
+    TRUE, LAnd, LNextF, LNextP, LNot, LProp, gc_paused, optimize, parse_infix, to_infix,
+)
 from tdlite.oracle import BiLassoWord, WitnessCheckFailed, eval_on_lasso, z_sat
 from tdlite.pastelim import depast
 from tdlite.pipeline import run_pipeline
 from tdlite.randgen import BatchSpec, generate_instance
 
-from conftest import FUTURE_UNARY_OPS, formulas, random_bilasso, random_ltlp
+from conftest import FUTURE_UNARY_OPS, UNARY_OPS, formulas, random_bilasso, random_ltlp
 from references import searched_eval_on_lasso, z_sat_bounded
 
 V = frozenset
@@ -241,6 +243,57 @@ def test_z_sat_bounded_alphabet_cap():
     f = parse_infix(" & ".join(f"p{i}" for i in range(9)))
     with pytest.raises(ValueError):
         z_sat_bounded(f)
+
+
+# --- facts on a chain of image steps -------------------------------------------
+
+def _as_x_chains(f, facts):
+    """f with each fact (t, p, v) conjoined as p or ¬p under |t| X or Y."""
+    for t, p, v in facts:
+        lit = LProp(p) if v else LNot(LProp(p))
+        for _ in range(abs(t)):
+            lit = LNextF(lit) if t > 0 else LNextP(lit)
+        f = LAnd(f, lit)
+    return f
+
+
+def test_z_sat_with_facts_agrees_with_the_x_chain_encoding():
+    rng = random.Random(91)
+    verdicts = set()
+    for i in range(120):
+        future = i % 2 == 0  # half of the cases past-free, as over ℕ
+        f = random_ltlp(rng.randint(1, 8), rng, FUTURE_UNARY_OPS if future else UNARY_OPS)
+        lo = 0 if future else -4
+        facts = [(rng.randint(lo, 4), rng.choice("abcd"), rng.random() < 0.7)
+                 for _ in range(rng.randint(1, 3))]
+        word = z_sat(f, facts=facts)
+        verdict = word is not None
+        assert verdict == (z_sat(_as_x_chains(f, facts)) is not None), (to_infix(f), facts)
+        if word is not None:
+            assert all((p in word.valuation(t)) == v for t, p, v in facts)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("f", [parse_infix("G (a -> X a)"), TRUE], ids=["G(a->Xa)", "true"])
+def test_a_fact_before_zero_runs_the_backward_half_of_a_past_free_formula(f):
+    assert z_sat(f, facts=[(-3, "a", True), (-3, "a", False)]) is None
+    word = z_sat(f, facts=[(-3, "a", True), (2, "b", False)])
+    assert "a" in word.valuation(-3) and "b" not in word.valuation(2)
+
+
+def test_a_fact_on_a_proposition_the_formula_does_not_name():
+    word = z_sat(parse_infix("G a"), facts=[(5, "b", True), (7, "b", False)])
+    assert "b" in word.valuation(5) and "b" not in word.valuation(7)
+    assert z_sat(parse_infix("G a"), facts=[(5, "b", True), (5, "b", False)]) is None
+
+
+def test_a_word_breaking_a_fact_fails_re_evaluation(monkeypatch):
+    real = oracle._Engine.valuation_of
+    monkeypatch.setattr(oracle._Engine, "valuation_of",
+                        lambda self, s: real(self, s) - {"b"})
+    with pytest.raises(WitnessCheckFailed, match="fact"):
+        z_sat(parse_infix("G a"), facts=[(2, "b", True)])
 
 
 def test_z_sat_agrees_with_the_depast_route():

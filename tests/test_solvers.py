@@ -190,6 +190,18 @@ def test_a_pattern_that_does_not_compile_is_a_profile_error(tmp_path, field):
         load_profiles(_one_profile_file(tmp_path, **{field: "(SAT"}))
 
 
+def test_a_profile_file_that_is_no_json_is_a_profile_error_naming_the_file(tmp_path):
+    path = tmp_path / "solvers.json"
+    path.write_text('{"profiles": [')
+    with pytest.raises(ProfileError, match=f"{path}: not valid JSON"):
+        load_profiles(str(path))
+
+
+def test_a_profile_name_that_is_no_string_is_a_profile_error(tmp_path):
+    with pytest.raises(ProfileError, match="name must be a string"):
+        load_profiles(_one_profile_file(tmp_path, name=5))
+
+
 def test_load_profiles_missing_field(tmp_path):
     path = tmp_path / "solvers.json"
     path.write_text(json.dumps({"profiles": [{"name": "x"}]}))
