@@ -299,7 +299,7 @@ def _spine_conjuncts(f: Ltl) -> list[Ltl]:
     stack = [f]
     while stack:
         n = stack.pop()
-        if isinstance(n, LAnd):
+        if type(n) is LAnd:
             stack.append(n.right)
             stack.append(n.left)
         else:
@@ -307,10 +307,21 @@ def _spine_conjuncts(f: Ltl) -> list[Ltl]:
     return out
 
 
+def _right_nested(f: LAnd) -> bool:
+    """Whether no left child on f's conjunction spine is a conjunction,
+    that is, whether f is what `conj` builds from its leaves."""
+    while type(f) is LAnd:
+        if type(f.left) is LAnd:
+            return False
+        f = f.right
+    return True
+
+
 def _merge_siblings(parts: list[Ltl]) -> list[Ltl]:
     """Collapse sibling conjuncts under a shared modality: ¬𝕆x ∧ ¬𝕆y →
     ¬𝕆¬(¬x∧¬y) for 𝕆 ∈ {◇F, ◇P, ◇P◇F} and ○x ∧ ○y → ○(x∧y).  All four
-    rewrites are equivalences; first-occurrence order is preserved."""
+    rewrites are equivalences; first-occurrence order is preserved.  With
+    nothing to merge, `parts` itself is returned."""
     groups: dict[str, list[Ltl]] = {"bf": [], "bp": [], "bpf": [], "xf": [], "xp": []}
     slots: dict[str, int] = {}
     out: list[Ltl | None] = []
@@ -339,6 +350,8 @@ def _merge_siblings(parts: list[Ltl]) -> list[Ltl]:
         if tag not in slots:
             slots[tag] = len(out)
             out.append(None)
+    if all(len(groups[tag]) == 1 for tag in slots):
+        return parts
     for tag, slot in slots.items():
         entries = groups[tag]
         if len(entries) == 1:
@@ -359,7 +372,19 @@ def _merge_siblings(parts: list[Ltl]) -> list[Ltl]:
     return [p for p in out if p is not None]
 
 
-def simplify(f: Ltl) -> Ltl:
+def _is_true(n: Ltl) -> bool:
+    return type(n) is LNot and type(n.arg) is LFalse
+
+
+# a stack entry's marker: the node's children are done
+_POST: tuple = ()
+
+
+def simplify(
+    f: Ltl,
+    index: tuple[dict, dict, list] | None = None,
+    memo: dict[int, Ltl] | None = None,
+) -> Ltl:
     """Sound shrinking: double-negation elimination, conjunction flattening
     with structural deduplication, sibling box/next merging, truth/falsum
     propagation, idempotent eventually.  Preserves equivalence.
@@ -367,71 +392,84 @@ def simplify(f: Ltl) -> Ltl:
     A conjunct is dropped when it is structurally equal to an earlier one
     of the same spine, also when the two are distinct objects; every output
     node is keyed once, so deduplication walks no subtree twice.
+
+    A node whose children come back unchanged and where no rule fires is
+    returned itself; for a conjunction spine that means the same leaves,
+    already right-nested.  `index` is the hash-cons tables of `_intern`,
+    which callers may share between calls; `memo` maps id(node) to its
+    result, the caller may pre-seed it with nodes that map to themselves
+    (their subtrees are then not visited) and read it afterwards.
     """
-    memo: dict[int, Ltl] = {}
-    index: tuple[dict, dict, list] = ({}, {}, [])
-
-    def is_true(n: Ltl) -> bool:
-        return isinstance(n, LNot) and isinstance(n.arg, LFalse)
-
-    stack: list[tuple[Ltl, bool]] = [(f, False)]
+    if index is None:
+        index = ({}, {}, [])
+    if memo is None:
+        memo = {}
+    uid_of = index[0]
+    stack: list[tuple[Ltl, object]] = [(f, None)]
     while stack:
-        n, done = stack.pop()
+        n, leaves = stack.pop()
         if id(n) in memo:
             continue
-        if not done:
-            stack.append((n, True))
-            if isinstance(n, LAnd):
-                stack.extend((c, False) for c in _spine_conjuncts(n))
-            elif isinstance(n, _UNARY):
-                stack.append((n.arg, False))
-            continue
-        if isinstance(n, LAnd):
+        t = type(n)
+        if t is LAnd:
+            if leaves is None:
+                leaves = _spine_conjuncts(n)
+                stack.append((n, leaves))
+                stack.extend((c, None) for c in leaves)
+                continue
             parts: list[Ltl] = []
             uids: set[int] = set()
-            bottom = False
-            for c in _spine_conjuncts(n):
+            changed = False
+            for c in leaves:
                 sc = memo[id(c)]
-                if isinstance(sc, LFalse):
-                    bottom = True
+                if sc is not c:
+                    changed = True
+                if type(sc) is LFalse:
+                    memo[id(n)] = FALSE
                     break
-                if is_true(sc):
+                if _is_true(sc):
+                    changed = True
                     continue
-                uid = _intern(sc, *index)
+                uid = uid_of.get(id(sc))
+                if uid is None:
+                    uid = _intern(sc, *index)
                 if uid in uids:
+                    changed = True
                     continue
                 uids.add(uid)
                 parts.append(sc)
-            if bottom:
-                memo[id(n)] = FALSE
             else:
-                memo[id(n)] = conj(_merge_siblings(parts))
-        elif isinstance(n, LNot):
-            a = memo[id(n.arg)]
-            if isinstance(a, LNot):
-                memo[id(n)] = a.arg
-            else:
-                memo[id(n)] = LNot(a)
-        elif isinstance(n, LSomeF):
-            a = memo[id(n.arg)]
-            if isinstance(a, (LFalse, LSomeF)) or is_true(a):
-                memo[id(n)] = a
-            else:
-                memo[id(n)] = LSomeF(a)
-        elif isinstance(n, LSomeP):
-            a = memo[id(n.arg)]
-            if isinstance(a, (LFalse, LSomeP)) or is_true(a):
-                memo[id(n)] = a
-            else:
-                memo[id(n)] = LSomeP(a)
-        elif isinstance(n, (LNextF, LNextP)):
-            a = memo[id(n.arg)]
-            if is_true(a):
-                memo[id(n)] = a
-            else:
-                memo[id(n)] = type(n)(a)
-        else:
+                merged = _merge_siblings(parts)
+                if merged is parts and not changed and _right_nested(n):
+                    memo[id(n)] = n
+                else:
+                    memo[id(n)] = conj(merged)
+            continue
+        if t is LProp or t is LFalse:
             memo[id(n)] = n
+            continue
+        arg = n.arg
+        a = memo.get(id(arg))
+        if a is None:
+            stack.append((n, _POST))
+            stack.append((arg, None))
+            continue
+        if t is LNot:
+            if type(a) is LNot:
+                out = a.arg
+            else:
+                out = n if a is arg else LNot(a)
+        elif t is LSomeF or t is LSomeP:
+            ta = type(a)
+            if ta is LFalse or ta is t or _is_true(a):
+                out = a
+            else:
+                out = n if a is arg else t(a)
+        elif _is_true(a):  # LNextF, LNextP
+            out = a
+        else:
+            out = n if a is arg else t(a)
+        memo[id(n)] = out
     return memo[id(f)]
 
 
@@ -468,31 +506,48 @@ def _rewrite_box_body(body: Ltl, two_sided: bool) -> Ltl | None:
     return conj(rewritten)
 
 
-def _rigidity_rewrite(f: Ltl) -> Ltl:
+def _rigidity_rewrite(f: Ltl, memo: dict[int, Ltl] | None = None) -> Ltl:
     """Apply the constancy rewrite inside every boxed conjunction,
-    rebuilding bottom-up."""
-    memo: dict[int, Ltl] = {}
+    rebuilding bottom-up.  A node whose children come back unchanged and
+    where no rewrite fires is returned itself; `memo` is as in
+    `simplify`."""
+    if memo is None:
+        memo = {}
     stack: list[tuple[Ltl, bool]] = [(f, False)]
     while stack:
         n, done = stack.pop()
         if id(n) in memo:
             continue
-        kids = _children(n)
-        if not done and kids:
-            stack.append((n, True))
-            stack.extend((k, False) for k in kids)
+        t = type(n)
+        if t is LAnd:
+            left, right = n.left, n.right
+            if not done:
+                stack.append((n, True))
+                stack.append((left, False))
+                stack.append((right, False))
+                continue
+            new_left, new_right = memo[id(left)], memo[id(right)]
+            if new_left is left and new_right is right:
+                memo[id(n)] = n
+            else:
+                memo[id(n)] = LAnd(new_left, new_right)
             continue
-        new = type(n)(*(memo[id(k)] for k in kids)) if kids else n
-        if isinstance(new, LSomeF) and isinstance(new.arg, LNot):
-            body = _rewrite_box_body(new.arg.arg, two_sided=False)
+        if t is LProp or t is LFalse:
+            memo[id(n)] = n
+            continue
+        arg = n.arg
+        if not done:
+            stack.append((n, True))
+            stack.append((arg, False))
+            continue
+        a = memo[id(arg)]
+        new = n if a is arg else t(a)
+        if t is LSomeF and type(a) is LNot:
+            body = _rewrite_box_body(a.arg, two_sided=False)
             if body is not None:
                 new = LSomeF(LNot(body))
-        elif (
-            isinstance(new, LSomeP)
-            and isinstance(new.arg, LSomeF)
-            and isinstance(new.arg.arg, LNot)
-        ):
-            body = _rewrite_box_body(new.arg.arg.arg, two_sided=True)
+        elif t is LSomeP and type(a) is LSomeF and type(a.arg) is LNot:
+            body = _rewrite_box_body(a.arg.arg, two_sided=True)
             if body is not None:
                 new = LSomeP(LSomeF(LNot(body)))
         memo[id(n)] = new
@@ -509,10 +564,28 @@ def optimize(f: Ltl) -> Ltl:
     nesting level down (the ○-merge descends one level of an X-chain per
     round), so a few rounds are needed to collapse box towers.  A round
     that leaves the size unchanged is the last; a formula still shrinking
-    after the last round is returned short of its fixpoint."""
+    after the last round is returned short of its fixpoint.
+
+    Both passes return a node itself when its children come back
+    unchanged and no rule fires, and each pass's result at a node depends
+    only on the node's subtree.  So both passes keep one memo over all
+    rounds: a node that a round maps to itself is a fixpoint of every
+    later round, and a later round that meets it again (or any node it
+    met before) reads its result instead of walking its subtree.  The
+    rounds share one hash-cons index too.  The memos and the index are
+    keyed by id(), so every keyed object stays referenced (`held`) until
+    optimize returns; a freed node's id could be reused by a new node,
+    which would then hit a stale entry.
+    """
+    index: tuple[dict, dict, list] = ({}, {}, [])
+    rewritten: dict[int, Ltl] = {}
+    simplified: dict[int, Ltl] = {}  # its values hold every interned node
+    held: list[Ltl] = []  # the memos' keys are nodes of these formulas
     for _ in range(OPTIMIZE_MAX_ROUNDS):
         size = f.size
-        f = simplify(_rigidity_rewrite(f))
+        r = _rigidity_rewrite(f, rewritten)
+        held += (f, r)
+        f = simplify(r, index, simplified)
         if f.size == size:
             break
     return f
@@ -545,34 +618,40 @@ def print_formula(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
     prefix = {op: f"({tok} " for op, tok in tokens.items() if isinstance(op, type)}
     false, true = tokens["false"], tokens["true"]
     parts: list[str] = []
+    write = parts.append
     props: set[str] = set()
+    # nodes still to print, and the text that closes a group
     stack: list[object] = [f]
+    push, pop = stack.append, stack.pop
     while stack:
-        n = stack.pop()
-        if isinstance(n, str):
-            parts.append(n)
-        elif isinstance(n, LFalse):
-            parts.append(false)
-        elif isinstance(n, LProp):
-            parts.append(n.name)
+        n = pop()
+        t = type(n)
+        if t is str:
+            write(n)
+        elif t is LProp:
+            write(n.name)
             props.add(n.name)
-        elif isinstance(n, LNot) and isinstance(n.arg, LFalse):
-            parts.append(true)
-        elif isinstance(n, LAnd):
+        elif t is LAnd:
             # whole conjunction spines print as one flat group, keeping
             # the nesting depth (and the reader's recursion) shallow
-            group: list[object] = ["("]
-            for i, op in enumerate(_spine_conjuncts(n)):
-                if i:
-                    group.append(" & ")
-                group.append(op)
-            group.append(")")
-            stack.extend(reversed(group))
-        elif type(n) in prefix:
-            stack.extend([")", n.arg, prefix[type(n)]])
+            leaves = _spine_conjuncts(n)
+            write("(")
+            push(")")
+            for leaf in reversed(leaves[1:]):
+                push(leaf)
+                push(" & ")
+            push(leaves[0])
+        elif t is LNot and type(n.arg) is LFalse:
+            write(true)
+        elif t in prefix:
+            write(prefix[t])
+            push(")")
+            push(n.arg)
+        elif t is LFalse:
+            write(false)
         else:
             raise PastOperatorPresent(
-                f"{type(n).__name__} in a formula for a past-free format"
+                f"{t.__name__} in a formula for a past-free format"
             )
     return "".join(parts), props
 

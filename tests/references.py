@@ -6,7 +6,10 @@ on demand, against which the bottom-up `oracle.eval_on_lasso` is tested,
 the read-back of a model with past from an ℕ model of its past-free
 translation, a walk that counts a formula's nodes, for the size each
 node stores, the closed-form count of a TBox's monotonicity conjuncts,
-and a test for past operators.
+a test for past operators, and `optimize` and `print_formula` as they
+were before they kept unchanged nodes and dispatched on exact type:
+rounds that rebuild every node, and a printer that runs down an
+`isinstance` chain.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from typing import Callable, Optional
 from tdlite import oracle
 from tdlite.bdd import Bdd
 from tdlite.ltl import (
+    FALSE,
+    OPTIMIZE_MAX_ROUNDS,
     LAnd,
     LFalse,
     LNextF,
@@ -25,7 +30,13 @@ from tdlite.ltl import (
     LSomeF,
     LSomeP,
     Ltl,
+    PastOperatorPresent,
     _children,
+    _intern,
+    _merge_siblings,
+    _rewrite_box_body,
+    _spine_conjuncts,
+    conj,
     iter_nodes,
     prop_names,
 )
@@ -259,3 +270,136 @@ def walked_tree_size(f: Ltl) -> int:
 def has_past(f: Ltl) -> bool:
     """Whether f has a past operator (Y or P) anywhere."""
     return any(isinstance(n, (LNextP, LSomeP)) for n in iter_nodes(f))
+
+
+def rebuilt_simplify(f: Ltl) -> Ltl:
+    """`ltl.simplify` by a walk that builds every node anew, with a fresh
+    hash-cons index per call."""
+    memo: dict[int, Ltl] = {}
+    index: tuple[dict, dict, list] = ({}, {}, [])
+
+    def is_true(n: Ltl) -> bool:
+        return isinstance(n, LNot) and isinstance(n.arg, LFalse)
+
+    stack: list[tuple[Ltl, bool]] = [(f, False)]
+    while stack:
+        n, done = stack.pop()
+        if id(n) in memo:
+            continue
+        if not done:
+            stack.append((n, True))
+            if isinstance(n, LAnd):
+                stack.extend((c, False) for c in _spine_conjuncts(n))
+            elif isinstance(n, (LNot, LNextF, LNextP, LSomeF, LSomeP)):
+                stack.append((n.arg, False))
+            continue
+        if isinstance(n, LAnd):
+            parts: list[Ltl] = []
+            uids: set[int] = set()
+            bottom = False
+            for c in _spine_conjuncts(n):
+                sc = memo[id(c)]
+                if isinstance(sc, LFalse):
+                    bottom = True
+                    break
+                if is_true(sc):
+                    continue
+                uid = _intern(sc, *index)
+                if uid in uids:
+                    continue
+                uids.add(uid)
+                parts.append(sc)
+            memo[id(n)] = FALSE if bottom else conj(_merge_siblings(parts))
+        elif isinstance(n, LNot):
+            a = memo[id(n.arg)]
+            memo[id(n)] = a.arg if isinstance(a, LNot) else LNot(a)
+        elif isinstance(n, (LSomeF, LSomeP)):
+            a = memo[id(n.arg)]
+            if isinstance(a, (LFalse, type(n))) or is_true(a):
+                memo[id(n)] = a
+            else:
+                memo[id(n)] = type(n)(a)
+        elif isinstance(n, (LNextF, LNextP)):
+            a = memo[id(n.arg)]
+            memo[id(n)] = a if is_true(a) else type(n)(a)
+        else:
+            memo[id(n)] = n
+    return memo[id(f)]
+
+
+def rebuilt_rigidity_rewrite(f: Ltl) -> Ltl:
+    """`ltl._rigidity_rewrite` by a walk that builds every inner node
+    anew."""
+    memo: dict[int, Ltl] = {}
+    stack: list[tuple[Ltl, bool]] = [(f, False)]
+    while stack:
+        n, done = stack.pop()
+        if id(n) in memo:
+            continue
+        kids = _children(n)
+        if not done and kids:
+            stack.append((n, True))
+            stack.extend((k, False) for k in kids)
+            continue
+        new = type(n)(*(memo[id(k)] for k in kids)) if kids else n
+        if isinstance(new, LSomeF) and isinstance(new.arg, LNot):
+            body = _rewrite_box_body(new.arg.arg, two_sided=False)
+            if body is not None:
+                new = LSomeF(LNot(body))
+        elif (
+            isinstance(new, LSomeP)
+            and isinstance(new.arg, LSomeF)
+            and isinstance(new.arg.arg, LNot)
+        ):
+            body = _rewrite_box_body(new.arg.arg.arg, two_sided=True)
+            if body is not None:
+                new = LSomeP(LSomeF(LNot(body)))
+        memo[id(n)] = new
+    return memo[id(f)]
+
+
+def rebuilt_optimize(f: Ltl) -> Ltl:
+    """`ltl.optimize` as rounds that each rebuild the whole formula: the
+    same rounds and the same stop, nothing carried from round to round."""
+    for _ in range(OPTIMIZE_MAX_ROUNDS):
+        size = f.size
+        f = rebuilt_simplify(rebuilt_rigidity_rewrite(f))
+        if f.size == size:
+            break
+    return f
+
+
+def chained_print_formula(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
+    """`ltl.print_formula` by a walk that tests each node down an
+    `isinstance` chain and puts a whole operator group on the stack."""
+    prefix = {op: f"({tok} " for op, tok in tokens.items() if isinstance(op, type)}
+    false, true = tokens["false"], tokens["true"]
+    parts: list[str] = []
+    props: set[str] = set()
+    stack: list[object] = [f]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            parts.append(n)
+        elif isinstance(n, LFalse):
+            parts.append(false)
+        elif isinstance(n, LProp):
+            parts.append(n.name)
+            props.add(n.name)
+        elif isinstance(n, LNot) and isinstance(n.arg, LFalse):
+            parts.append(true)
+        elif isinstance(n, LAnd):
+            group: list[object] = ["("]
+            for i, op in enumerate(_spine_conjuncts(n)):
+                if i:
+                    group.append(" & ")
+                group.append(op)
+            group.append(")")
+            stack.extend(reversed(group))
+        elif type(n) in prefix:
+            stack.extend([")", n.arg, prefix[type(n)]])
+        else:
+            raise PastOperatorPresent(
+                f"{type(n).__name__} in a formula for a past-free format"
+            )
+    return "".join(parts), props

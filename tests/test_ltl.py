@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tdlite.ltl import (
     FALSE,
+    INFIX_TOKENS,
     InfixSyntaxError,
     LAnd,
     LNextF,
@@ -17,10 +18,12 @@ from tdlite.ltl import (
     LProp,
     LSomeF,
     LSomeP,
+    PastOperatorPresent,
     REPR_LIMIT,
     TRUE,
     _rigidity_rewrite,
     alw_f,
+    alw_p,
     conj,
     count_props,
     iff,
@@ -28,6 +31,7 @@ from tdlite.ltl import (
     lor,
     optimize,
     parse_infix,
+    print_formula,
     prop_names,
     simplify,
     struct_eq,
@@ -36,9 +40,16 @@ from tdlite.ltl import (
 )
 from tdlite.oracle import eval_on_lasso
 from tdlite.pastelim import depast
+from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS
 
 from conftest import UNARY_OPS, formulas, random_bilasso, random_ltlp
-from references import has_past, walked_tree_size
+from references import (
+    chained_print_formula,
+    has_past,
+    rebuilt_optimize,
+    rebuilt_simplify,
+    walked_tree_size,
+)
 
 @st.composite
 def shared_formulas(draw):
@@ -242,3 +253,88 @@ def test_repr_of_a_shared_tower_is_bounded():
     text = repr(g)
     assert text.startswith("LAnd(left=LAnd(left=")
     assert len(text) <= REPR_LIMIT + 3
+
+
+# --- optimize and the printer against their rebuilding references ------------
+
+# formulas with what optimize rewrites: one- and two-sided boxes over
+# conjunctions, constancy conjuncts, next-chains, double negations and
+# repeated conjuncts, over objects that are reused
+boxed_formulas = st.recursive(
+    st.sampled_from([LProp("a"), LProp("b"), LProp("c"), FALSE, TRUE]),
+    lambda sub: st.one_of(
+        sub.map(LNot),
+        sub.map(LNextF),
+        sub.map(LNextP),
+        sub.map(LSomeF),
+        sub.map(LSomeP),
+        sub.map(alw_f),
+        sub.map(lambda x: alw_p(alw_f(x))),
+        sub.map(lambda x: LNot(LAnd(LSomeF(x), LSomeF(LNot(x))))),
+        sub.map(lambda x: LNot(LAnd(x, LSomeP(LSomeF(LNot(x)))))),
+        st.tuples(sub, sub).map(lambda t: LAnd(*t)),
+        st.tuples(sub, sub).map(lambda t: iff(*t)),
+        st.lists(sub, min_size=2, max_size=5).map(conj),
+    ),
+    max_leaves=16,
+)
+
+
+@given(st.one_of(boxed_formulas, formulas, shared_formulas()))
+@settings(max_examples=400, deadline=None)
+def test_optimize_prints_what_the_rebuilding_rounds_print(f):
+    assert to_infix(optimize(f)) == to_infix(rebuilt_optimize(f))
+    assert to_infix(simplify(f)) == to_infix(rebuilt_simplify(f))
+
+
+@given(st.one_of(boxed_formulas, formulas))
+@settings(max_examples=200, deadline=None)
+def test_optimize_of_an_optimize_fixpoint_is_the_same_object(f):
+    g = optimize(f)
+    h = optimize(g)
+    if struct_eq(h, g):
+        assert h is g
+
+
+def test_simplify_returns_the_given_object_when_no_rule_applies():
+    a, b, c = LProp("a"), LProp("b"), LProp("c")
+    for f in (
+        a,
+        FALSE,
+        TRUE,
+        conj([a, LSomeF(b), LNot(LNextF(c))]),
+        LNextP(LAnd(a, LSomeP(LNot(b)))),
+        LNot(LSomeF(LNot(LAnd(a, b)))),
+    ):
+        assert simplify(f) is f, to_infix(f)
+        assert optimize(f) is f, to_infix(f)
+    # a spine that is not right-nested prints the same but is rebuilt
+    left = LAnd(LAnd(a, b), c)
+    g = simplify(left)
+    assert g is not left and to_infix(g) == to_infix(left)
+    assert simplify(g) is g
+    # one changed conjunct rebuilds the spine, and keeps the others
+    f = conj([a, LNot(LNot(b)), c])
+    g = simplify(f)
+    assert to_infix(g) == "(a & b & c)"
+    assert g.left is a and g.right.right is c
+
+
+_PRINTER_TABLES = (
+    INFIX_TOKENS,
+    _INFIX_TOKENS,
+    _SMV_TOKENS,
+)
+
+
+@given(st.one_of(boxed_formulas, formulas, shared_formulas()))
+@settings(max_examples=300, deadline=None)
+def test_printer_matches_the_chained_printer(f):
+    for tokens in _PRINTER_TABLES:
+        try:
+            want = chained_print_formula(f, tokens)
+        except PastOperatorPresent:
+            with pytest.raises(PastOperatorPresent):
+                print_formula(f, tokens)
+            continue
+        assert print_formula(f, tokens) == want

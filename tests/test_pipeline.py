@@ -18,10 +18,10 @@ from tdlite.pipeline import (
 )
 from tdlite.qtl import ConceptPred, QAtom, X
 from tdlite.randgen import BatchSpec, generate_instance
-from tdlite.solvers import oracle_profile, run_solver
+from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS, oracle_profile, run_solver
 
 from conftest import TOY_VERDICTS, load_toy, toy_text
-from references import has_past, walked_tree_size
+from references import chained_print_formula, has_past, rebuilt_optimize, walked_tree_size
 
 UNSAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB BOT\nABOX\nA(x)@0\n"
 SAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB X A\nABOX\nA(x)@0\n"
@@ -98,6 +98,23 @@ def test_solver_formula_is_an_optimize_fixpoint():
         assert tree_size(optimize(f)) == tree_size(f), label
 
 
+def test_optimize_matches_the_rebuilding_rounds_on_the_handoff_kbs():
+    # optimize keeps unchanged nodes and carries them between rounds;
+    # rounds that rebuild everything must print the same text
+    for label, kb, flow in _handoff_kbs():
+        g = run_pipeline(kb, flow).grounded
+        f = optimize(g)
+        assert ltl.to_infix(f) == ltl.to_infix(rebuilt_optimize(g)), label
+        assert optimize(f) is f, label
+
+
+def test_emitters_match_the_chained_printer_on_the_handoff_kbs():
+    for label, kb, flow in _handoff_kbs():
+        f = solver_formula(run_pipeline(kb, flow))
+        for tokens in (_INFIX_TOKENS, _SMV_TOKENS):
+            assert ltl.print_formula(f, tokens) == chained_print_formula(f, tokens), label
+
+
 def test_stage_sizes_count_every_occurrence():
     # the sizes stored at construction, on what `ground`, `depast` and
     # `optimize` build, against a walk of the formula
@@ -165,7 +182,7 @@ def test_optimize_leaves_the_collector_enabled():
 def test_optimize_restores_the_collector_when_it_raises(monkeypatch):
     seen = []
 
-    def failing_simplify(f):
+    def failing_simplify(f, *state):
         seen.append(gc.isenabled())
         raise RuntimeError("simplify failed")
 
