@@ -376,22 +376,21 @@ def _is_true(n: Ltl) -> bool:
     return type(n) is LNot and type(n.arg) is LFalse
 
 
-# a stack entry's marker: the node's children are done
-_POST: tuple = ()
-
-
 def simplify(
     f: Ltl,
     index: tuple[dict, dict, list] | None = None,
     memo: dict[int, Ltl] | None = None,
 ) -> Ltl:
     """Sound shrinking: double-negation elimination, conjunction flattening
-    with structural deduplication, sibling box/next merging, truth/falsum
-    propagation, idempotent eventually.  Preserves equivalence.
+    with structural deduplication, complementary conjuncts, sibling
+    box/next merging, truth/falsum propagation, idempotent eventually.
+    Preserves equivalence.
 
     A conjunct is dropped when it is structurally equal to an earlier one
-    of the same spine, also when the two are distinct objects; every output
-    node is keyed once, so deduplication walks no subtree twice.
+    of the same spine, also when the two are distinct objects, and a spine
+    that holds a conjunct and its structural negation is falsum; every
+    output node is keyed once, so neither test walks a subtree twice, and
+    the negation of a keyed conjunct is one key lookup.
 
     A node whose children come back unchanged and where no rule fires is
     returned itself; for a conjunction spine that means the same leaves,
@@ -404,7 +403,7 @@ def simplify(
         index = ({}, {}, [])
     if memo is None:
         memo = {}
-    uid_of = index[0]
+    uid_of, key_to_uid, _ = index
     stack: list[tuple[Ltl, object]] = [(f, None)]
     while stack:
         n, leaves = stack.pop()
@@ -436,6 +435,13 @@ def simplify(
                 if uid in uids:
                     changed = True
                     continue
+                if type(sc) is LNot:
+                    negation = uid_of[id(sc.arg)]
+                else:
+                    negation = key_to_uid.get(("LNot", uid))
+                if negation in uids:
+                    memo[id(n)] = FALSE
+                    break
                 uids.add(uid)
                 parts.append(sc)
             else:
@@ -451,7 +457,7 @@ def simplify(
         arg = n.arg
         a = memo.get(id(arg))
         if a is None:
-            stack.append((n, _POST))
+            stack.append((n, None))
             stack.append((arg, None))
             continue
         if t is LNot:

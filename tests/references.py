@@ -274,9 +274,11 @@ def has_past(f: Ltl) -> bool:
 
 def rebuilt_simplify(f: Ltl) -> Ltl:
     """`ltl.simplify` by a walk that builds every node anew, with a fresh
-    hash-cons index per call."""
+    hash-cons index per call, and that keys each conjunct's negation as a
+    new node."""
     memo: dict[int, Ltl] = {}
     index: tuple[dict, dict, list] = ({}, {}, [])
+    held: list[Ltl] = []
 
     def is_true(n: Ltl) -> bool:
         return isinstance(n, LNot) and isinstance(n.arg, LFalse)
@@ -307,6 +309,11 @@ def rebuilt_simplify(f: Ltl) -> Ltl:
                 uid = _intern(sc, *index)
                 if uid in uids:
                     continue
+                negated = sc.arg if isinstance(sc, LNot) else LNot(sc)
+                held.append(negated)  # keyed by id() in the index
+                if _intern(negated, *index) in uids:
+                    bottom = True
+                    break
                 uids.add(uid)
                 parts.append(sc)
             memo[id(n)] = FALSE if bottom else conj(_merge_siblings(parts))

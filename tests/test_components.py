@@ -22,6 +22,7 @@ from tdlite.pipeline import check_kb, run_pipeline
 from tdlite.randgen import BatchSpec, generate_instance, random_abox
 
 from conftest import load_toy, random_bilasso
+from references import has_past
 
 # no individuals; `>= 1 R` is empty, so each witness's demand is
 # unsatisfiable, and SAT needs the fixpoint to drop both role propositions
@@ -280,6 +281,24 @@ def test_one_constant_without_roles_checks_the_whole_formula(monkeypatch, flow):
     assert len(seen) == 1
     assert struct_eq(seen[0], optimize(trace.grounded))
     assert trace.decomposition.components == 1
+
+
+def test_a_tautological_inclusion_hands_z_sat_no_past_operator(monkeypatch):
+    # `A SUB A` over ℤ grounds to a two-sided box over ¬(A ∧ ¬A); its
+    # complementary conjuncts make the box truth, so the component has no
+    # past operator and z_sat skips its backward half
+    seen = []
+    real = components.z_sat
+
+    def spy(f, **kwargs):
+        seen.append(f)
+        return real(f, **kwargs)
+
+    monkeypatch.setattr(components, "z_sat", spy)
+    kb = parse_kb("SIG\nconcept A\nindividual b\nTBOX\nA SUB A\nABOX\nA(b)@3\n")
+    assert check_kb(kb, "z")[0] == "SAT"
+    assert seen
+    assert not any(has_past(f) for f in seen)
 
 
 # --- the combined witness --------------------------------------------------------

@@ -191,6 +191,20 @@ def test_simplify_drops_a_structural_repeat_held_in_a_distinct_object():
     assert struct_eq(g, want)
 
 
+def test_simplify_makes_complementary_conjuncts_falsum():
+    a, b = LProp("a"), LSomeF(LAnd(LProp("b"), LNot(LProp("c"))))
+    for f in (
+        LAnd(a, LNot(a)),
+        LAnd(LNot(LProp("a")), conj([LProp("c"), LProp("a")])),
+        conj([b, LProp("c"), LNot(LSomeF(LAnd(LProp("b"), LNot(LProp("c")))))]),
+    ):
+        assert simplify(f) is FALSE, to_infix(f)
+    # under temporal operators, as `A SUB A` grounds over ℤ
+    assert to_infix(optimize(parse_infix("~ (P (F (a & (~ a))))"))) == "true"
+    # a conjunct and the negation of a different one stay
+    assert to_infix(simplify(LAnd(a, LNot(LProp("b"))))) == "(a & (~ b))"
+
+
 def test_implies_adds_no_double_negation():
     a, b = LProp("a"), LProp("b")
     assert struct_eq(implies(a, LNot(b)), LNot(LAnd(a, b)))
