@@ -24,7 +24,13 @@ address-space limit), the side that runs first alternating: the ℕ batch
 is added under "fixed/<input>" with, per side, how many checks were
 decided within the cap, the verdicts, and the median and p90 (nearest
 rank) of the checks' CPU seconds, an undecided check counting as over
-the cap (a percentile that lands on one is recorded as null).
+the cap (a percentile that lands on one is recorded as null).  With
+--fixed it also records the benchmark-scale hand-off, instance 0 of
+`BatchSpec(N=7, Lt=100, Lc=20, Q=5, seed=20260824)` over ℤ (the
+`solver-handoff` gate instance), in one child per side under a 120 s CPU
+cap: the milliseconds and node counts of `ground`, `depast` of the
+grounding, `optimize`, `depast` of the optimized grounding and the SMV
+emission, under "fixed/handoff-gate0".
 """
 
 from __future__ import annotations
@@ -68,6 +74,40 @@ print(json.dumps({"verdict": verdict, "cpu_s": time.process_time() - cpu,
                   "wall_s": time.perf_counter() - wall}))
 """
 
+HANDOFF_SPEC = dict(F=1, N=7, Lt=100, Lc=20, Q=5, seed=20260824)
+HANDOFF_CPU_SECONDS = 120
+# the hand-off's stages, in a child started from the checkout's root;
+# argv is ["-c", BatchSpec JSON]
+HANDOFF_CHILD = """
+import json, sys, time
+from tdlite.ground import GroundingContext, ground
+from tdlite.ltl import optimize
+from tdlite.pastelim import depast
+from tdlite.qtl import translate_kb
+from tdlite.randgen import BatchSpec, generate_instance
+from tdlite.solvers import emit
+kb = generate_instance(BatchSpec(**json.loads(sys.argv[1])), 0, flow="z")
+stages = {}
+def timed(name, fn, *args):
+    t = time.perf_counter()
+    out = fn(*args)
+    stages[name] = {"ms": (time.perf_counter() - t) * 1000.0}
+    return out
+q, ctx = translate_kb(kb, "z")
+g = timed("ground", ground, q, GroundingContext.from_kb(kb, ctx))
+stages["ground"]["nodes"] = g.size
+d = timed("depast", depast, g)
+stages["depast"]["nodes"] = d.size
+del d
+o = timed("optimize", optimize, g)
+stages["optimize"]["nodes"] = o.size
+f = timed("depast(optimize)", depast, o)
+stages["depast(optimize)"]["nodes"] = f.size
+text, props = timed("emit", emit, f, "smv")
+stages["emit"].update(nodes=f.size, bytes=len(text.encode()), props=len(props))
+print(json.dumps(stages))
+"""
+
 
 def run_once(root: Path, args) -> dict:
     cmd = [sys.executable, "benchmark/run.py", "--workload", args.workload,
@@ -88,28 +128,33 @@ def summary(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def check_once(root: Path, check: tuple[str, str, str, str]) -> dict:
-    """One capped in-process check in a child; its report, or why it
-    gave no verdict."""
+def run_child(root: Path, code: str, argv, cpu_seconds: int) -> dict:
+    """The JSON report a child running `code` prints last, or why it
+    printed none, under a CPU-time cap and the address-space limit."""
 
     def limit() -> None:
-        resource.setrlimit(resource.RLIMIT_CPU, (CHILD_CPU_SECONDS, CHILD_CPU_SECONDS + 1))
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds + 1))
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", CHECK_CHILD, *check],
+        [sys.executable, "-c", code, *argv],
         cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         preexec_fn=limit,
     )
     if proc.returncode == 0:
         return json.loads(proc.stdout.strip().splitlines()[-1])
     if proc.returncode < 0:
-        reason = f"killed by signal {-proc.returncode}"
-    else:
-        tail = proc.stderr.strip().splitlines()
-        reason = f"exit status {proc.returncode}: {tail[-1] if tail else ''}"
-    return {"verdict": None, "reason": reason}
+        return {"reason": f"killed by signal {-proc.returncode}"}
+    tail = proc.stderr.strip().splitlines()
+    return {"reason": f"exit status {proc.returncode}: {tail[-1] if tail else ''}"}
+
+
+def check_once(root: Path, check: tuple[str, str, str, str]) -> dict:
+    """One capped in-process check in a child; its report, or why it
+    gave no verdict."""
+    report = run_child(root, CHECK_CHILD, check, CHILD_CPU_SECONDS)
+    return report if "reason" not in report else {"verdict": None, **report}
 
 
 def nearest_rank(values: list[float], p: float) -> float | None:
@@ -162,6 +207,13 @@ def run_fixed(roots: dict) -> dict:
             **{side: fixed_summary([r[side] for r in runs]) for side in roots},
             "runs": runs,
         }
+    handoff = {"spec": HANDOFF_SPEC, "index": 0, "flow": "z",
+               "cpu_seconds_cap": HANDOFF_CPU_SECONDS}
+    for side in roots:
+        handoff[side] = run_child(roots[side], HANDOFF_CHILD, [json.dumps(HANDOFF_SPEC)],
+                                  HANDOFF_CPU_SECONDS)
+        print(f"handoff-gate0 {side}: {json.dumps(handoff[side])}", file=sys.stderr)
+    out["fixed/handoff-gate0"] = handoff
     return out
 
 
