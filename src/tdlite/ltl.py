@@ -394,10 +394,9 @@ def simplify(
 
     A node whose children come back unchanged and where no rule fires is
     returned itself; for a conjunction spine that means the same leaves,
-    already right-nested.  `index` is the hash-cons tables of `_intern`,
-    which callers may share between calls; `memo` maps id(node) to its
-    result, the caller may pre-seed it with nodes that map to themselves
-    (their subtrees are then not visited) and read it afterwards.
+    already right-nested.  `index` is the hash-cons tables of `_intern`
+    and `memo` maps id(node) to its result; a caller may pass both from
+    an earlier call, which then skips every node that call has seen.
     """
     if index is None:
         index = ({}, {}, [])
