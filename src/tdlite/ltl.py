@@ -244,35 +244,56 @@ def count_props(f: Ltl) -> int:
 
 
 def _intern(
-    f: Ltl, uid_of: dict[int, int], key_to_uid: dict[tuple, int], reps: list[Ltl]
+    f: Ltl, uid_of: dict[int, int], key_to_uid: dict[object, int], reps: list[Ltl]
 ) -> int:
     """Hash-cons f into the given tables and return its uid.
 
     Structurally equal nodes get the same uid even when they are distinct
-    objects; `reps` gets one representative per uid, children first.  The
-    tables are keyed on node identity, so every node object is keyed once
-    however many calls share them, and must stay alive while they are used.
+    objects; `reps` gets one representative per uid, children first, the
+    right child's subtree before the left's.  The tables are keyed on node
+    identity, so every node object is keyed once however many calls share
+    them, and must stay alive while they are used.
+
+    A node's structural key is `(class, child uid…)`, the bare name for a
+    proposition and the class `LFalse` for falsum.  A node whose children
+    still need uids goes back on the stack under a `None` marker, with its
+    children above it; popping the marker keys the node below it.
     """
-    stack: list[tuple[Ltl, bool]] = [(f, False)]
+    stack: list[Ltl | None] = [f]
+    pop, extend = stack.pop, stack.extend
+    get_uid, get_key = uid_of.get, key_to_uid.get
     while stack:
-        n, done = stack.pop()
-        if id(n) in uid_of:
+        n = pop()
+        if n is None:
+            n = pop()
+            t = type(n)
+            if t is LAnd:
+                key = (LAnd, uid_of[id(n.left)], uid_of[id(n.right)])
+            else:
+                key = (t, uid_of[id(n.arg)])
+        elif id(n) in uid_of:
             continue
-        kids = _children(n)
-        if not done and kids:
-            stack.append((n, True))
-            stack.extend((k, False) for k in kids)
-            continue
-        if isinstance(n, LProp):
-            key = ("p", n.name)
-        elif isinstance(n, LFalse):
-            key = ("f",)
         else:
-            key = (type(n).__name__,) + tuple(uid_of[id(k)] for k in kids)
-        uid = key_to_uid.get(key)
+            t = type(n)
+            if t is LAnd:
+                left, right = get_uid(id(n.left)), get_uid(id(n.right))
+                if left is None or right is None:
+                    extend((n, None, n.left, n.right))
+                    continue
+                key = (LAnd, left, right)
+            elif t is LProp:
+                key = n.name
+            elif t is LFalse:
+                key = LFalse
+            else:
+                arg = get_uid(id(n.arg))
+                if arg is None:
+                    extend((n, None, n.arg))
+                    continue
+                key = (t, arg)
+        uid = get_key(key)
         if uid is None:
-            uid = len(reps)
-            key_to_uid[key] = uid
+            uid = key_to_uid[key] = len(reps)
             reps.append(n)
         uid_of[id(n)] = uid
     return uid_of[id(f)]
@@ -437,7 +458,7 @@ def simplify(
                 if type(sc) is LNot:
                     negation = uid_of[id(sc.arg)]
                 else:
-                    negation = key_to_uid.get(("LNot", uid))
+                    negation = key_to_uid.get((LNot, uid))
                 if negation in uids:
                     memo[id(n)] = FALSE
                     break

@@ -6,10 +6,12 @@ on demand, against which the bottom-up `oracle.eval_on_lasso` is tested,
 the read-back of a model with past from an ℕ model of its past-free
 translation, a walk that counts a formula's nodes, for the size each
 node stores, the closed-form count of a TBox's monotonicity conjuncts,
-a test for past operators, and `optimize` and `print_formula` as they
-were before they kept unchanged nodes and dispatched on exact type:
-rounds that rebuild every node, and a printer that runs down an
-`isinstance` chain.
+a test for past operators, and `optimize`, `print_formula` and the
+hash-consing of `ltl._intern` as they were before they kept unchanged
+nodes, dispatched on exact type and keyed nodes in one loop: rounds that
+rebuild every node, a printer that runs down an `isinstance` chain, and
+an interning walk with `(node, done)` stack entries and name-tagged
+tuple keys.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from tdlite.ltl import (
     Ltl,
     PastOperatorPresent,
     _children,
-    _intern,
     _merge_siblings,
     _rewrite_box_body,
     _spine_conjuncts,
@@ -272,6 +273,37 @@ def has_past(f: Ltl) -> bool:
     return any(isinstance(n, (LNextP, LSomeP)) for n in iter_nodes(f))
 
 
+def tuple_keyed_intern(
+    f: Ltl, uid_of: dict[int, int], key_to_uid: dict[tuple, int], reps: list[Ltl]
+) -> int:
+    """`ltl._intern` by a walk that pushes `(node, done)` pairs and keys
+    a node by a tuple that starts with its class name: `("p", name)` for
+    a proposition, `("f",)` for falsum.  Same uids, same `reps` order."""
+    stack: list[tuple[Ltl, bool]] = [(f, False)]
+    while stack:
+        n, done = stack.pop()
+        if id(n) in uid_of:
+            continue
+        kids = _children(n)
+        if not done and kids:
+            stack.append((n, True))
+            stack.extend((k, False) for k in kids)
+            continue
+        if isinstance(n, LProp):
+            key = ("p", n.name)
+        elif isinstance(n, LFalse):
+            key = ("f",)
+        else:
+            key = (type(n).__name__,) + tuple(uid_of[id(k)] for k in kids)
+        uid = key_to_uid.get(key)
+        if uid is None:
+            uid = len(reps)
+            key_to_uid[key] = uid
+            reps.append(n)
+        uid_of[id(n)] = uid
+    return uid_of[id(f)]
+
+
 def rebuilt_simplify(f: Ltl) -> Ltl:
     """`ltl.simplify` by a walk that builds every node anew, with a fresh
     hash-cons index per call, and that keys each conjunct's negation as a
@@ -306,12 +338,12 @@ def rebuilt_simplify(f: Ltl) -> Ltl:
                     break
                 if is_true(sc):
                     continue
-                uid = _intern(sc, *index)
+                uid = tuple_keyed_intern(sc, *index)
                 if uid in uids:
                     continue
                 negated = sc.arg if isinstance(sc, LNot) else LNot(sc)
                 held.append(negated)  # keyed by id() in the index
-                if _intern(negated, *index) in uids:
+                if tuple_keyed_intern(negated, *index) in uids:
                     bottom = True
                     break
                 uids.add(uid)

@@ -21,6 +21,7 @@ from tdlite.ltl import (
     PastOperatorPresent,
     REPR_LIMIT,
     TRUE,
+    _intern,
     _rigidity_rewrite,
     alw_f,
     alw_p,
@@ -48,6 +49,7 @@ from references import (
     has_past,
     rebuilt_optimize,
     rebuilt_simplify,
+    tuple_keyed_intern,
     walked_tree_size,
 )
 
@@ -242,6 +244,19 @@ def test_struct_eq_ignores_object_identity():
     g = LAnd(LProp("a"), LSomeF(LProp("b")))
     assert struct_eq(f, g)
     assert not struct_eq(f, LAnd(LProp("a"), LSomeF(LProp("c"))))
+
+
+@given(st.lists(st.one_of(formulas, shared_formulas()), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_intern_matches_the_tuple_keyed_reference(fs):
+    # the same uids and the same order of representatives, also when
+    # several formulas are interned into one set of tables, as simplify does
+    index: tuple[dict, dict, list] = ({}, {}, [])
+    ref: tuple[dict, dict, list] = ({}, {}, [])
+    for f in fs:
+        assert _intern(f, *index) == tuple_keyed_intern(f, *ref)
+    assert index[0] == ref[0]
+    assert [id(r) for r in index[2]] == [id(r) for r in ref[2]]
 
 
 def test_repr_of_a_small_formula_reads_like_its_constructors():
