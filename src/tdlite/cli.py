@@ -19,6 +19,7 @@ from .kb import validate
 from .kbparse import KbSyntaxError, parse_kb
 from .ltl import optimize, to_infix, parse_infix, InfixSyntaxError
 from .oracle import z_sat
+from .pastelim import depast
 from .pipeline import check_kb, run_pipeline, solver_formula
 from .qtl import FlowViolation, qtl_to_text
 from .randgen import BatchSpec, generate_instance, write_batch
@@ -70,7 +71,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     elif args.to == "ltlp":
         text = to_infix(trace.grounded)
     elif args.to == "ltl":
-        text = to_infix(trace.past_free)
+        text = to_infix(trace.grounded if trace.flow == "n" else depast(trace.grounded))
     elif args.to == "smv":
         text = emit_smv(solver_formula(trace))
     else:  # infix

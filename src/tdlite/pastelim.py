@@ -8,6 +8,10 @@ biconditionals over the whole alphabet.  The result is past-free and linear
 in the size of the input.  The clauses are built through `ltl.iff`, which
 adds no double negation, so for the optimized grounding of a knowledge base
 the output is already a fixpoint of `ltl.optimize`.
+
+The output's node and proposition counts follow from the table of
+subformulas alone (`SubformulaTable.output_size`, `output_props`), so the
+pipeline's `ltl` stage records the translation's size without building it.
 """
 
 from __future__ import annotations
@@ -55,6 +59,66 @@ class SubformulaTable:
         names of every pair, since its time-zero sync conjunction names
         each pair."""
         return 2 * (len(self.prop_pairs) + len(self.surrogate_pairs))
+
+    def output_size(self) -> int:
+        """The node count of `depast_with_table`'s output, shared subtrees
+        counted per occurrence, by arithmetic over the table alone.
+
+        The flattening of a representative has the same shape on both
+        halves of the timeline, so one size per uid serves both, and its
+        root is a negation exactly when the representative's is.  The
+        input's root is the last representative: every other subformula is
+        smaller, so none is structurally equal to it.
+        """
+        uid_of = self.uid_of
+        size: list[int] = []  # of each representative's flattening
+        step_sizes = 0
+        for rep in self.reps:
+            t = type(rep)
+            if t is LAnd:
+                size.append(1 + size[uid_of[id(rep.left)]] + size[uid_of[id(rep.right)]])
+                continue
+            if t is LNot:
+                size.append(1 + size[uid_of[id(rep.arg)]])
+                continue
+            size.append(1)  # a proposition, falsum, or a surrogate
+            if t is LProp or t is LFalse:
+                continue
+            k = uid_of[id(rep.arg)]
+            arg, arg_not = size[k], type(self.reps[k]) is LNot
+            if t is LNextF or t is LNextP:
+                # ○s ↔ a on one half, s ↔ ○a on the other
+                step_sizes += _iff_size(2, False, arg, arg_not)
+            else:
+                # ○s ↔ (s ∨ ○a) on one half, s ↔ ◇a on the other
+                step_sizes += _iff_size(2, False, _lor_size(1, arg + 1), True)
+            step_sizes += _iff_size(1, False, arg + 1, False)
+
+        parts = [size[-1]]
+        syncs = len(self.prop_pairs) + len(self.surrogate_pairs)
+        if syncs:
+            parts.append(_conj_size(syncs * _iff_size(1, False, 1, False), syncs))
+        if self.surrogate_pairs:
+            # alw_f adds ¬◇¬ around the conjunction of the step clauses
+            parts.append(3 + _conj_size(step_sizes, 2 * len(self.surrogate_pairs)))
+        return _conj_size(sum(parts), len(parts))
+
+
+# The node counts of what the constructors of `ltl` build, from the sizes
+# of their arguments and whether an argument's root is a negation.
+
+def _conj_size(total: int, count: int) -> int:
+    """`conj` of `count` formulas of `total` nodes together (count ≥ 1)."""
+    return total + count - 1
+
+
+def _lor_size(a: int, b: int) -> int:
+    return 4 + a + b
+
+
+def _iff_size(a: int, a_not: bool, b: int, b_not: bool) -> int:
+    # two implications ¬(x ∧ ~y), where ~ drops a root negation or adds one
+    return 5 + a + b + (a - 1 if a_not else a + 1) + (b - 1 if b_not else b + 1)
 
 
 def build_table(f: Ltl) -> SubformulaTable:

@@ -3,11 +3,15 @@
 A knowledge base runs through up to three translation stages — the
 one-variable first-order temporal formula, its propositional grounding,
 and (over ℤ) the past-free rendering — with per-stage sizes and timings
-collected in a trace.  In process, checking decides the grounding one
-constant at a time (`components.check_by_constant`); an external solver
-profile gets `solver_formula`, the whole formula.  `solver_formula` is the
-one definition of what a solver receives; `tdlite translate --to
-smv|infix` and `tdlite bench` use it too.
+collected in a trace.  The trace keeps the first two formulas; of the
+third it records only the size, taken from past elimination's table
+(`SubformulaTable.output_size`), since no check reads that formula:
+`tdlite translate --to ltl` builds it with `depast(trace.grounded)`.  In
+process, checking decides the grounding one constant at a time
+(`components.check_by_constant`); an external solver profile gets
+`solver_formula`, the whole formula.  `solver_formula` is the one
+definition of what a solver receives; `tdlite translate --to smv|infix`
+and `tdlite bench` use it too.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import Optional
 from .components import Decomposition, check_by_constant
 from .ground import GroundingContext, ground
 from .kb import KnowledgeBase, concept_size
-from .ltl import Ltl, count_props, optimize, tree_size
-from .pastelim import depast, depast_with_table
+from .ltl import Ltl, count_props, gc_paused, optimize, tree_size
+from .pastelim import build_table, depast
 from .qtl import Qtl, TranslationContext, qtl_size, translate_kb
 from .solvers import SolverProfile, run_solver
 
@@ -39,8 +43,8 @@ class PipelineTrace:
     # formulas are far too deep for the recursive dataclass repr
     qtl: Optional[Qtl] = field(default=None, repr=False)
     qtl_ctx: Optional[TranslationContext] = None
+    # the ℕ flow's final translation; over ℤ, depast(grounded) is
     grounded: Optional[Ltl] = field(default=None, repr=False)
-    past_free: Optional[Ltl] = field(default=None, repr=False)
     # how an in-process check split the grounding; None for other runs
     decomposition: Optional[Decomposition] = None
 
@@ -84,7 +88,10 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
 
     Stage order is KB → qtl1 → ltlp → ltl; the last stage exists only in
     the ℤ flow, where past elimination is required (the ℕ flow's grounded
-    formula is already past-free).
+    formula is already past-free).  The `ltl` stage records the size of
+    `depast(grounded)` without building it: it times past elimination's
+    table of the grounding and the arithmetic over it.  Over ℤ that table
+    also gives the `ltlp` stage's proposition count.
     """
     trace = PipelineTrace(flow=flow)
     trace.stages.append(StageRecord("kb", kb_node_count(kb), None, 0.0))
@@ -99,16 +106,17 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
     g = ground(q, GroundingContext.from_kb(kb, ctx))
     wall = (time.monotonic() - t0) * 1000.0
     trace.grounded = g
-    trace.stages.append(StageRecord("ltlp", tree_size(g), count_props(g), wall))
+    if flow == "n":
+        trace.stages.append(StageRecord("ltlp", tree_size(g), count_props(g), wall))
+        return trace
 
-    if flow == "z":
-        t0 = time.monotonic()
-        pf, table = depast_with_table(g)
-        wall = (time.monotonic() - t0) * 1000.0
-        trace.past_free = pf
-        trace.stages.append(StageRecord("ltl", tree_size(pf), table.output_props(), wall))
-    else:
-        trace.past_free = g
+    t0 = time.monotonic()
+    with gc_paused():
+        table = build_table(g)
+        nodes, props = table.output_size(), table.output_props()
+    ltl_wall = (time.monotonic() - t0) * 1000.0
+    trace.stages.append(StageRecord("ltlp", tree_size(g), len(table.prop_pairs), wall))
+    trace.stages.append(StageRecord("ltl", nodes, props, ltl_wall))
     return trace
 
 

@@ -22,6 +22,8 @@ from tdlite.cli import (
     main,
 )
 from tdlite.kbparse import parse_kb
+from tdlite.ltl import to_infix
+from tdlite.pastelim import depast
 from tdlite.pipeline import run_pipeline, solver_formula
 from tdlite.solvers import emit_smv
 
@@ -117,6 +119,16 @@ def test_translate_prints_the_formula_a_solver_gets(kb_file, capsys, flow):
     want = emit_smv(solver_formula(run_pipeline(parse_kb(SAT_KB), flow)))
     assert run_cli("translate", path, "--flow", flow, "--to", "smv") == EXIT_SAT
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("flow", ["n", "z"])
+def test_translate_to_ltl_prints_the_final_translation(kb_file, capsys, flow):
+    # over ℤ the past-free translation of the grounding, built for the
+    # command; over ℕ the grounding itself
+    grounded = run_pipeline(parse_kb(SAT_KB), flow).grounded
+    want = to_infix(depast(grounded) if flow == "z" else grounded)
+    assert run_cli("translate", kb_file(SAT_KB), "--flow", flow, "--to", "ltl") == EXIT_SAT
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_translate_trace_artifact(kb_file, tmp_path, capsys):

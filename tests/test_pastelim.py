@@ -4,20 +4,26 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import given, settings
+
 from tdlite.ltl import (
+    FALSE,
+    TRUE,
     LAnd,
     LNextP,
     LNot,
     LProp,
     LSomeF,
     LSomeP,
+    count_props,
     prop_names,
     tree_size,
 )
 from tdlite.oracle import eval_on_lasso, z_sat
 from tdlite.pastelim import build_table, depast, depast_with_table
 
-from conftest import random_ltlp
+from conftest import formulas, random_ltlp
 from references import has_past, reconstruct_value
 
 
@@ -56,6 +62,43 @@ def test_past_free_input_keeps_no_stale_surrogates():
     g = depast(f)
     assert not has_past(g)
     assert "a__pos" in prop_names(g)
+
+
+def _assert_table_sizes_its_output(f):
+    out, table = depast_with_table(f)
+    assert build_table(f).output_size() == table.output_size() == tree_size(out)
+    assert table.output_props() == count_props(out)
+
+
+@given(formulas)
+@settings(max_examples=300, deadline=None)
+def test_table_sizes_its_output(f):
+    _assert_table_sizes_its_output(f)
+
+
+def test_table_sizes_the_output_of_random_formulas():
+    rng = random.Random(31)
+    for _ in range(300):
+        _assert_table_sizes_its_output(random_ltlp(rng.randint(1, 40), rng))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        LAnd(LProp("a"), LNot(LProp("b"))),  # no temporal operator: no step clauses
+        FALSE,  # no proposition and no temporal operator: no sync clauses either
+        TRUE,
+        LNot(LAnd(TRUE, FALSE)),
+        LSomeF(FALSE),  # a surrogate but no proposition
+        LSomeP(LProp("a")),  # past operators at the root
+        LNextP(LNot(LProp("a"))),
+        LNot(LSomeP(LNot(LSomeF(LNot(LProp("a")))))),
+    ],
+    ids=["no-temporal", "falsum", "truth", "no-props", "surrogate-only",
+         "someP-root", "nextP-root", "boxes"],
+)
+def test_table_sizes_the_output_of_edge_cases(f):
+    _assert_table_sizes_its_output(f)
 
 
 def test_reconstruct_value_reads_the_right_half():

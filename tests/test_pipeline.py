@@ -9,7 +9,9 @@ import pytest
 from tdlite.ground import GroundingContext, ground
 from tdlite.kbparse import parse_kb
 from tdlite import ltl
-from tdlite.ltl import count_props, optimize, tree_size
+from tdlite import pastelim
+from tdlite.ltl import count_props, optimize, structural_index, tree_size
+from tdlite.pastelim import depast
 from tdlite.pipeline import (
     check_kb,
     kb_node_count,
@@ -21,7 +23,13 @@ from tdlite.randgen import BatchSpec, generate_instance
 from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS, oracle_profile, run_solver
 
 from conftest import TOY_VERDICTS, load_toy, toy_text
-from references import chained_print_formula, has_past, rebuilt_optimize, walked_tree_size
+from references import (
+    chained_print_formula,
+    has_past,
+    rebuilt_optimize,
+    tuple_keyed_intern,
+    walked_tree_size,
+)
 
 UNSAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB BOT\nABOX\nA(x)@0\n"
 SAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB X A\nABOX\nA(x)@0\n"
@@ -34,8 +42,15 @@ def test_stage_sequence_per_flow():
     assert [s.name for s in z.stages] == ["kb", "qtl1", "ltlp", "ltl"]
     assert [s.name for s in n.stages] == ["kb", "qtl1", "ltlp"]
     assert z.stages[0].nodes == kb_node_count(kb)
-    assert not has_past(z.past_free)
-    assert n.past_free is n.grounded
+    # the ltl stage is the size of past elimination on the grounding
+    past_free = depast(z.grounded)
+    assert not has_past(past_free)
+    assert (z.stage("ltl").nodes, z.stage("ltl").props) == (
+        tree_size(past_free), count_props(past_free),
+    )
+    assert (n.stage("ltlp").nodes, n.stage("ltlp").props) == (
+        tree_size(n.grounded), count_props(n.grounded),
+    )
     with pytest.raises(KeyError):
         n.stage("ltl")
 
@@ -115,22 +130,58 @@ def test_emitters_match_the_chained_printer_on_the_handoff_kbs():
             assert ltl.print_formula(f, tokens) == chained_print_formula(f, tokens), label
 
 
+def _final_translation(trace):
+    """The formula the last stage of a trace records: the grounding over
+    ℕ, its past-free translation over ℤ (which run_pipeline never builds)."""
+    return trace.grounded if trace.flow == "n" else depast(trace.grounded)
+
+
 def test_stage_sizes_count_every_occurrence():
     # the sizes stored at construction, on what `ground`, `depast` and
-    # `optimize` build, against a walk of the formula
+    # `optimize` build, against a walk of the formula; the ltl stage's
+    # size is computed from past elimination's table alone
     for label, kb, flow in _handoff_kbs():
         trace = run_pipeline(kb, flow)
-        for f in (trace.grounded, trace.past_free, solver_formula(trace)):
+        final = _final_translation(trace)
+        for f in (trace.grounded, final, solver_formula(trace)):
             assert tree_size(f) == walked_tree_size(f), label
-        assert trace.stage("ltl" if flow == "z" else "ltlp").nodes == walked_tree_size(trace.past_free)
+        assert trace.stage("ltlp").nodes == walked_tree_size(trace.grounded), label
+        assert trace.stage("ltl" if flow == "z" else "ltlp").nodes == walked_tree_size(final), label
 
 
 def test_stage_props_count_every_proposition():
-    # the ltl stage takes its count from past elimination's table, not
-    # from a walk of the formula
+    # over ℤ both counts come from past elimination's table, not from a
+    # walk of the formula
     for label, kb, flow in _handoff_kbs():
         trace = run_pipeline(kb, flow)
-        assert trace.stage("ltl" if flow == "z" else "ltlp").props == count_props(trace.past_free), label
+        assert trace.stage("ltlp").props == count_props(trace.grounded), label
+        final = _final_translation(trace)
+        assert trace.stage("ltl" if flow == "z" else "ltlp").props == count_props(final), label
+
+
+def test_run_pipeline_builds_no_past_free_formula(monkeypatch):
+    def refuse(f):
+        raise AssertionError("run_pipeline built a past-free formula")
+
+    monkeypatch.setattr(pastelim, "depast_with_table", refuse)
+    kb = load_toy("ex1")
+    trace = run_pipeline(kb, "z")
+    assert trace.stage("ltl").nodes > trace.stage("ltlp").nodes
+    # an in-process check reads no past-free formula either
+    assert check_kb(kb, "z")[0] == TOY_VERDICTS["ex1"]
+
+
+def test_intern_matches_the_tuple_keyed_reference_on_the_handoff_kbs():
+    # the surrogate names s{uid}, and with them the SMV bytes, depend on
+    # the uids and the order of the representatives
+    for label, kb, flow in _handoff_kbs():
+        g = run_pipeline(kb, flow).grounded
+        for f in (g, optimize(g)):
+            ref_uid_of, ref_reps = {}, []
+            tuple_keyed_intern(f, ref_uid_of, {}, ref_reps)
+            uid_of, reps = structural_index(f)
+            assert uid_of == ref_uid_of, label
+            assert [id(r) for r in reps] == [id(r) for r in ref_reps], label
 
 
 def test_run_solver_on_solver_formula():
