@@ -29,7 +29,8 @@ the cap (a percentile that lands on one is recorded as null).  With
 `BatchSpec(N=7, Lt=100, Lc=20, Q=5, seed=20260824)` over ℤ (the
 `solver-handoff` gate instance), in one child per side under a 120 s CPU
 cap: the milliseconds and node counts of `ground`, `depast` of the
-grounding, `optimize`, `depast` of the optimized grounding and the SMV
+grounding, the `ltl` stage of `run_pipeline` (its recorded `wall_ms` and
+nodes), `optimize`, `depast` of the optimized grounding and the SMV
 emission, under "fixed/handoff-gate0".
 """
 
@@ -83,6 +84,7 @@ import json, sys, time
 from tdlite.ground import GroundingContext, ground
 from tdlite.ltl import optimize
 from tdlite.pastelim import depast
+from tdlite.pipeline import run_pipeline
 from tdlite.qtl import translate_kb
 from tdlite.randgen import BatchSpec, generate_instance
 from tdlite.solvers import emit
@@ -99,6 +101,8 @@ stages["ground"]["nodes"] = g.size
 d = timed("depast", depast, g)
 stages["depast"]["nodes"] = d.size
 del d
+ltl = run_pipeline(kb, "z").stage("ltl")
+stages["ltl-stage"] = {"ms": ltl.wall_ms, "nodes": ltl.nodes}
 o = timed("optimize", optimize, g)
 stages["optimize"]["nodes"] = o.size
 f = timed("depast(optimize)", depast, o)
