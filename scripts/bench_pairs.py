@@ -28,10 +28,13 @@ the cap (a percentile that lands on one is recorded as null).  With
 --fixed it also records the benchmark-scale hand-off, instance 0 of
 `BatchSpec(N=7, Lt=100, Lc=20, Q=5, seed=20260824)` over ℤ (the
 `solver-handoff` gate instance), in one child per side under a 120 s CPU
-cap: the milliseconds and node counts of `ground`, `depast` of the
-grounding, the `ltl` stage of `run_pipeline` (its recorded `wall_ms` and
-nodes), `optimize`, `depast` of the optimized grounding and the SMV
-emission, under "fixed/handoff-gate0".
+cap: the milliseconds and node counts of `ground`, the `ltl` stage of
+`run_pipeline` (its recorded `wall_ms` and nodes) and `optimize`, then
+the SMV emission of the optimized grounding over ℤ (its milliseconds,
+bytes, propositions and sha256), under "fixed/handoff-gate0".  A
+checkout whose `tdlite.pastelim` still has `depast` builds the past-free
+formula first (recorded as "depast(optimize)") and emits that; a later
+one emits from past elimination's table.
 """
 
 from __future__ import annotations
@@ -80,10 +83,10 @@ HANDOFF_CPU_SECONDS = 120
 # the hand-off's stages, in a child started from the checkout's root;
 # argv is ["-c", BatchSpec JSON]
 HANDOFF_CHILD = """
-import json, sys, time
+import hashlib, json, sys, time
+from tdlite import pastelim
 from tdlite.ground import GroundingContext, ground
 from tdlite.ltl import optimize
-from tdlite.pastelim import depast
 from tdlite.pipeline import run_pipeline
 from tdlite.qtl import translate_kb
 from tdlite.randgen import BatchSpec, generate_instance
@@ -98,17 +101,20 @@ def timed(name, fn, *args):
 q, ctx = translate_kb(kb, "z")
 g = timed("ground", ground, q, GroundingContext.from_kb(kb, ctx))
 stages["ground"]["nodes"] = g.size
-d = timed("depast", depast, g)
-stages["depast"]["nodes"] = d.size
-del d
 ltl = run_pipeline(kb, "z").stage("ltl")
 stages["ltl-stage"] = {"ms": ltl.wall_ms, "nodes": ltl.nodes}
 o = timed("optimize", optimize, g)
 stages["optimize"]["nodes"] = o.size
-f = timed("depast(optimize)", depast, o)
-stages["depast(optimize)"]["nodes"] = f.size
-text, props = timed("emit", emit, f, "smv")
-stages["emit"].update(nodes=f.size, bytes=len(text.encode()), props=len(props))
+if hasattr(pastelim, "depast"):
+    # a checkout that builds the past-free formula, then prints it
+    f = timed("depast(optimize)", pastelim.depast, o)
+    stages["depast(optimize)"]["nodes"] = f.size
+    text, props = timed("emit", emit, f, "smv")
+else:
+    # a checkout whose emitter writes past elimination from its table
+    text, props = timed("emit", emit, o, "smv", "z")
+data = text.encode()
+stages["emit"].update(bytes=len(data), props=len(props), sha256=hashlib.sha256(data).hexdigest())
 print(json.dumps(stages))
 """
 

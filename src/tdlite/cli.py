@@ -17,9 +17,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .kb import validate
 from .kbparse import KbSyntaxError, parse_kb
-from .ltl import optimize, to_infix, parse_infix, InfixSyntaxError
+from .ltl import INFIX_TOKENS, optimize, to_infix, parse_infix, InfixSyntaxError
 from .oracle import z_sat
-from .pastelim import depast
+from .pastelim import print_past_free
 from .pipeline import check_kb, run_pipeline, solver_formula
 from .qtl import FlowViolation, qtl_to_text
 from .randgen import BatchSpec, generate_instance, write_batch
@@ -71,11 +71,14 @@ def cmd_translate(args: argparse.Namespace) -> int:
     elif args.to == "ltlp":
         text = to_infix(trace.grounded)
     elif args.to == "ltl":
-        text = to_infix(trace.grounded if trace.flow == "n" else depast(trace.grounded))
+        if trace.flow == "n":
+            text = to_infix(trace.grounded)
+        else:
+            text = print_past_free(trace.grounded, INFIX_TOKENS)[0]
     elif args.to == "smv":
-        text = emit_smv(solver_formula(trace))
+        text = emit_smv(solver_formula(trace), trace.flow)
     else:  # infix
-        text = emit_infix(solver_formula(trace))
+        text = emit_infix(solver_formula(trace), trace.flow)
     _write_out(text, args.out)
     if args.emit_trace:
         with open(args.emit_trace, "w", encoding="utf-8") as fh:
@@ -185,6 +188,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         res = run_solver(
             profiles[name],
             formula,
+            args.flow,
             cpu_seconds=args.cpu_seconds,
             memory_bytes=args.memory_bytes,
             keep_artifacts=args.keep_artifacts,

@@ -5,13 +5,30 @@ non-negative and the mirrored negative half of the timeline; every temporal
 subformula gets a surrogate pair updated by step clauses under an outer
 always-future.  The two halves are tied together at time zero by
 biconditionals over the whole alphabet.  The result is past-free and linear
-in the size of the input.  The clauses are built through `ltl.iff`, which
-adds no double negation, so for the optimized grounding of a knowledge base
-the output is already a fixpoint of `ltl.optimize`.
+in the size of the input.
 
-The output's node and proposition counts follow from the table of
-subformulas alone (`SubformulaTable.output_size`, `output_props`), so the
-pipeline's `ltl` stage records the translation's size without building it.
+No `Ltl` node of the translation is ever built.  Its node and proposition
+counts follow from the table of subformulas alone
+(`SubformulaTable.output_size`, `output_props`), which is how the
+pipeline's `ltl` stage records its size, and `print_past_free` writes its
+text straight from the table, which is how a solver receives it.  The
+translation is the conjunction of
+
+* the flattening of the input on the positive half: each proposition
+  replaced by its `__pos` name and each temporal subformula by its
+  surrogate's;
+* a biconditional `p ↔ m` per pair, propositions by name, then surrogates
+  by uid;
+* an always-future over two step clauses per temporal subformula, in
+  post-order (for `○a` with surrogate pair `s`/`s'` over `a`'s
+  flattenings `a`/`a'`: `○s' ↔ a'` and `s ↔ ○a`; `○⁻` swaps the halves;
+  `◇a` gives `○s' ↔ (s' ∨ ○a')` and `s ↔ ◇a`, and `◇⁻` swaps them).
+
+The clauses have the shapes that `ltl.iff`, `lor`, `alw_f` and `conj`
+give them, `iff` dropping a double negation, so for the optimized
+grounding of a knowledge base the translation is already a fixpoint of
+`ltl.optimize`.  `tests/references.py::depast` builds the same formula as
+`Ltl` nodes, for the tests.
 """
 
 from __future__ import annotations
@@ -28,40 +45,49 @@ from .ltl import (
     LSomeF,
     LSomeP,
     Ltl,
-    alw_f,
-    conj,
+    _spine_conjuncts,
     gc_paused,
-    iff,
-    lor,
     structural_index,
 )
 
 _TEMPORAL = (LNextF, LNextP, LSomeF, LSomeP)
 
 
+def pair_names(name: str) -> tuple[str, str]:
+    """The names of a proposition's (or a surrogate's) two halves."""
+    return f"{name}__pos", f"{name}__neg"
+
+
+def surrogate_name(uid: int) -> str:
+    """The base name of the surrogate of the temporal subformula `uid`."""
+    return f"s{uid}"
+
+
 @dataclass(frozen=True, slots=True)
 class SubformulaTable:
-    """Distinct subformulas of the input plus the paired alphabet.
+    """Distinct subformulas of the input.
 
     `reps` holds one representative per structurally distinct subformula in
-    post-order; `prop_pairs` maps each input proposition to its pair of
-    names, `surrogate_pairs` maps the post-order index of each temporal
-    subformula to its surrogate pair.
+    post-order, and `uid_of` maps each node's id to its representative's
+    index (its uid).  `props` names the input's propositions, in the order
+    of `reps`; `surrogates` holds the uid of each temporal subformula, in
+    increasing order.  Their pair names (`pair_names`, `surrogate_name`)
+    are formatted only where a printer writes them.
     """
 
     uid_of: dict[int, int]
     reps: list[Ltl]
-    prop_pairs: dict[str, tuple[str, str]]
-    surrogate_pairs: dict[int, tuple[str, str]]
+    props: list[str]
+    surrogates: list[int]
 
     def output_props(self) -> int:
         """How many propositions the past-free translation names: both
         names of every pair, since its time-zero sync conjunction names
         each pair."""
-        return 2 * (len(self.prop_pairs) + len(self.surrogate_pairs))
+        return 2 * (len(self.props) + len(self.surrogates))
 
     def output_size(self) -> int:
-        """The node count of `depast_with_table`'s output, shared subtrees
+        """The node count of the past-free translation, shared subtrees
         counted per occurrence, by arithmetic over the table alone.
 
         The flattening of a representative has the same shape on both
@@ -95,12 +121,12 @@ class SubformulaTable:
             step_sizes += _iff_size(1, False, arg + 1, False)
 
         parts = [size[-1]]
-        syncs = len(self.prop_pairs) + len(self.surrogate_pairs)
+        syncs = len(self.props) + len(self.surrogates)
         if syncs:
             parts.append(_conj_size(syncs * _iff_size(1, False, 1, False), syncs))
-        if self.surrogate_pairs:
+        if self.surrogates:
             # alw_f adds ¬◇¬ around the conjunction of the step clauses
-            parts.append(3 + _conj_size(step_sizes, 2 * len(self.surrogate_pairs)))
+            parts.append(3 + _conj_size(step_sizes, 2 * len(self.surrogates)))
         return _conj_size(sum(parts), len(parts))
 
 
@@ -123,93 +149,188 @@ def _iff_size(a: int, a_not: bool, b: int, b_not: bool) -> int:
 
 def build_table(f: Ltl) -> SubformulaTable:
     uid_of, reps = structural_index(f)
-    prop_pairs = {
-        rep.name: (f"{rep.name}__pos", f"{rep.name}__neg")
-        for rep in reps
-        if isinstance(rep, LProp)
-    }
-    surrogate_pairs = {
-        uid: (f"s{uid}__pos", f"s{uid}__neg")
-        for uid, rep in enumerate(reps)
-        if isinstance(rep, _TEMPORAL)
-    }
-    return SubformulaTable(uid_of, reps, prop_pairs, surrogate_pairs)
-
-
-def _bar_all(table: SubformulaTable) -> tuple[list[Ltl], list[Ltl]]:
-    """The flattening of every representative to a temporal-operator-free
-    formula over the paired alphabet, on the positive and on the negative
-    half of the timeline, by uid."""
-    pos: list[Ltl] = []
-    neg: list[Ltl] = []
-    for uid, rep in enumerate(table.reps):
-        if isinstance(rep, LProp):
-            p, m = table.prop_pairs[rep.name]
-            pos.append(LProp(p))
-            neg.append(LProp(m))
-        elif isinstance(rep, LFalse):
-            pos.append(rep)
-            neg.append(rep)
-        elif isinstance(rep, LNot):
-            k = table.uid_of[id(rep.arg)]
-            pos.append(LNot(pos[k]))
-            neg.append(LNot(neg[k]))
-        elif isinstance(rep, LAnd):
-            kl = table.uid_of[id(rep.left)]
-            kr = table.uid_of[id(rep.right)]
-            pos.append(LAnd(pos[kl], pos[kr]))
-            neg.append(LAnd(neg[kl], neg[kr]))
-        else:
-            p, m = table.surrogate_pairs[uid]
-            pos.append(LProp(p))
-            neg.append(LProp(m))
-    return pos, neg
+    props: list[str] = []
+    surrogates: list[int] = []
+    for uid, rep in enumerate(reps):
+        t = type(rep)
+        if t is LProp:
+            props.append(rep.name)
+        elif t in _TEMPORAL:
+            surrogates.append(uid)
+    return SubformulaTable(uid_of, reps, props, surrogates)
 
 
 @gc_paused()
-def depast_with_table(f: Ltl) -> tuple[Ltl, SubformulaTable]:
+def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
+    """The text and the proposition names that `ltl.print_formula` gives
+    for the past-free translation of f, written from f's table without
+    building the translation.
+
+    Each representative's flattening gets one text per half of the
+    timeline, stored only when it is neither a conjunction nor a negation
+    of one (a name, falsum, truth, or a negation of a stored text); the
+    others are written out at each use, as `print_formula` writes every
+    occurrence.  No stored text contains a conjunction, so a spine's
+    leaves are stored once, not once per suffix of the spine (which would
+    be quadratic in its length).  A conjunction inside
+    another conjunction, including the two-conjunct body `¬(a ∧ ~b)` of
+    an implication, contributes the leaves of its spine, since
+    `print_formula` flattens a maximal spine into one group.
+    """
     table = build_table(f)
-    pos, neg = _bar_all(table)
+    uid_of, reps = table.uid_of, table.reps
+    false, true = tokens["false"], tokens["true"]
+    neg_ = f"({tokens[LNot]} "
+    next_ = f"({tokens[LNextF]} "
+    some_ = f"({tokens[LSomeF]} "
 
-    parts: list[Ltl] = [pos[table.uid_of[id(f)]]]
+    # the stored text of each flattening, per half; None for a conjunction
+    # or a negation of one
+    pos: list[str | None] = []
+    neg: list[str | None] = []
+    for uid, rep in enumerate(reps):
+        t = type(rep)
+        if t is LProp:
+            p, m = pair_names(rep.name)
+        elif t is LNot:
+            k = uid_of[id(rep.arg)]
+            if type(reps[k]) is LFalse:
+                p = m = true
+            elif pos[k] is None:
+                p = m = None
+            else:
+                p, m = f"{neg_}{pos[k]})", f"{neg_}{neg[k]})"
+        elif t is LAnd:
+            p = m = None
+        elif t is LFalse:
+            p = m = false
+        else:
+            p, m = pair_names(surrogate_name(uid))
+        pos.append(p)
+        neg.append(m)
 
-    sync: list[Ltl] = []
-    for name in sorted(table.prop_pairs):
-        p, m = table.prop_pairs[name]
-        sync.append(iff(LProp(p), LProp(m)))
-    for uid in sorted(table.surrogate_pairs):
-        p, m = table.surrogate_pairs[uid]
-        sync.append(iff(LProp(p), LProp(m)))
-    if sync:
-        parts.append(conj(sync))
+    def full(k: int, texts: list) -> str:
+        """The text of flattening k."""
+        text = texts[k]
+        if text is not None:
+            return text
+        return f"({spine(k, texts)})" if type(reps[k]) is LAnd else compose(k, texts, False)
 
-    steps: list[Ltl] = []
-    for uid, rep in enumerate(table.reps):
-        if not isinstance(rep, _TEMPORAL):
-            continue
-        k = table.uid_of[id(rep.arg)]
-        self_pos, self_neg = pos[uid], neg[uid]
-        arg_pos, arg_neg = pos[k], neg[k]
-        if isinstance(rep, LNextF):
-            steps.append(iff(LNextF(self_neg), arg_neg))
-            steps.append(iff(self_pos, LNextF(arg_pos)))
-        elif isinstance(rep, LNextP):
-            steps.append(iff(LNextF(self_pos), arg_pos))
-            steps.append(iff(self_neg, LNextF(arg_neg)))
-        elif isinstance(rep, LSomeF):
-            steps.append(iff(LNextF(self_neg), lor(self_neg, LNextF(arg_neg))))
-            steps.append(iff(self_pos, LSomeF(arg_pos)))
-        else:  # LSomeP
-            steps.append(iff(LNextF(self_pos), lor(self_pos, LNextF(arg_pos))))
-            steps.append(iff(self_neg, LSomeF(arg_neg)))
-    if steps:
-        parts.append(alw_f(conj(steps)))
+    def body(k: int, texts: list) -> str:
+        """The text of flattening k inside a spine: a conjunction's leaves
+        without its parentheses."""
+        text = texts[k]
+        if text is not None:
+            return text
+        return spine(k, texts) if type(reps[k]) is LAnd else compose(k, texts, False)
 
-    return conj(parts), table
+    def spine(k: int, texts: list) -> str:
+        """The leaves of conjunction k's spine, joined."""
+        leaves = [texts[uid_of[id(leaf)]] for leaf in _spine_conjuncts(reps[k])]
+        return compose(k, texts, True) if None in leaves else " & ".join(leaves)
 
+    def negated(k: int, texts: list) -> str:
+        """The body of `_negated` of flattening k, as `ltl.implies` builds
+        it: a negation's argument, or the negation of anything else."""
+        if type(reps[k]) is LNot:
+            return body(uid_of[id(reps[k].arg)], texts)
+        if type(reps[k]) is LFalse:
+            return true
+        return f"{neg_}{full(k, texts)})"
 
-def depast(f: Ltl) -> Ltl:
-    """Equisatisfiable past-free translation of an LTL formula over ℤ."""
-    out, _ = depast_with_table(f)
-    return out
+    def compose(k: int, texts: list, bare: bool) -> str:
+        # a conjunction or a negation of one, with an explicit stack: its
+        # spine and its nested groups may be arbitrarily deep
+        parts: list[str] = []
+        write = parts.append
+        stack: list[object] = []
+        push = stack.append
 
+        def open_spine(rep: Ltl, close: bool) -> None:
+            leaves = _spine_conjuncts(rep)
+            if close:
+                write("(")
+                push(")")
+            for leaf in reversed(leaves[1:]):
+                push(uid_of[id(leaf)])
+                push(" & ")
+            push(uid_of[id(leaves[0])])
+
+        if bare:
+            open_spine(reps[k], False)
+        else:
+            push(k)
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                write(x)
+                continue
+            text = texts[x]
+            if text is not None:
+                write(text)
+                continue
+            rep = reps[x]
+            if type(rep) is LAnd:
+                open_spine(rep, True)
+            else:  # a negation of a conjunction, or of such a negation
+                write(neg_)
+                push(")")
+                push(uid_of[id(rep.arg)])
+        return "".join(parts)
+
+    def implies(a: str, not_b: str) -> str:
+        # ¬(a ∧ ~b), both given as bodies
+        return f"{neg_}({a} & {not_b}))"
+
+    out: list[str] = []
+    write = out.append
+    root = uid_of[id(f)]
+    names = [pair_names(name) for name in sorted(table.props)]
+    names += [pair_names(surrogate_name(uid)) for uid in table.surrogates]
+    if not names:
+        return full(root, pos), set()
+
+    write("(")
+    write(body(root, pos))
+    for p, m in names:
+        write(f" & {implies(p, f'{neg_}{m})')} & {implies(m, f'{neg_}{p})')}")
+    if table.surrogates:
+        write(f" & {neg_}{some_}{neg_}(")
+        first = True
+        for uid in table.surrogates:
+            rep = reps[uid]
+            k = uid_of[id(rep.arg)]
+            t = type(rep)
+            # `a` is the half on which the surrogate steps forward
+            if t is LNextF or t is LSomeF:
+                s_a, s_b, a, b = neg[uid], pos[uid], neg, pos
+            else:
+                s_a, s_b, a, b = pos[uid], neg[uid], pos, neg
+            next_s = f"{next_}{s_a})"
+            if t is LNextF or t is LNextP:
+                # ○s_a ↔ arg_a, s_b ↔ ○arg_b
+                arg_b = f"{next_}{full(k, b)})"
+                clauses = (
+                    implies(next_s, negated(k, a)),
+                    implies(body(k, a), f"{neg_}{next_s})"),
+                    implies(s_b, f"{neg_}{arg_b})"),
+                    implies(arg_b, f"{neg_}{s_b})"),
+                )
+            else:
+                # ○s_a ↔ (s_a ∨ ○arg_a), s_b ↔ ◇arg_b
+                not_s, not_next_arg = f"{neg_}{s_a})", f"{neg_}{next_}{full(k, a)}))"
+                arg_b = f"{some_}{full(k, b)})"
+                clauses = (
+                    implies(next_s, f"{not_s} & {not_next_arg}"),
+                    implies(f"{neg_}({not_s} & {not_next_arg}))", f"{neg_}{next_s})"),
+                    implies(s_b, f"{neg_}{arg_b})"),
+                    implies(arg_b, f"{neg_}{s_b})"),
+                )
+            if not first:
+                write(" & ")
+            first = False
+            write(" & ".join(clauses))
+        write(")))))")
+    else:
+        write(")")
+    return "".join(out), {name for pair in names for name in pair}

@@ -5,13 +5,14 @@ one-variable first-order temporal formula, its propositional grounding,
 and (over ℤ) the past-free rendering — with per-stage sizes and timings
 collected in a trace.  The trace keeps the first two formulas; of the
 third it records only the size, taken from past elimination's table
-(`SubformulaTable.output_size`), since no check reads that formula:
-`tdlite translate --to ltl` builds it with `depast(trace.grounded)`.  In
-process, checking decides the grounding one constant at a time
-(`components.check_by_constant`); an external solver profile gets
-`solver_formula`, the whole formula.  `solver_formula` is the one
-definition of what a solver receives; `tdlite translate --to smv|infix`
-and `tdlite bench` use it too.
+(`SubformulaTable.output_size`).  No past-free formula is ever built:
+`tdlite translate --to ltl` prints it from the table
+(`pastelim.print_past_free`).  In process, checking decides the grounding
+one constant at a time (`components.check_by_constant`); an external
+solver profile gets `solver_formula`, the whole optimized grounding,
+which the emitters print over ℤ with its past eliminated.
+`solver_formula` is the one definition of what a solver receives;
+`tdlite translate --to smv|infix` and `tdlite bench` use it too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .components import Decomposition, check_by_constant
 from .ground import GroundingContext, ground
 from .kb import KnowledgeBase, concept_size
 from .ltl import Ltl, count_props, gc_paused, optimize, tree_size
-from .pastelim import build_table, depast
+from .pastelim import build_table
 from .qtl import Qtl, TranslationContext, qtl_size, translate_kb
 from .solvers import SolverProfile, run_solver
 
@@ -43,7 +44,7 @@ class PipelineTrace:
     # formulas are far too deep for the recursive dataclass repr
     qtl: Optional[Qtl] = field(default=None, repr=False)
     qtl_ctx: Optional[TranslationContext] = None
-    # the ℕ flow's final translation; over ℤ, depast(grounded) is
+    # the ℕ flow's final translation; over ℤ, its past elimination is
     grounded: Optional[Ltl] = field(default=None, repr=False)
     # how an in-process check split the grounding; None for other runs
     decomposition: Optional[Decomposition] = None
@@ -89,7 +90,7 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
     Stage order is KB → qtl1 → ltlp → ltl; the last stage exists only in
     the ℤ flow, where past elimination is required (the ℕ flow's grounded
     formula is already past-free).  The `ltl` stage records the size of
-    `depast(grounded)` without building it: it times past elimination's
+    the grounding's past elimination without building it: it times the
     table of the grounding and the arithmetic over it.  Over ℤ that table
     also gives the `ltlp` stage's proposition count.
     """
@@ -115,7 +116,7 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
         table = build_table(g)
         nodes, props = table.output_size(), table.output_props()
     ltl_wall = (time.monotonic() - t0) * 1000.0
-    trace.stages.append(StageRecord("ltlp", tree_size(g), len(table.prop_pairs), wall))
+    trace.stages.append(StageRecord("ltlp", tree_size(g), len(table.props), wall))
     trace.stages.append(StageRecord("ltl", nodes, props, ltl_wall))
     return trace
 
@@ -136,7 +137,7 @@ def check_kb(
     past-free, and `z_sat` decides a past-free formula over ℕ.  Over ℤ
     there is no detour through past elimination, which roughly triples
     the state variables.  With a profile, `solver_formula(trace)` is
-    handed to the external solver.
+    handed to the external solver, for the trace's flow.
     """
     trace = run_pipeline(kb, flow)
     if profile is None:
@@ -150,6 +151,7 @@ def check_kb(
     result = run_solver(
         profile,
         solver_formula(trace),
+        trace.flow,
         cpu_seconds=cpu_seconds,
         memory_bytes=memory_bytes,
         keep_artifacts=keep_artifacts,
@@ -158,11 +160,11 @@ def check_kb(
 
 
 def solver_formula(trace: PipelineTrace) -> Ltl:
-    """The past-free formula an external solver gets: the optimized
-    grounding, over ℤ with its past eliminated.
+    """What an external solver gets: the optimized grounding.  The
+    emitters print it for the trace's flow (`solvers.emit`), over ℤ as its
+    past-free translation, written from past elimination's table.
 
-    Past elimination builds clauses that are already simplified, so the ℤ
-    result needs no second `optimize` pass.
+    Past elimination writes clauses that are already simplified, so the ℤ
+    text needs no second `optimize` pass.
     """
-    g = optimize(trace.grounded)
-    return g if trace.flow == "n" else depast(g)
+    return optimize(trace.grounded)

@@ -3,9 +3,11 @@
 Formulas are emitted in one of two concrete formats — a one-line infix
 syntax for tableau/automata tools, or an SMV module using the universal
 model trick, where a counterexample to the negated specification is a
-model of the formula.  Solvers run as subprocesses under CPU and memory
-limits; their output is classified into a verdict by per-profile text
-patterns.  The built-in ``oracle`` profile shells out to this package's
+model of the formula.  Over ℤ (flow "z") a solver receives the past-free
+translation of the formula it is given, written by
+`pastelim.print_past_free` without building it.  Solvers run as
+subprocesses under CPU and memory limits; their output is classified into
+a verdict by per-profile text patterns.  The built-in ``oracle`` profile shells out to this package's
 own command line, so everything works with no external tools installed.
 """
 
@@ -35,8 +37,11 @@ from .ltl import (
     LSomeP,
     Ltl,
     PastOperatorPresent,
+    count_props,
+    gc_paused,
     print_formula,
 )
+from .pastelim import build_table, print_past_free
 
 DEFAULT_CPU_SECONDS = 600.0
 DEFAULT_MEMORY_BYTES = 1 << 30
@@ -108,35 +113,47 @@ _INFIX_TOKENS = {k: v for k, v in INFIX_TOKENS.items() if k not in (LNextP, LSom
 _SMV_TOKENS = {"false": "FALSE", "true": "TRUE", LNot: "!", LNextF: "X", LSomeF: "F"}
 
 
-def emit_infix(f: Ltl) -> str:
-    """One-line fully parenthesized infix form of a past-free formula."""
-    return print_formula(f, _INFIX_TOKENS)[0]
+def emit_infix(f: Ltl, flow: str = "n") -> str:
+    """The infix input file for f: one fully parenthesized line of the
+    past-free formula f, or over ℤ of f's past-free translation."""
+    return emit(f, "infix-ltl", flow)[0]
 
 
-def emit_smv(f: Ltl) -> str:
-    """An SMV module encoding satisfiability of f as model checking.
+def emit_smv(f: Ltl, flow: str = "n") -> str:
+    """An SMV module encoding satisfiability of f (over ℤ, of its past-free
+    translation) as model checking.
 
     One free boolean variable per proposition and no transition
     constraints, so the module's runs are exactly the words over the
     alphabet; the specification asserts ¬f, hence a counterexample is a
     model of f and "specification is false" means satisfiable.
     """
-    return emit(f, "smv")[0]
+    return emit(f, "smv", flow)[0]
 
 
-def emit(f: Ltl, input_format: str) -> tuple[str, set[str]]:
+def emit(f: Ltl, input_format: str, flow: str = "n") -> tuple[str, set[str]]:
     """The text of a solver's input file for f in the given format, and
-    the propositions it names, from one walk of f."""
+    the propositions it names.  Over ℕ f must be past-free and is printed
+    as it is; over ℤ the text is that of its past-free translation."""
+    tokens = _SMV_TOKENS if input_format == "smv" else _INFIX_TOKENS
+    expr, props = print_formula(f, tokens) if flow == "n" else print_past_free(f, tokens)
     if input_format != "smv":
-        expr, props = print_formula(f, _INFIX_TOKENS)
         return expr + "\n", props
-    expr, props = print_formula(f, _SMV_TOKENS)
     lines = ["MODULE main"]
     if props:
         lines.append("VAR")
         lines.extend(f"  {p} : boolean;" for p in sorted(props))
     lines.append(f"LTLSPEC !({expr})")
     return "\n".join(lines) + "\n", props
+
+
+def _input_props(f: Ltl, flow: str) -> int:
+    """How many propositions a solver's input for f names, without
+    emitting it: over ℤ, from past elimination's table."""
+    if flow == "n":
+        return count_props(f)
+    with gc_paused():
+        return build_table(f).output_props()
 
 
 # --- profile files -----------------------------------------------------------
@@ -233,12 +250,14 @@ def _limit_preexec(cpu_seconds: float, memory_bytes: int):
 def run_solver(
     profile: SolverProfile,
     f: Ltl,
+    flow: str = "n",
     cpu_seconds: Optional[float] = None,
     memory_bytes: Optional[int] = None,
     keep_artifacts: bool = False,
 ) -> RunResult:
-    """Emit f, run the profile's command on it under resource limits, and
-    classify the outcome.  Never raises: every mishap is a FAIL (or
+    """Emit f for the flow, run the profile's command on it under resource
+    limits, and classify the outcome.  A profile's max-props is checked
+    before anything is emitted.  Never raises: every mishap is a FAIL (or
     TIMEOUT when a limit was hit), with its cause in the result's
     `reason`."""
     cpu = profile.cpu_seconds if cpu_seconds is None else cpu_seconds
@@ -246,10 +265,17 @@ def run_solver(
 
     tmpdir = None
     try:
-        text, props = emit(f, profile.input_format)
-        if profile.max_props is not None and len(props) > profile.max_props:
-            return RunResult("SKIPPED", 0.0, 0.0, 0, "",
-                             f"{len(props)} propositions, max-props {profile.max_props}")
+        if profile.max_props is not None:
+            count = _input_props(f, flow)
+            if count > profile.max_props:
+                return RunResult("SKIPPED", 0.0, 0.0, 0, "",
+                                 f"{count} propositions, max-props {profile.max_props}")
+        # the emitters are looked up by name at each call, so a wrapper
+        # installed on the module sees every emission
+        if profile.input_format == "smv":
+            text = emit_smv(f, flow)
+        else:
+            text = emit_infix(f, flow)
         suffix = ".smv" if profile.input_format == "smv" else ".ltl"
         tmpdir = tempfile.mkdtemp(prefix=f"tdlite-{profile.name}-")
         in_path = os.path.join(tmpdir, "input" + suffix)

@@ -6,7 +6,9 @@ on demand, against which the bottom-up `oracle.eval_on_lasso` is tested,
 the read-back of a model with past from an ℕ model of its past-free
 translation, a walk that counts a formula's nodes, for the size each
 node stores, the closed-form count of a TBox's monotonicity conjuncts,
-a test for past operators, and `optimize`, `print_formula` and the
+a test for past operators, past elimination built as `Ltl` nodes (the
+formula `pastelim.print_past_free` writes and `SubformulaTable` sizes),
+and `optimize`, `print_formula` and the
 hash-consing of `ltl._intern` as they were before they kept unchanged
 nodes, dispatched on exact type and keyed nodes in one loop: rounds that
 rebuild every node, a printer that runs down an `isinstance` chain, and
@@ -37,12 +39,16 @@ from tdlite.ltl import (
     _merge_siblings,
     _rewrite_box_body,
     _spine_conjuncts,
+    alw_f,
     conj,
+    gc_paused,
+    iff,
     iter_nodes,
+    lor,
     prop_names,
 )
 from tdlite.oracle import BiLassoWord, Valuation
-from tdlite.pastelim import SubformulaTable
+from tdlite.pastelim import SubformulaTable, build_table, pair_names, surrogate_name
 from tdlite.qtl import TranslationContext
 
 MAX_Z_PROPS = 8
@@ -237,7 +243,7 @@ def reconstruct_value(
 ) -> bool:
     """Truth value of an input proposition at an integer time point, read
     from an ℕ model of the translated formula via `read(name, index)`."""
-    p, m = table.prop_pairs[prop]
+    p, m = pair_names(prop)
     if time >= 0:
         return read(p, time)
     return read(m, -time)
@@ -442,3 +448,81 @@ def chained_print_formula(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
                 f"{type(n).__name__} in a formula for a past-free format"
             )
     return "".join(parts), props
+
+
+def _bar_all(table: SubformulaTable) -> tuple[list[Ltl], list[Ltl]]:
+    """The flattening of every representative to a temporal-operator-free
+    formula over the paired alphabet, on the positive and on the negative
+    half of the timeline, by uid."""
+    pos: list[Ltl] = []
+    neg: list[Ltl] = []
+    for uid, rep in enumerate(table.reps):
+        if isinstance(rep, LProp):
+            p, m = pair_names(rep.name)
+            pos.append(LProp(p))
+            neg.append(LProp(m))
+        elif isinstance(rep, LFalse):
+            pos.append(rep)
+            neg.append(rep)
+        elif isinstance(rep, LNot):
+            k = table.uid_of[id(rep.arg)]
+            pos.append(LNot(pos[k]))
+            neg.append(LNot(neg[k]))
+        elif isinstance(rep, LAnd):
+            kl = table.uid_of[id(rep.left)]
+            kr = table.uid_of[id(rep.right)]
+            pos.append(LAnd(pos[kl], pos[kr]))
+            neg.append(LAnd(neg[kl], neg[kr]))
+        else:
+            p, m = pair_names(surrogate_name(uid))
+            pos.append(LProp(p))
+            neg.append(LProp(m))
+    return pos, neg
+
+
+@gc_paused()
+def depast_with_table(f: Ltl) -> tuple[Ltl, SubformulaTable]:
+    """The past-free translation of f built as `Ltl` nodes, and f's table."""
+    table = build_table(f)
+    pos, neg = _bar_all(table)
+
+    parts: list[Ltl] = [pos[table.uid_of[id(f)]]]
+
+    sync: list[Ltl] = []
+    for name in sorted(table.props):
+        p, m = pair_names(name)
+        sync.append(iff(LProp(p), LProp(m)))
+    for uid in table.surrogates:
+        p, m = pair_names(surrogate_name(uid))
+        sync.append(iff(LProp(p), LProp(m)))
+    if sync:
+        parts.append(conj(sync))
+
+    steps: list[Ltl] = []
+    for uid in table.surrogates:
+        rep = table.reps[uid]
+        k = table.uid_of[id(rep.arg)]
+        self_pos, self_neg = pos[uid], neg[uid]
+        arg_pos, arg_neg = pos[k], neg[k]
+        if isinstance(rep, LNextF):
+            steps.append(iff(LNextF(self_neg), arg_neg))
+            steps.append(iff(self_pos, LNextF(arg_pos)))
+        elif isinstance(rep, LNextP):
+            steps.append(iff(LNextF(self_pos), arg_pos))
+            steps.append(iff(self_neg, LNextF(arg_neg)))
+        elif isinstance(rep, LSomeF):
+            steps.append(iff(LNextF(self_neg), lor(self_neg, LNextF(arg_neg))))
+            steps.append(iff(self_pos, LSomeF(arg_pos)))
+        else:  # LSomeP
+            steps.append(iff(LNextF(self_pos), lor(self_pos, LNextF(arg_pos))))
+            steps.append(iff(self_neg, LSomeF(arg_neg)))
+    if steps:
+        parts.append(alw_f(conj(steps)))
+
+    return conj(parts), table
+
+
+def depast(f: Ltl) -> Ltl:
+    """Equisatisfiable past-free translation of an LTL formula over ℤ."""
+    out, _ = depast_with_table(f)
+    return out

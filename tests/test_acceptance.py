@@ -19,7 +19,6 @@ from tdlite.ground import GroundingContext, ground
 from tdlite.kb import normalize_kb
 from tdlite.ltl import tree_size
 from tdlite.oracle import BiLassoWord, eval_on_lasso, z_sat
-from tdlite.pastelim import depast, depast_with_table
 from tdlite.pipeline import check_kb, run_pipeline, solver_formula
 from tdlite.qtl import build_context, translate_kb, translate_tbox
 from tdlite.randgen import (
@@ -36,7 +35,13 @@ from conftest import (
     load_toy,
     random_ltlp,
 )
-from references import eq2_conjunct_count, reconstruct_value, z_sat_bounded
+from references import (
+    depast,
+    depast_with_table,
+    eq2_conjunct_count,
+    reconstruct_value,
+    z_sat_bounded,
+)
 
 CORPUS_SEED = 97
 CORPUS_SIZE = 500
@@ -51,7 +56,7 @@ def _rebuild_z_word(word: BiLassoWord, table) -> BiLassoWord:
     past-free translation, the right half of `word`: non-negative instants
     read the plus copies, negative instants the minus copies, both at the
     mirrored index."""
-    props = sorted(table.prop_pairs)
+    props = sorted(table.props)
 
     def proj(t):
         return frozenset(
@@ -254,7 +259,7 @@ def test_profile_verdicts_agree_on_the_toy_corpus():
         for flow in ("n", "z"):
             trace = run_pipeline(kb, flow)
             for profile in profiles.values():
-                res = run_solver(profile, solver_formula(trace), cpu_seconds=10)
+                res = run_solver(profile, solver_formula(trace), flow, cpu_seconds=10)
                 if res.verdict in DEFINITE:
                     assert res.verdict == want, (name, flow, profile.name)
 

@@ -40,12 +40,12 @@ from tdlite.ltl import (
     tree_size,
 )
 from tdlite.oracle import eval_on_lasso
-from tdlite.pastelim import depast
 from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS
 
 from conftest import UNARY_OPS, formulas, random_bilasso, random_ltlp
 from references import (
     chained_print_formula,
+    depast,
     has_past,
     rebuilt_optimize,
     rebuilt_simplify,

@@ -19,12 +19,11 @@ from tdlite.ltl import (
     TRUE, LAnd, LNextF, LNextP, LNot, LProp, gc_paused, optimize, parse_infix, to_infix,
 )
 from tdlite.oracle import BiLassoWord, WitnessCheckFailed, eval_on_lasso, z_sat
-from tdlite.pastelim import depast
 from tdlite.pipeline import run_pipeline
 from tdlite.randgen import BatchSpec, generate_instance
 
 from conftest import FUTURE_UNARY_OPS, UNARY_OPS, formulas, random_bilasso, random_ltlp
-from references import searched_eval_on_lasso, z_sat_bounded
+from references import depast, searched_eval_on_lasso, z_sat_bounded
 
 V = frozenset
 A = V({"a"})

@@ -1,30 +1,41 @@
-"""Folding the negative timeline away: structure and soundness."""
+"""Folding the negative timeline away: structure, soundness, and the
+printer that writes the translation from past elimination's table."""
 
 from __future__ import annotations
 
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import tdlite
 from tdlite.ltl import (
     FALSE,
+    INFIX_TOKENS,
     TRUE,
     LAnd,
+    LNextF,
     LNextP,
     LNot,
     LProp,
     LSomeF,
     LSomeP,
     count_props,
+    print_formula,
     prop_names,
     tree_size,
 )
 from tdlite.oracle import eval_on_lasso, z_sat
-from tdlite.pastelim import build_table, depast, depast_with_table
+from tdlite.pastelim import build_table, pair_names, print_past_free, surrogate_name
+from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS
 
 from conftest import formulas, random_ltlp
-from references import has_past, reconstruct_value
+from references import depast, depast_with_table, has_past, reconstruct_value
 
 
 def test_output_is_past_free():
@@ -37,15 +48,13 @@ def test_output_is_past_free():
 def test_alphabet_is_paired():
     f = LAnd(LProp("a"), LSomeP(LProp("b")))
     g, table = depast_with_table(f)
-    assert table.prop_pairs == {
-        "a": ("a__pos", "a__neg"),
-        "b": ("b__pos", "b__neg"),
-    }
+    assert sorted(table.props) == ["a", "b"]
+    assert pair_names("a") == ("a__pos", "a__neg")
     names = prop_names(g)
     assert {"a__pos", "a__neg", "b__pos", "b__neg"} <= names
     # one surrogate pair for the single temporal subformula
-    assert len(table.surrogate_pairs) == 1
-    ((pos, neg),) = table.surrogate_pairs.values()
+    ((uid,),) = [table.surrogates]
+    pos, neg = pair_names(surrogate_name(uid))
     assert pos.endswith("__pos") and neg.endswith("__neg")
     assert {pos, neg} <= names
 
@@ -53,7 +62,7 @@ def test_alphabet_is_paired():
 def test_surrogates_cover_exactly_the_temporal_subformulas():
     f = LSomeF(LAnd(LNextP(LProp("a")), LNot(LSomeP(LProp("a")))))
     _, table = depast_with_table(f)
-    kinds = {type(table.reps[uid]).__name__ for uid in table.surrogate_pairs}
+    kinds = {type(table.reps[uid]).__name__ for uid in table.surrogates}
     assert kinds == {"LSomeF", "LNextP", "LSomeP"}
 
 
@@ -127,8 +136,8 @@ def test_translation_is_deterministic():
     assert tree_size(depast(f)) == tree_size(depast(f))
     _, t1 = depast_with_table(f)
     _, t2 = depast_with_table(f)
-    assert t1.prop_pairs == t2.prop_pairs
-    assert t1.surrogate_pairs == t2.surrogate_pairs
+    assert t1.props == t2.props
+    assert t1.surrogates == t2.surrogates
 
 
 def test_unsatisfiable_past_formula_stays_unsatisfiable():
@@ -143,3 +152,82 @@ def test_satisfiable_past_formula_stays_satisfiable():
     word = z_sat(depast(f))
     assert word is not None
     assert eval_on_lasso(depast(f), word, 0)
+
+
+# --- the printer writes the translation's text from the table ---------------
+
+TOKEN_TABLES = (_SMV_TOKENS, _INFIX_TOKENS, INFIX_TOKENS)
+
+
+def _assert_printer_matches_the_built_translation(f):
+    past_free = depast(f)
+    for tokens in TOKEN_TABLES:
+        assert print_past_free(f, tokens) == print_formula(past_free, tokens)
+
+
+@given(formulas)
+@settings(max_examples=300, deadline=None)
+def test_printer_matches_the_built_translation(f):
+    _assert_printer_matches_the_built_translation(f)
+
+
+def test_printer_matches_the_built_translation_of_random_formulas():
+    rng = random.Random(37)
+    for _ in range(300):
+        _assert_printer_matches_the_built_translation(random_ltlp(rng.randint(1, 40), rng))
+
+
+_A, _B = LProp("a"), LProp("b")
+_AND = LAnd(_A, LNot(_B))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        _AND,  # no temporal operator: no step clauses
+        FALSE,  # nothing to pair: the flattening alone
+        TRUE,
+        LNot(LAnd(TRUE, FALSE)),
+        LAnd(FALSE, LSomeP(_A)),  # falsum heading the root spine
+        LAnd(TRUE, LNextF(_A)),
+        *(op(arg) for op in (LNextF, LSomeF, LNextP, LSomeP)
+          for arg in (_AND, LNot(_AND), FALSE, TRUE, LNot(LNot(_AND)))),
+        LAnd(LAnd(_A, LSomeP(_B)), LAnd(LNot(_AND), _AND)),  # a root spine of spines
+        LNextP(LAnd(LNot(LAnd(_A, LNot(LAnd(_B, LSomeF(_AND))))), _B)),  # nested groups
+    ],
+)
+def test_printer_matches_the_built_translation_of_edge_cases(f):
+    _assert_printer_matches_the_built_translation(f)
+
+
+LONG_SPINE_PRINT = """
+import tracemalloc
+from tdlite.ltl import LAnd, LNextF, LNot, LProp, LSomeP, conj
+from tdlite.pastelim import print_past_free
+from tdlite.solvers import _SMV_TOKENS
+spine = conj([LProp(f"a{i % 100}") for i in range(20000)])
+f = LAnd(LNextF(spine), LSomeP(LNot(spine)))
+tracemalloc.start()
+text, _ = print_past_free(f, _SMV_TOKENS)
+print(len(text), tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_printing_a_long_spine_under_temporal_operators_stays_linear():
+    # each of the spine's 20,000 suffixes is a conjunction of its own; a
+    # text stored per conjunction would hold them all, gigabytes, which
+    # the address-space limit of the child turns into a failure
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(tdlite.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LONG_SPINE_PRINT],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    length, peak = map(int, proc.stdout.split())
+    assert length > 20000 * 4 * len("a0__pos & ")
+    assert peak < 8 * length

@@ -9,9 +9,9 @@ import pytest
 from tdlite.ground import GroundingContext, ground
 from tdlite.kbparse import parse_kb
 from tdlite import ltl
-from tdlite import pastelim
-from tdlite.ltl import count_props, optimize, structural_index, tree_size
-from tdlite.pastelim import depast
+from tdlite import solvers
+from tdlite.ltl import INFIX_TOKENS, count_props, optimize, parse_infix, structural_index, tree_size
+from tdlite.pastelim import print_past_free
 from tdlite.pipeline import (
     check_kb,
     kb_node_count,
@@ -20,11 +20,12 @@ from tdlite.pipeline import (
 )
 from tdlite.qtl import ConceptPred, QAtom, X
 from tdlite.randgen import BatchSpec, generate_instance
-from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS, oracle_profile, run_solver
+from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS, emit_infix, oracle_profile, run_solver
 
 from conftest import TOY_VERDICTS, load_toy, toy_text
 from references import (
     chained_print_formula,
+    depast,
     has_past,
     rebuilt_optimize,
     tuple_keyed_intern,
@@ -86,10 +87,13 @@ def test_check_kb_via_profile():
     assert trace.stage("ltl").nodes > 0
 
 
-def test_solver_formula_is_past_free():
+def test_solver_input_is_past_free():
+    # over ℤ the optimized grounding keeps its past operators, and the
+    # emitters print its past elimination
     for flow in ("n", "z"):
         trace = run_pipeline(parse_kb(SAT_KB), flow)
-        assert not has_past(solver_formula(trace))
+        assert has_past(solver_formula(trace)) == (flow == "z")
+        assert not has_past(parse_infix(emit_infix(solver_formula(trace), flow)))
 
 
 def _handoff_kbs():
@@ -105,11 +109,17 @@ def _handoff_kbs():
                 yield f"{label}#{i}/{flow}", generate_instance(spec, i, flow=flow), flow
 
 
+def _past_free(f, flow):
+    """What a solver receives for f, as a formula: over ℤ the past
+    elimination that the emitters print from the table."""
+    return f if flow == "n" else depast(f)
+
+
 def test_solver_formula_is_an_optimize_fixpoint():
-    # past elimination emits already-simplified clauses, which is why the
-    # solver formula needs no optimize pass after it
+    # past elimination writes already-simplified clauses, which is why the
+    # solver's text needs no optimize pass after it
     for label, kb, flow in _handoff_kbs():
-        f = solver_formula(run_pipeline(kb, flow))
+        f = _past_free(solver_formula(run_pipeline(kb, flow)), flow)
         assert tree_size(optimize(f)) == tree_size(f), label
 
 
@@ -125,14 +135,26 @@ def test_optimize_matches_the_rebuilding_rounds_on_the_handoff_kbs():
 
 def test_emitters_match_the_chained_printer_on_the_handoff_kbs():
     for label, kb, flow in _handoff_kbs():
-        f = solver_formula(run_pipeline(kb, flow))
+        f = _past_free(solver_formula(run_pipeline(kb, flow)), flow)
         for tokens in (_INFIX_TOKENS, _SMV_TOKENS):
             assert ltl.print_formula(f, tokens) == chained_print_formula(f, tokens), label
 
 
+def test_printer_matches_the_built_translation_on_the_handoff_kbs():
+    # the text written from the table, byte for byte the text of the
+    # formula that past elimination builds, on the raw and the optimized
+    # grounding of either flow
+    for label, kb, flow in _handoff_kbs():
+        g = run_pipeline(kb, flow).grounded
+        for f in (g, optimize(g)):
+            past_free = depast(f)
+            for tokens in (INFIX_TOKENS, _INFIX_TOKENS, _SMV_TOKENS):
+                assert print_past_free(f, tokens) == ltl.print_formula(past_free, tokens), label
+
+
 def _final_translation(trace):
     """The formula the last stage of a trace records: the grounding over
-    ℕ, its past-free translation over ℤ (which run_pipeline never builds)."""
+    ℕ, its past-free translation over ℤ (which the program never builds)."""
     return trace.grounded if trace.flow == "n" else depast(trace.grounded)
 
 
@@ -159,15 +181,15 @@ def test_stage_props_count_every_proposition():
         assert trace.stage("ltl" if flow == "z" else "ltlp").props == count_props(final), label
 
 
-def test_run_pipeline_builds_no_past_free_formula(monkeypatch):
-    def refuse(f):
-        raise AssertionError("run_pipeline built a past-free formula")
+def test_run_pipeline_prints_no_past_free_formula(monkeypatch):
+    def refuse(f, tokens):
+        raise AssertionError("printed a past-free formula")
 
-    monkeypatch.setattr(pastelim, "depast_with_table", refuse)
+    monkeypatch.setattr(solvers, "print_past_free", refuse)
     kb = load_toy("ex1")
     trace = run_pipeline(kb, "z")
     assert trace.stage("ltl").nodes > trace.stage("ltlp").nodes
-    # an in-process check reads no past-free formula either
+    # an in-process check prints none either
     assert check_kb(kb, "z")[0] == TOY_VERDICTS["ex1"]
 
 

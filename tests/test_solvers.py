@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from tdlite import solvers
 from tdlite.ltl import LAnd, LNextF, LNot, LProp, LSomeF, LSomeP, conj, parse_infix, prop_names
 from tdlite.pipeline import run_pipeline, solver_formula
 from tdlite.solvers import (
@@ -21,6 +22,7 @@ from tdlite.solvers import (
 )
 
 from conftest import TOY_VERDICTS, load_toy
+from references import depast
 
 
 def _profile(**kw):
@@ -70,10 +72,17 @@ def test_emitters_find_a_buried_past_operator(emit):
 @pytest.mark.parametrize("name", sorted(TOY_VERDICTS))
 def test_smv_declares_the_formulas_propositions(name, flow):
     f = solver_formula(run_pipeline(load_toy(name), flow))
-    lines = emit_smv(f).splitlines()
+    lines = emit_smv(f, flow).splitlines()
     declared = [ln.strip().removesuffix(" : boolean;") for ln in lines if ln.endswith(" : boolean;")]
-    assert declared == sorted(prop_names(f))
+    assert declared == sorted(prop_names(f if flow == "n" else depast(f)))
     assert lines[1:2] == ["VAR"] and lines[-1].startswith("LTLSPEC !(")
+
+
+@pytest.mark.parametrize("emit", [emit_smv, emit_infix])
+def test_emitters_over_z_print_the_past_free_translation(emit):
+    f = parse_infix("a & (P (X b))")
+    assert emit(f, "z") == emit(depast(f))
+    assert "__pos" in emit(f, "z")
 
 
 def test_emit_smv_shape():
@@ -225,6 +234,40 @@ def test_max_props_guard_skips():
     r = run_solver(prof, parse_infix("a & b"))
     assert r.verdict == "SKIPPED"
     assert r.reason == "2 propositions, max-props 1"
+
+
+@pytest.mark.parametrize("flow, formula, count", [
+    ("n", "a & b", 2),
+    # both names of the pairs of a and b, and of the surrogate of P b
+    ("z", "a & (P b)", 6),
+])
+@pytest.mark.parametrize("input_format", ["smv", "infix-ltl"])
+def test_max_props_is_checked_before_anything_is_emitted(monkeypatch, flow, formula, count,
+                                                         input_format):
+    def refuse(*args):
+        raise AssertionError("emitted before the max-props check")
+
+    monkeypatch.setattr(solvers, "emit_smv", refuse)
+    monkeypatch.setattr(solvers, "emit_infix", refuse)
+    r = run_solver(_profile(max_props=1, input_format=input_format), parse_infix(formula), flow)
+    assert r.verdict == "SKIPPED"
+    assert r.reason == f"{count} propositions, max-props 1"
+
+
+def test_run_solver_emits_through_the_emitters_module_names(monkeypatch):
+    # what a wrapper installed on the module, as a tracer does, relies on
+    seen = []
+    for name in ("emit_smv", "emit_infix"):
+        def recorded(f, flow, name=name, orig=getattr(solvers, name)):
+            seen.append(name)
+            return orig(f, flow)
+
+        monkeypatch.setattr(solvers, name, recorded)
+    for input_format in ("infix-ltl", "smv"):
+        # over ℤ a past operator is eliminated, not refused
+        r = run_solver(_profile(input_format=input_format), parse_infix("P a"), "z")
+        assert r.reason == "exit status 0, output matched no verdict pattern"
+    assert seen == ["emit_infix", "emit_smv"]
 
 
 def test_unclassifiable_output_is_a_fail():
