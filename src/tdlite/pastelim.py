@@ -296,8 +296,7 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
         write(f" & {implies(p, f'{neg_}{m})')} & {implies(m, f'{neg_}{p})')}")
     if table.surrogates:
         write(f" & {neg_}{some_}{neg_}(")
-        first = True
-        for uid in table.surrogates:
+        for i, uid in enumerate(table.surrogates):
             rep = reps[uid]
             k = uid_of[id(rep.arg)]
             t = type(rep)
@@ -326,9 +325,8 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
                     implies(s_b, f"{neg_}{arg_b})"),
                     implies(arg_b, f"{neg_}{s_b})"),
                 )
-            if not first:
+            if i:
                 write(" & ")
-            first = False
             write(" & ".join(clauses))
         write(")))))")
     else:
