@@ -31,10 +31,7 @@ the cap (a percentile that lands on one is recorded as null).  With
 cap: the milliseconds and node counts of `ground`, the `ltl` stage of
 `run_pipeline` (its recorded `wall_ms` and nodes) and `optimize`, then
 the SMV emission of the optimized grounding over ℤ (its milliseconds,
-bytes, propositions and sha256), under "fixed/handoff-gate0".  A
-checkout whose `tdlite.pastelim` still has `depast` builds the past-free
-formula first (recorded as "depast(optimize)") and emits that; a later
-one emits from past elimination's table.
+bytes, propositions and sha256), under "fixed/handoff-gate0".
 """
 
 from __future__ import annotations
@@ -84,7 +81,6 @@ HANDOFF_CPU_SECONDS = 120
 # argv is ["-c", BatchSpec JSON]
 HANDOFF_CHILD = """
 import hashlib, json, sys, time
-from tdlite import pastelim
 from tdlite.ground import GroundingContext, ground
 from tdlite.ltl import optimize
 from tdlite.pipeline import run_pipeline
@@ -105,14 +101,7 @@ ltl = run_pipeline(kb, "z").stage("ltl")
 stages["ltl-stage"] = {"ms": ltl.wall_ms, "nodes": ltl.nodes}
 o = timed("optimize", optimize, g)
 stages["optimize"]["nodes"] = o.size
-if hasattr(pastelim, "depast"):
-    # a checkout that builds the past-free formula, then prints it
-    f = timed("depast(optimize)", pastelim.depast, o)
-    stages["depast(optimize)"]["nodes"] = f.size
-    text, props = timed("emit", emit, f, "smv")
-else:
-    # a checkout whose emitter writes past elimination from its table
-    text, props = timed("emit", emit, o, "smv", "z")
+text, props = timed("emit", emit, o, "smv", "z")
 data = text.encode()
 stages["emit"].update(bytes=len(data), props=len(props), sha256=hashlib.sha256(data).hexdigest())
 print(json.dumps(stages))

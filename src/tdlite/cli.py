@@ -324,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--solvers", default="oracle",
                     help="comma-separated profile names (default: oracle)")
     sp.add_argument("--out", default=None, help="CSV output file (default stdout)")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel solver runs")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="parallel solver runs over the profiles of one instance "
+                         "(instances run one after another, so with one profile "
+                         "this changes nothing)")
     add_limits(sp)
     sp.set_defaults(fn=cmd_bench)
 

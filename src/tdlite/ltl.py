@@ -12,6 +12,11 @@ every occurrence.  `tree_size` counts a shared subtree once per
 occurrence, as the paper's sizes do, but walks nothing: each node stores
 that count when it is built.
 
+Node identity stays inside this module: `structural_index` gives other
+modules one post-order table of structural keys, indexed by uid, so past
+elimination and the checker read child uids off the table instead of
+keying nodes by `id()`.
+
 A node is never mutated after it is built.  The node classes are not
 frozen only because a frozen `__init__` costs about twice as much, and a
 translation builds millions of nodes; the stored sizes, the `id()`-keyed
@@ -149,14 +154,6 @@ FALSE = LFalse()
 TRUE = LNot(FALSE)
 
 
-def _children(f: Ltl) -> tuple[Ltl, ...]:
-    if isinstance(f, LAnd):
-        return (f.left, f.right)
-    if isinstance(f, _UNARY):
-        return (f.arg,)
-    return ()
-
-
 @contextmanager
 def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector while a stage builds a formula.
@@ -227,7 +224,10 @@ def iter_nodes(f: Ltl) -> Iterator[Ltl]:
             continue
         seen.add(id(n))
         yield n
-        stack.extend(_children(n))
+        if type(n) is LAnd:
+            stack += (n.left, n.right)
+        elif type(n) in _UNARY:
+            stack.append(n.arg)
 
 
 def tree_size(f: Ltl) -> int:
@@ -243,21 +243,19 @@ def count_props(f: Ltl) -> int:
     return len(prop_names(f))
 
 
-def _intern(
-    f: Ltl, uid_of: dict[int, int], key_to_uid: dict[object, int], reps: list[Ltl]
-) -> int:
+def _intern(f: Ltl, uid_of: dict[int, int], key_to_uid: dict[tuple, int]) -> int:
     """Hash-cons f into the given tables and return its uid.
 
-    Structurally equal nodes get the same uid even when they are distinct
-    objects; `reps` gets one representative per uid, children first, the
-    right child's subtree before the left's.  The tables are keyed on node
+    Structurally equal nodes get the same uid (see `structural_index` for
+    the keys) even when they are distinct objects.  Uids are handed out
+    in post-order, the right child's subtree before the left's, so
+    `key_to_uid` lists the keys in uid order.  `uid_of` is keyed on node
     identity, so every node object is keyed once however many calls share
-    them, and must stay alive while they are used.
+    the tables, and must stay alive while they are used.
 
-    A node's structural key is `(class, child uid…)`, the bare name for a
-    proposition and the class `LFalse` for falsum.  A node whose children
-    still need uids goes back on the stack under a `None` marker, with its
-    children above it; popping the marker keys the node below it.
+    A node whose children still need uids goes back on the stack under a
+    `None` marker, with its children above it; popping the marker keys
+    the node below it.
     """
     stack: list[Ltl | None] = [f]
     pop, extend = stack.pop, stack.extend
@@ -282,9 +280,9 @@ def _intern(
                     continue
                 key = (LAnd, left, right)
             elif t is LProp:
-                key = n.name
+                key = (LProp, n.name)
             elif t is LFalse:
-                key = LFalse
+                key = (LFalse,)
             else:
                 arg = get_uid(id(n.arg))
                 if arg is None:
@@ -293,23 +291,20 @@ def _intern(
                 key = (t, arg)
         uid = get_key(key)
         if uid is None:
-            uid = key_to_uid[key] = len(reps)
-            reps.append(n)
+            uid = key_to_uid[key] = len(key_to_uid)
         uid_of[id(n)] = uid
     return uid_of[id(f)]
 
 
-def structural_index(f: Ltl) -> tuple[dict[int, int], list[Ltl]]:
-    """Hash-cons the formula: map id(node) -> uid, plus one representative
-    node per uid in bottom-up (children-first) discovery order.
-
-    Structurally equal subformulas receive the same uid even when they are
-    distinct objects, which is what the past-elimination table needs.
-    """
-    uid_of: dict[int, int] = {}
-    reps: list[Ltl] = []
-    _intern(f, uid_of, {}, reps)
-    return uid_of, reps
+def structural_index(f: Ltl) -> list[tuple]:
+    """The structural keys of f's distinct subformulas, indexed by uid:
+    `(LAnd, l, r)`, `(op, a)` for a unary operator, `(LProp, name)` or
+    `(LFalse,)`, with child uids.  Children come before their parents, and
+    f's own key is the last, since every other subformula is smaller.  The
+    table is canonical: structurally equal formulas get equal tables."""
+    key_to_uid: dict[tuple, int] = {}
+    _intern(f, {}, key_to_uid)
+    return list(key_to_uid)
 
 
 # --- simplification ---------------------------------------------------------
@@ -399,7 +394,7 @@ def _is_true(n: Ltl) -> bool:
 
 def simplify(
     f: Ltl,
-    index: tuple[dict, dict, list] | None = None,
+    index: tuple[dict, dict] | None = None,
     memo: dict[int, Ltl] | None = None,
 ) -> Ltl:
     """Sound shrinking: double-negation elimination, conjunction flattening
@@ -420,10 +415,10 @@ def simplify(
     an earlier call, which then skips every node that call has seen.
     """
     if index is None:
-        index = ({}, {}, [])
+        index = ({}, {})
     if memo is None:
         memo = {}
-    uid_of, key_to_uid, _ = index
+    uid_of, key_to_uid = index
     stack: list[tuple[Ltl, object]] = [(f, None)]
     while stack:
         n, leaves = stack.pop()
@@ -603,7 +598,7 @@ def optimize(f: Ltl) -> Ltl:
     optimize returns; a freed node's id could be reused by a new node,
     which would then hit a stale entry.
     """
-    index: tuple[dict, dict, list] = ({}, {}, [])
+    index: tuple[dict, dict] = ({}, {})
     rewritten: dict[int, Ltl] = {}
     simplified: dict[int, Ltl] = {}  # its values hold every interned node
     held: list[Ltl] = []  # the memos' keys are nodes of these formulas
@@ -789,5 +784,4 @@ def parse_infix(text: str) -> Ltl:
 
 def struct_eq(a: Ltl, b: Ltl) -> bool:
     """Structural equality, safe on deep formulas."""
-    index: tuple[dict, dict, list] = ({}, {}, [])
-    return _intern(a, *index) == _intern(b, *index)
+    return structural_index(a) == structural_index(b)

@@ -45,7 +45,6 @@ from .ltl import (
     LSomeF,
     LSomeP,
     Ltl,
-    _children,
     structural_index,
 )
 
@@ -92,9 +91,11 @@ class BiLassoWord:
         return self.left_loop[(i - len(self.left_prefix)) % len(self.left_loop)]
 
 
-def eval_on_lasso(f: Ltl, word: BiLassoWord, position: int = 0) -> bool:
+def eval_on_lasso(f: Ltl, word: BiLassoWord, position: int = 0,
+                  keys: Optional[list[tuple]] = None) -> bool:
     """Exact truth value of f at the given position of an ultimately
-    periodic bi-infinite word.
+    periodic bi-infinite word.  `keys` is f's `structural_index`, when the
+    caller has it.
 
     One bottom-up pass over the distinct subformulas gives each one truth
     sequence over a single window (Markey, Schnoebelen, "Model checking a
@@ -108,50 +109,53 @@ def eval_on_lasso(f: Ltl, word: BiLassoWord, position: int = 0) -> bool:
     shifts, and F and P are one suffix or prefix sweep, seeded by the loop
     period at the window's edge.
     """
-    uid_of, reps = structural_index(f)
-    kids = [[uid_of[id(c)] for c in _children(rep)] for rep in reps]
+    if keys is None:
+        keys = structural_index(f)
     past_depth: list[int] = []
     future_depth: list[int] = []
-    for uid, rep in enumerate(reps):
-        past_depth.append(max((past_depth[k] for k in kids[uid]), default=0)
-                          + isinstance(rep, (LNextP, LSomeP)))
-        future_depth.append(max((future_depth[k] for k in kids[uid]), default=0)
-                            + isinstance(rep, (LNextF, LSomeF)))
-    root = uid_of[id(f)]
+    for t, *kids in keys:
+        kids = () if t is LProp else kids
+        past_depth.append(max((past_depth[k] for k in kids), default=0)
+                          + (t is LNextP or t is LSomeP))
+        future_depth.append(max((future_depth[k] for k in kids), default=0)
+                            + (t is LNextF or t is LSomeF))
     rl, ll = len(word.right_loop), len(word.left_loop)
-    hi = len(word.right_prefix) + rl * (past_depth[root] + 1)
-    lo = min(position, -(len(word.left_prefix) + ll * (future_depth[root] + 1)))
+    hi = len(word.right_prefix) + rl * (past_depth[-1] + 1)
+    lo = min(position, -(len(word.left_prefix) + ll * (future_depth[-1] + 1)))
     vals = [word.valuation(n) for n in range(lo, max(hi, position) + 1)]
     w = len(vals)
     seqs: list[list[bool]] = []
-    for uid, rep in enumerate(reps):
-        a = seqs[kids[uid][0]] if kids[uid] else []
-        if isinstance(rep, LFalse):
+    for key in keys:
+        t = key[0]
+        if t is LFalse:
             s = [False] * w
-        elif isinstance(rep, LProp):
-            s = [rep.name in v for v in vals]
-        elif isinstance(rep, LNot):
-            s = [not x for x in a]
-        elif isinstance(rep, LAnd):
-            s = [x and y for x, y in zip(a, seqs[kids[uid][1]])]
-        elif isinstance(rep, LNextF):
-            s = a[1:] + [a[w - rl]]
-        elif isinstance(rep, LNextP):
-            s = [a[ll - 1]] + a[:-1]
-        elif isinstance(rep, LSomeF):
-            s = list(accumulate(reversed(a), or_, initial=any(a[w - rl:])))[:0:-1]
-        else:  # LSomeP
-            s = list(accumulate(a, or_, initial=any(a[:ll])))[1:]
+        elif t is LProp:
+            s = [key[1] in v for v in vals]
+        elif t is LAnd:
+            s = [x and y for x, y in zip(seqs[key[1]], seqs[key[2]])]
+        else:
+            a = seqs[key[1]]
+            if t is LNot:
+                s = [not x for x in a]
+            elif t is LNextF:
+                s = a[1:] + [a[w - rl]]
+            elif t is LNextP:
+                s = [a[ll - 1]] + a[:-1]
+            elif t is LSomeF:
+                s = list(accumulate(reversed(a), or_, initial=any(a[w - rl:])))[:0:-1]
+            else:  # LSomeP
+                s = list(accumulate(a, or_, initial=any(a[:ll])))[1:]
         seqs.append(s)
-    return seqs[root][position - lo]
+    return seqs[-1][position - lo]
 
 
 # --- complete checkers -------------------------------------------------------
 
-def checked(f: Ltl, word, source: str):
+def checked(f: Ltl, word, source: str, keys: Optional[list[tuple]] = None):
     """`word` once direct evaluation confirms that it is a model of `f`
-    (`WitnessCheckFailed` if not); None, for unsatisfiable, passes through."""
-    if word is not None and not eval_on_lasso(f, word, 0):
+    (`WitnessCheckFailed` if not); None, for unsatisfiable, passes through.
+    `keys` is as in `eval_on_lasso`."""
+    if word is not None and not eval_on_lasso(f, word, 0, keys):
         raise WitnessCheckFailed(f"{source} failed re-evaluation")
     return word
 
@@ -172,18 +176,17 @@ class _Engine:
     """
 
     def __init__(self, f: Ltl, props: Iterable[str] = ()):
-        uid_of, reps = structural_index(f)
-        self.uid_of, self.reps = uid_of, reps
+        # f's structural keys, which z_sat's witness re-check reads too;
+        # propositions that f does not name still get a state variable,
+        # placed last: nothing in f constrains them
+        keys = self.keys = structural_index(f)
+        extra = sorted(set(props) - {key[1] for key in keys if key[0] is LProp})
+        table = keys + [(LProp, name) for name in extra]
         self.b = Bdd()
         b = self.b
 
-        # propositions that f does not name still get a state variable,
-        # placed last: nothing in f constrains them
-        extra = sorted(set(props) - {rep.name for rep in reps if isinstance(rep, LProp)})
-        elem = self._variable_order(f) + list(range(len(reps), len(reps) + len(extra)))
-        reps.extend(LProp(name) for name in extra)
-        self.elem = elem
-        self.slot = {uid: i for i, uid in enumerate(elem)}
+        elem = self._variable_order() + list(range(len(keys), len(table)))
+        slot = {uid: i for i, uid in enumerate(elem)}
         self.unprimed = frozenset(2 * i for i in range(len(elem)))
         self.primed = frozenset(2 * i + 1 for i in range(len(elem)))
         self.to_primed = {2 * i: 2 * i + 1 for i in range(len(elem))}
@@ -191,38 +194,39 @@ class _Engine:
 
         # val[uid]: the state predicate of each subformula over unprimed vars
         val: list[int] = []
-        for uid, rep in enumerate(reps):
-            if uid in self.slot:
-                val.append(b.var(2 * self.slot[uid]))
-            elif isinstance(rep, LFalse):
+        for uid, key in enumerate(table):
+            t = key[0]
+            if uid in slot:
+                val.append(b.var(2 * slot[uid]))
+            elif t is LFalse:
                 val.append(0)
-            elif isinstance(rep, LNot):
-                val.append(b.not_(val[uid_of[id(rep.arg)]]))
-            elif isinstance(rep, LAnd):
-                val.append(b.and_(val[uid_of[id(rep.left)]], val[uid_of[id(rep.right)]]))
+            elif t is LNot:
+                val.append(b.not_(val[key[1]]))
+            elif t is LAnd:
+                val.append(b.and_(val[key[1]], val[key[2]]))
             else:
                 raise AssertionError("temporal subformula missed the variable order")
-        self.val = val
-        self.prop_var = {rep.name: val[uid] for uid in elem
-                         if isinstance(rep := reps[uid], LProp)}
+        # the level of each proposition's state variable, in variable order
+        self.prop_level = {key[1]: 2 * i for i, uid in enumerate(elem)
+                           if (key := table[uid])[0] is LProp}
 
         trans_parts: list[int] = []
         self.fairness_f: list[int] = []
         self.fairness_b: list[int] = []
         state_ok = 1
-        for uid in elem:
-            rep = reps[uid]
-            x = b.var(2 * self.slot[uid])
+        for i, uid in enumerate(elem):
+            t = table[uid][0]
+            x = b.var(2 * i)
             x_next = b.rename(x, self.to_primed)
-            if isinstance(rep, LProp):
+            if t is LProp:
                 continue
-            arg_now = val[uid_of[id(rep.arg)]]
+            arg_now = val[table[uid][1]]
             arg_next = b.rename(arg_now, self.to_primed)
-            if isinstance(rep, LNextF):
+            if t is LNextF:
                 trans_parts.append(b.iff_(x, arg_next))
-            elif isinstance(rep, LNextP):
+            elif t is LNextP:
                 trans_parts.append(b.iff_(x_next, arg_now))
-            elif isinstance(rep, LSomeF):
+            elif t is LSomeF:
                 trans_parts.append(b.iff_(x, b.or_(arg_now, x_next)))
                 state_ok = b.and_(state_ok, b.implies(arg_now, x))
                 self.fairness_f.append(b.or_(b.not_(x), arg_now))
@@ -235,10 +239,10 @@ class _Engine:
         self.fairness_b = self.fairness_b or [1]
         self.state_ok = state_ok
         self.trans = b.conj(sorted(trans_parts, key=b.size))
-        self.init = b.and_(val[uid_of[id(f)]], state_ok)
+        self.init = b.and_(val[len(keys) - 1], state_ok)
         self._steps: dict[tuple[int, bool], int] = {}
 
-    def _variable_order(self, f: Ltl) -> list[int]:
+    def _variable_order(self) -> list[int]:
         """State-variable order for the BDDs.
 
         The order decides everything here: a two-variable constraint whose
@@ -247,56 +251,54 @@ class _Engine:
         relaxed toward the centers of gravity of the small-support
         subformulas they appear in (the FORCE heuristic), which pulls
         tightly coupled variables — e.g. the paired plus/minus copies tied
-        by time-zero biconditionals — next to each other.
+        by time-zero biconditionals — next to each other.  The pre-order
+        walk visits each distinct subformula once: a repeated one adds no
+        new variable, since its first visit placed all of its own.
         """
-        uid_of, reps = self.uid_of, self.reps
-        elem_kinds = _ELEM_KINDS
+        keys = self.keys
 
         order: list[int] = []
-        placed: set[int] = set()
-        walk: list[Ltl] = [f]
+        visited: set[int] = set()
+        walk: list[int] = [len(keys) - 1]
         while walk:
-            node = walk.pop()
-            uid = uid_of[id(node)]
-            if isinstance(reps[uid], elem_kinds) and uid not in placed:
-                placed.add(uid)
+            uid = walk.pop()
+            if uid in visited:
+                continue
+            visited.add(uid)
+            key = keys[uid]
+            if key[0] in _ELEM_KINDS:
                 order.append(uid)
-            if isinstance(node, LAnd):
-                walk.append(node.right)
-                walk.append(node.left)
-            elif isinstance(node, (LNot, LNextF, LNextP, LSomeF, LSomeP)):
-                walk.append(node.arg)
+            if key[0] is not LProp:
+                walk.extend(key[:0:-1])  # the children, the left one on top
 
         cap = 12
         supp: list[frozenset[int] | None] = []
-        for uid, rep in enumerate(reps):
-            if isinstance(rep, elem_kinds):
+        for uid, key in enumerate(keys):
+            t = key[0]
+            if t in _ELEM_KINDS:
                 supp.append(frozenset((uid,)))
-            elif isinstance(rep, LFalse):
+            elif t is LFalse:
                 supp.append(frozenset())
-            elif isinstance(rep, LNot):
-                supp.append(supp[uid_of[id(rep.arg)]])
-            elif isinstance(rep, LAnd):
-                sl = supp[uid_of[id(rep.left)]]
-                sr = supp[uid_of[id(rep.right)]]
+            elif t is LNot:
+                supp.append(supp[key[1]])
+            else:  # LAnd
+                sl, sr = supp[key[1]], supp[key[2]]
                 u = None if sl is None or sr is None else sl | sr
                 supp.append(None if u is not None and len(u) > cap else u)
-            else:
-                supp.append(None)
 
         edges: set[frozenset[int]] = set()
-        for uid, rep in enumerate(reps):
-            if isinstance(rep, (LNextF, LNextP, LSomeF, LSomeP)):
-                s = supp[uid_of[id(rep.arg)]]
-                if s is not None and s and len(s) <= cap:
-                    edges.add(frozenset((uid,)) | s)
-            elif isinstance(rep, LAnd):
+        for uid, key in enumerate(keys):
+            t = key[0]
+            if t is LAnd:
                 s = supp[uid]
                 if s is not None and len(s) >= 2:
                     edges.add(s)
+            elif t in _ELEM_KINDS and t is not LProp:
+                s = supp[key[1]]
+                if s is not None and s and len(s) <= cap:
+                    edges.add(frozenset((uid,)) | s)
         if not edges:
             return order
-
         pos = {uid: float(i) for i, uid in enumerate(order)}
         by_var: dict[int, list[frozenset[int]]] = {uid: [] for uid in order}
         for e in edges:
@@ -410,8 +412,7 @@ class _Engine:
 
     def valuation_of(self, state: int) -> Valuation:
         bits = self.b.sat_one(state)
-        return frozenset(rep.name for uid in self.elem
-                         if isinstance(rep := self.reps[uid], LProp) and bits[2 * self.slot[uid]])
+        return frozenset(name for name, level in self.prop_level.items() if bits[level])
 
     def run_to_fair(self, start: int, fair: int, forward: bool,
                     region: int) -> tuple[list[int], list[int]]:
@@ -528,7 +529,8 @@ def z_sat(f: Ltl, recheck: bool = True,
         return None
     lits: dict[int, int] = {}
     for t, p, v in facts:
-        lits[t] = b.and_(lits.get(t, 1), eng.prop_var[p] if v else b.not_(eng.prop_var[p]))
+        x = b.var(eng.prop_level[p])
+        lits[t] = b.and_(lits.get(t, 1), x if v else b.not_(x))
     t_min, t_max = min([0, *lits]), max([0, *lits])
     # restrict each fair-cycle fixpoint to the half of the run it serves:
     # states reachable from an anchor forward, respectively states that
@@ -541,7 +543,7 @@ def z_sat(f: Ltl, recheck: bool = True,
     right = eng.chain(eng.eu(r_f, fair_f, forward=True), r_f, right_lits, forward=True)
     good = b.and_(eng.init, right[0])
     left = None
-    if t_min < 0 or any(isinstance(rep, (LNextP, LSomeP)) for rep in eng.reps):
+    if t_min < 0 or any(key[0] is LNextP or key[0] is LSomeP for key in eng.keys):
         r_b = eng.reach(forward=False)
         fair_b = eng.fair_states(forward=False, region=r_b)
         left_lits = [lits.get(-t, 1) for t in range(-t_min + 1)]
@@ -555,4 +557,4 @@ def z_sat(f: Ltl, recheck: bool = True,
         return word
     if any((p in word.valuation(t)) != v for t, p, v in facts):
         raise WitnessCheckFailed("extracted word breaks a fact")
-    return checked(f, word, "extracted word")
+    return checked(f, word, "extracted word", eng.keys)

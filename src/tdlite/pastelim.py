@@ -45,7 +45,6 @@ from .ltl import (
     LSomeF,
     LSomeP,
     Ltl,
-    _spine_conjuncts,
     gc_paused,
     structural_index,
 )
@@ -67,16 +66,15 @@ def surrogate_name(uid: int) -> str:
 class SubformulaTable:
     """Distinct subformulas of the input.
 
-    `reps` holds one representative per structurally distinct subformula in
-    post-order, and `uid_of` maps each node's id to its representative's
-    index (its uid).  `props` names the input's propositions, in the order
-    of `reps`; `surrogates` holds the uid of each temporal subformula, in
+    `keys` is the input's `ltl.structural_index`: one structural key per
+    distinct subformula, indexed by its uid, children before parents and
+    the input's own key last.  `props` names the input's propositions, in
+    uid order; `surrogates` holds the uid of each temporal subformula, in
     increasing order.  Their pair names (`pair_names`, `surrogate_name`)
     are formatted only where a printer writes them.
     """
 
-    uid_of: dict[int, int]
-    reps: list[Ltl]
+    keys: list[tuple]
     props: list[str]
     surrogates: list[int]
 
@@ -90,28 +88,27 @@ class SubformulaTable:
         """The node count of the past-free translation, shared subtrees
         counted per occurrence, by arithmetic over the table alone.
 
-        The flattening of a representative has the same shape on both
-        halves of the timeline, so one size per uid serves both, and its
-        root is a negation exactly when the representative's is.  The
-        input's root is the last representative: every other subformula is
-        smaller, so none is structurally equal to it.
+        The flattening of a subformula has the same shape on both halves
+        of the timeline, so one size per uid serves both, and its root is
+        a negation exactly when the subformula's is.  The input's root is
+        the last key.
         """
-        uid_of = self.uid_of
-        size: list[int] = []  # of each representative's flattening
+        keys = self.keys
+        size: list[int] = []  # of each subformula's flattening
         step_sizes = 0
-        for rep in self.reps:
-            t = type(rep)
+        for key in keys:
+            t = key[0]
             if t is LAnd:
-                size.append(1 + size[uid_of[id(rep.left)]] + size[uid_of[id(rep.right)]])
+                size.append(1 + size[key[1]] + size[key[2]])
                 continue
             if t is LNot:
-                size.append(1 + size[uid_of[id(rep.arg)]])
+                size.append(1 + size[key[1]])
                 continue
             size.append(1)  # a proposition, falsum, or a surrogate
             if t is LProp or t is LFalse:
                 continue
-            k = uid_of[id(rep.arg)]
-            arg, arg_not = size[k], type(self.reps[k]) is LNot
+            k = key[1]
+            arg, arg_not = size[k], keys[k][0] is LNot
             if t is LNextF or t is LNextP:
                 # ○s ↔ a on one half, s ↔ ○a on the other
                 step_sizes += _iff_size(2, False, arg, arg_not)
@@ -148,16 +145,23 @@ def _iff_size(a: int, a_not: bool, b: int, b_not: bool) -> int:
 
 
 def build_table(f: Ltl) -> SubformulaTable:
-    uid_of, reps = structural_index(f)
-    props: list[str] = []
-    surrogates: list[int] = []
-    for uid, rep in enumerate(reps):
-        t = type(rep)
-        if t is LProp:
-            props.append(rep.name)
-        elif t in _TEMPORAL:
-            surrogates.append(uid)
-    return SubformulaTable(uid_of, reps, props, surrogates)
+    keys = structural_index(f)
+    return SubformulaTable(keys, [key[1] for key in keys if key[0] is LProp],
+                           [uid for uid, key in enumerate(keys) if key[0] in _TEMPORAL])
+
+
+def _spine_leaves(keys: list[tuple], k: int) -> list[int]:
+    """The uids of the leaves of the maximal conjunction spine at uid k,
+    left to right."""
+    out: list[int] = []
+    stack = [k]
+    while stack:
+        key = keys[k := stack.pop()]
+        if key[0] is LAnd:
+            stack += (key[2], key[1])
+        else:
+            out.append(k)
+    return out
 
 
 @gc_paused()
@@ -166,19 +170,19 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
     for the past-free translation of f, written from f's table without
     building the translation.
 
-    Each representative's flattening gets one text per half of the
-    timeline, stored only when it is neither a conjunction nor a negation
-    of one (a name, falsum, truth, or a negation of a stored text); the
-    others are written out at each use, as `print_formula` writes every
-    occurrence.  No stored text contains a conjunction, so a spine's
-    leaves are stored once, not once per suffix of the spine (which would
-    be quadratic in its length).  A conjunction inside
-    another conjunction, including the two-conjunct body `¬(a ∧ ~b)` of
-    an implication, contributes the leaves of its spine, since
-    `print_formula` flattens a maximal spine into one group.
+    Each subformula's flattening gets one text per half of the timeline,
+    stored only when it is neither a conjunction nor a negation of one (a
+    name, falsum, truth, or a negation of a stored text); the others are
+    written out at each use, as `print_formula` writes every occurrence.
+    No stored text contains a conjunction, so a spine's leaves are stored
+    once, not once per suffix of the spine (which would be quadratic in
+    its length).  A conjunction inside another conjunction, including the
+    two-conjunct body `¬(a ∧ ~b)` of an implication, contributes the
+    leaves of its spine, since `print_formula` flattens a maximal spine
+    into one group.
     """
     table = build_table(f)
-    uid_of, reps = table.uid_of, table.reps
+    keys = table.keys
     false, true = tokens["false"], tokens["true"]
     neg_ = f"({tokens[LNot]} "
     next_ = f"({tokens[LNextF]} "
@@ -188,13 +192,13 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
     # or a negation of one
     pos: list[str | None] = []
     neg: list[str | None] = []
-    for uid, rep in enumerate(reps):
-        t = type(rep)
+    for uid, key in enumerate(keys):
+        t = key[0]
         if t is LProp:
-            p, m = pair_names(rep.name)
+            p, m = pair_names(key[1])
         elif t is LNot:
-            k = uid_of[id(rep.arg)]
-            if type(reps[k]) is LFalse:
+            k = key[1]
+            if keys[k][0] is LFalse:
                 p = m = true
             elif pos[k] is None:
                 p = m = None
@@ -214,7 +218,7 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
         text = texts[k]
         if text is not None:
             return text
-        return f"({spine(k, texts)})" if type(reps[k]) is LAnd else compose(k, texts, False)
+        return f"({spine(k, texts)})" if keys[k][0] is LAnd else compose(k, texts, False)
 
     def body(k: int, texts: list) -> str:
         """The text of flattening k inside a spine: a conjunction's leaves
@@ -222,19 +226,19 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
         text = texts[k]
         if text is not None:
             return text
-        return spine(k, texts) if type(reps[k]) is LAnd else compose(k, texts, False)
+        return spine(k, texts) if keys[k][0] is LAnd else compose(k, texts, False)
 
     def spine(k: int, texts: list) -> str:
         """The leaves of conjunction k's spine, joined."""
-        leaves = [texts[uid_of[id(leaf)]] for leaf in _spine_conjuncts(reps[k])]
+        leaves = [texts[leaf] for leaf in _spine_leaves(keys, k)]
         return compose(k, texts, True) if None in leaves else " & ".join(leaves)
 
     def negated(k: int, texts: list) -> str:
         """The body of `_negated` of flattening k, as `ltl.implies` builds
         it: a negation's argument, or the negation of anything else."""
-        if type(reps[k]) is LNot:
-            return body(uid_of[id(reps[k].arg)], texts)
-        if type(reps[k]) is LFalse:
+        if keys[k][0] is LNot:
+            return body(keys[k][1], texts)
+        if keys[k][0] is LFalse:
             return true
         return f"{neg_}{full(k, texts)})"
 
@@ -246,18 +250,18 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
         stack: list[object] = []
         push = stack.append
 
-        def open_spine(rep: Ltl, close: bool) -> None:
-            leaves = _spine_conjuncts(rep)
+        def open_spine(k: int, close: bool) -> None:
+            leaves = _spine_leaves(keys, k)
             if close:
                 write("(")
                 push(")")
             for leaf in reversed(leaves[1:]):
-                push(uid_of[id(leaf)])
+                push(leaf)
                 push(" & ")
-            push(uid_of[id(leaves[0])])
+            push(leaves[0])
 
         if bare:
-            open_spine(reps[k], False)
+            open_spine(k, False)
         else:
             push(k)
         while stack:
@@ -269,13 +273,13 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
             if text is not None:
                 write(text)
                 continue
-            rep = reps[x]
-            if type(rep) is LAnd:
-                open_spine(rep, True)
+            key = keys[x]
+            if key[0] is LAnd:
+                open_spine(x, True)
             else:  # a negation of a conjunction, or of such a negation
                 write(neg_)
                 push(")")
-                push(uid_of[id(rep.arg)])
+                push(key[1])
         return "".join(parts)
 
     def implies(a: str, not_b: str) -> str:
@@ -284,7 +288,7 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
 
     out: list[str] = []
     write = out.append
-    root = uid_of[id(f)]
+    root = len(keys) - 1
     names = [pair_names(name) for name in sorted(table.props)]
     names += [pair_names(surrogate_name(uid)) for uid in table.surrogates]
     if not names:
@@ -297,9 +301,7 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
     if table.surrogates:
         write(f" & {neg_}{some_}{neg_}(")
         for i, uid in enumerate(table.surrogates):
-            rep = reps[uid]
-            k = uid_of[id(rep.arg)]
-            t = type(rep)
+            t, k = keys[uid]
             # `a` is the half on which the surrogate steps forward
             if t is LNextF or t is LSomeF:
                 s_a, s_b, a, b = neg[uid], pos[uid], neg, pos

@@ -35,7 +35,7 @@ from tdlite.ltl import (
     LSomeP,
     Ltl,
     PastOperatorPresent,
-    _children,
+    _UNARY,
     _merge_siblings,
     _rewrite_box_body,
     _spine_conjuncts,
@@ -256,6 +256,14 @@ def eq2_conjunct_count(ctx: TranslationContext) -> int:
     return len(ctx.roles_of_k) * (k * (k - 1) // 2)
 
 
+def _children(f: Ltl) -> tuple[Ltl, ...]:
+    if isinstance(f, LAnd):
+        return (f.left, f.right)
+    if isinstance(f, _UNARY):
+        return (f.arg,)
+    return ()
+
+
 def walked_tree_size(f: Ltl) -> int:
     """AST node count with shared subtrees counted per occurrence, by a
     walk that visits each distinct node once (memoized on identity)."""
@@ -279,12 +287,11 @@ def has_past(f: Ltl) -> bool:
     return any(isinstance(n, (LNextP, LSomeP)) for n in iter_nodes(f))
 
 
-def tuple_keyed_intern(
-    f: Ltl, uid_of: dict[int, int], key_to_uid: dict[tuple, int], reps: list[Ltl]
-) -> int:
+def tuple_keyed_intern(f: Ltl, uid_of: dict[int, int], key_to_uid: dict[tuple, int]) -> int:
     """`ltl._intern` by a walk that pushes `(node, done)` pairs and keys
     a node by a tuple that starts with its class name: `("p", name)` for
-    a proposition, `("f",)` for falsum.  Same uids, same `reps` order."""
+    a proposition, `("f",)` for falsum (`named_key`).  Same uids, keys
+    in the same order."""
     stack: list[tuple[Ltl, bool]] = [(f, False)]
     while stack:
         n, done = stack.pop()
@@ -303,11 +310,20 @@ def tuple_keyed_intern(
             key = (type(n).__name__,) + tuple(uid_of[id(k)] for k in kids)
         uid = key_to_uid.get(key)
         if uid is None:
-            uid = len(reps)
+            uid = len(key_to_uid)
             key_to_uid[key] = uid
-            reps.append(n)
         uid_of[id(n)] = uid
     return uid_of[id(f)]
+
+
+def named_key(key: tuple) -> tuple:
+    """A structural key of `ltl.structural_index` in the form that
+    `tuple_keyed_intern` gives it."""
+    if key[0] is LProp:
+        return ("p", key[1])
+    if key[0] is LFalse:
+        return ("f",)
+    return (key[0].__name__, *key[1:])
 
 
 def rebuilt_simplify(f: Ltl) -> Ltl:
@@ -315,7 +331,7 @@ def rebuilt_simplify(f: Ltl) -> Ltl:
     hash-cons index per call, and that keys each conjunct's negation as a
     new node."""
     memo: dict[int, Ltl] = {}
-    index: tuple[dict, dict, list] = ({}, {}, [])
+    index: tuple[dict, dict] = ({}, {})
     held: list[Ltl] = []
 
     def is_true(n: Ltl) -> bool:
@@ -451,28 +467,26 @@ def chained_print_formula(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
 
 
 def _bar_all(table: SubformulaTable) -> tuple[list[Ltl], list[Ltl]]:
-    """The flattening of every representative to a temporal-operator-free
+    """The flattening of every subformula to a temporal-operator-free
     formula over the paired alphabet, on the positive and on the negative
     half of the timeline, by uid."""
     pos: list[Ltl] = []
     neg: list[Ltl] = []
-    for uid, rep in enumerate(table.reps):
-        if isinstance(rep, LProp):
-            p, m = pair_names(rep.name)
+    for uid, key in enumerate(table.keys):
+        t = key[0]
+        if t is LProp:
+            p, m = pair_names(key[1])
             pos.append(LProp(p))
             neg.append(LProp(m))
-        elif isinstance(rep, LFalse):
-            pos.append(rep)
-            neg.append(rep)
-        elif isinstance(rep, LNot):
-            k = table.uid_of[id(rep.arg)]
-            pos.append(LNot(pos[k]))
-            neg.append(LNot(neg[k]))
-        elif isinstance(rep, LAnd):
-            kl = table.uid_of[id(rep.left)]
-            kr = table.uid_of[id(rep.right)]
-            pos.append(LAnd(pos[kl], pos[kr]))
-            neg.append(LAnd(neg[kl], neg[kr]))
+        elif t is LFalse:
+            pos.append(FALSE)
+            neg.append(FALSE)
+        elif t is LNot:
+            pos.append(LNot(pos[key[1]]))
+            neg.append(LNot(neg[key[1]]))
+        elif t is LAnd:
+            pos.append(LAnd(pos[key[1]], pos[key[2]]))
+            neg.append(LAnd(neg[key[1]], neg[key[2]]))
         else:
             p, m = pair_names(surrogate_name(uid))
             pos.append(LProp(p))
@@ -486,7 +500,7 @@ def depast_with_table(f: Ltl) -> tuple[Ltl, SubformulaTable]:
     table = build_table(f)
     pos, neg = _bar_all(table)
 
-    parts: list[Ltl] = [pos[table.uid_of[id(f)]]]
+    parts: list[Ltl] = [pos[-1]]
 
     sync: list[Ltl] = []
     for name in sorted(table.props):
@@ -500,17 +514,16 @@ def depast_with_table(f: Ltl) -> tuple[Ltl, SubformulaTable]:
 
     steps: list[Ltl] = []
     for uid in table.surrogates:
-        rep = table.reps[uid]
-        k = table.uid_of[id(rep.arg)]
+        t, k = table.keys[uid]
         self_pos, self_neg = pos[uid], neg[uid]
         arg_pos, arg_neg = pos[k], neg[k]
-        if isinstance(rep, LNextF):
+        if t is LNextF:
             steps.append(iff(LNextF(self_neg), arg_neg))
             steps.append(iff(self_pos, LNextF(arg_pos)))
-        elif isinstance(rep, LNextP):
+        elif t is LNextP:
             steps.append(iff(LNextF(self_pos), arg_pos))
             steps.append(iff(self_neg, LNextF(arg_neg)))
-        elif isinstance(rep, LSomeF):
+        elif t is LSomeF:
             steps.append(iff(LNextF(self_neg), lor(self_neg, LNextF(arg_neg))))
             steps.append(iff(self_pos, LSomeF(arg_pos)))
         else:  # LSomeP

@@ -47,6 +47,7 @@ from references import (
     chained_print_formula,
     depast,
     has_past,
+    named_key,
     rebuilt_optimize,
     rebuilt_simplify,
     tuple_keyed_intern,
@@ -243,20 +244,22 @@ def test_struct_eq_ignores_object_identity():
     f = LAnd(LProp("a"), LSomeF(LProp("b")))
     g = LAnd(LProp("a"), LSomeF(LProp("b")))
     assert struct_eq(f, g)
+    assert struct_eq(LAnd(f, f), LAnd(f, g))  # shared or copied, one table
     assert not struct_eq(f, LAnd(LProp("a"), LSomeF(LProp("c"))))
 
 
 @given(st.lists(st.one_of(formulas, shared_formulas()), min_size=1, max_size=3))
 @settings(max_examples=300, deadline=None)
 def test_intern_matches_the_tuple_keyed_reference(fs):
-    # the same uids and the same order of representatives, also when
-    # several formulas are interned into one set of tables, as simplify does
-    index: tuple[dict, dict, list] = ({}, {}, [])
-    ref: tuple[dict, dict, list] = ({}, {}, [])
+    # the same uid per node, the same structure per uid and the same order
+    # of uids, also when several formulas are interned into one set of
+    # tables, as simplify does
+    index: tuple[dict, dict] = ({}, {})
+    ref: tuple[dict, dict] = ({}, {})
     for f in fs:
         assert _intern(f, *index) == tuple_keyed_intern(f, *ref)
     assert index[0] == ref[0]
-    assert [id(r) for r in index[2]] == [id(r) for r in ref[2]]
+    assert [named_key(k) for k in index[1]] == list(ref[1])
 
 
 def test_repr_of_a_small_formula_reads_like_its_constructors():

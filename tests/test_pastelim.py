@@ -62,7 +62,7 @@ def test_alphabet_is_paired():
 def test_surrogates_cover_exactly_the_temporal_subformulas():
     f = LSomeF(LAnd(LNextP(LProp("a")), LNot(LSomeP(LProp("a")))))
     _, table = depast_with_table(f)
-    kinds = {type(table.reps[uid]).__name__ for uid in table.surrogates}
+    kinds = {table.keys[uid][0].__name__ for uid in table.surrogates}
     assert kinds == {"LSomeF", "LNextP", "LSomeP"}
 
 

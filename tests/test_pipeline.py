@@ -10,7 +10,15 @@ from tdlite.ground import GroundingContext, ground
 from tdlite.kbparse import parse_kb
 from tdlite import ltl
 from tdlite import solvers
-from tdlite.ltl import INFIX_TOKENS, count_props, optimize, parse_infix, structural_index, tree_size
+from tdlite.ltl import (
+    INFIX_TOKENS,
+    _intern,
+    count_props,
+    optimize,
+    parse_infix,
+    structural_index,
+    tree_size,
+)
 from tdlite.pastelim import print_past_free
 from tdlite.pipeline import (
     check_kb,
@@ -27,6 +35,7 @@ from references import (
     chained_print_formula,
     depast,
     has_past,
+    named_key,
     rebuilt_optimize,
     tuple_keyed_intern,
     walked_tree_size,
@@ -199,11 +208,13 @@ def test_intern_matches_the_tuple_keyed_reference_on_the_handoff_kbs():
     for label, kb, flow in _handoff_kbs():
         g = run_pipeline(kb, flow).grounded
         for f in (g, optimize(g)):
-            ref_uid_of, ref_reps = {}, []
-            tuple_keyed_intern(f, ref_uid_of, {}, ref_reps)
-            uid_of, reps = structural_index(f)
+            ref_uid_of, ref_keys = {}, {}
+            tuple_keyed_intern(f, ref_uid_of, ref_keys)
+            uid_of, keys = {}, {}
+            _intern(f, uid_of, keys)
             assert uid_of == ref_uid_of, label
-            assert [id(r) for r in reps] == [id(r) for r in ref_reps], label
+            assert [named_key(k) for k in keys] == list(ref_keys), label
+            assert structural_index(f) == list(keys), label
 
 
 def test_run_solver_on_solver_formula():
