@@ -65,6 +65,7 @@ def check_by_constant(
     ctx: TranslationContext,
     gctx: GroundingContext,
     grounded: Ltl,
+    keys: Optional[list[tuple]] = None,
 ) -> tuple[Optional[BiLassoWord], Decomposition]:
     """A model of `grounded` (the grounding of `q` over `gctx`) or None
     for unsatisfiable, deciding one component per constant.
@@ -94,7 +95,8 @@ def check_by_constant(
     side) with each kept p_R
     true everywhere; it is re-checked once against `grounded` itself
     (`WitnessCheckFailed` if it is not a model), so the check does not
-    rest on `optimize`.
+    rest on `optimize`.  `keys` is `grounded`'s `structural_index`, when
+    the caller has it.
     """
     shared, per_const = split_by_constant(q, gctx.constants)
     labelled = ([(SHARED, shared)] if shared else []) + list(per_const.items())
@@ -125,7 +127,7 @@ def check_by_constant(
                 dropped = True
     final = frozenset(kept)
     word = product_word([words[(label, final)] for label, _, _ in groups], final)
-    return checked(grounded, word, "the combined word"), record(None)
+    return checked(grounded, word, "the combined word", keys), record(None)
 
 
 def split_facts(

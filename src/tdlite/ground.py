@@ -11,7 +11,7 @@ constant each is about, for grounding one constant at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from . import names
 from .kb import KnowledgeBase
@@ -50,7 +50,14 @@ from .qtl import (
     Var,
 )
 
-__all__ = ["GroundingContext", "ground", "split_by_constant"]
+__all__ = [
+    "EVERY_CONSTANT",
+    "GroundingContext",
+    "conjuncts_about",
+    "ground",
+    "renamings",
+    "split_by_constant",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,20 +133,37 @@ def ground(
     return memo[(id(qtl), None)]
 
 
-def split_by_constant(
-    qtl: Qtl, constants: tuple[str, ...]
-) -> tuple[list[Qtl], dict[str, list[Qtl]]]:
-    """The top-level conjuncts of `qtl`, sorted by the constant each is
-    about: the constant-free ones (such as the falsum of a contradicted
-    negated role fact), and per constant the conjuncts that name it plus
-    every universally quantified one, to be grounded at that constant.
-    Truth, the empty ABox's translation, is left out.
+def _subformulas(roots: list[Qtl]) -> Iterator[Qtl]:
+    """Every node under the roots, once per occurrence."""
+    stack = list(roots)
+    while stack:
+        m = stack.pop()
+        yield m
+        if isinstance(m, QForAll):
+            stack.append(m.body)
+        elif isinstance(m, QAnd):
+            stack.append(m.left)
+            stack.append(m.right)
+        elif not isinstance(m, (QFalsum, QAtom, QProp)):
+            stack.append(m.arg)
+
+
+# what `conjuncts_about` says of a universally quantified conjunct; not
+# an identifier, so no constant has it
+EVERY_CONSTANT = "(every)"
+
+
+def conjuncts_about(qtl: Qtl) -> list[tuple[Qtl, Optional[str]]]:
+    """The top-level conjuncts of `qtl` in spine order, each with what it
+    is about: the one constant it names, EVERY_CONSTANT for a universally
+    quantified one, or None for a constant-free one (such as the falsum
+    of a contradicted negated role fact).  Truth, the empty ABox's
+    translation, is left out.
 
     Raises ValueError on a conjunct that names two constants, or names a
     constant under a quantifier; the dagger translation builds neither.
     """
-    shared: list[Qtl] = []
-    per_const: dict[str, list[Qtl]] = {c: [] for c in constants}
+    out: list[tuple[Qtl, Optional[str]]] = []
     spine = [qtl]
     while spine:
         n = spine.pop()
@@ -151,26 +175,45 @@ def split_by_constant(
             continue
         named: set[str] = set()
         universal = False
-        stack = [n]
-        while stack:
-            m = stack.pop()
+        for m in _subformulas([n]):
             if isinstance(m, QAtom) and isinstance(m.term, Const):
                 named.add(m.term.name.lower())
             elif isinstance(m, QForAll):
                 universal = True
-                stack.append(m.body)
-            elif isinstance(m, QAnd):
-                stack.append(m.left)
-                stack.append(m.right)
-            elif isinstance(m, (QNot, QNextF, QNextP, QSomeF, QSomeP, QAlwF, QAlwP)):
-                stack.append(m.arg)
         if len(named) > 1 or (named and universal):
             raise ValueError(f"a conjunct is about more than one constant: {sorted(named)}")
-        if universal:
+        out.append((n, EVERY_CONSTANT if universal else named.pop() if named else None))
+    return out
+
+
+def split_by_constant(
+    qtl: Qtl, constants: tuple[str, ...]
+) -> tuple[list[Qtl], dict[str, list[Qtl]]]:
+    """The top-level conjuncts of `qtl` (`conjuncts_about`), sorted by the
+    constant each is about: the constant-free ones, and per constant the
+    conjuncts that name it plus every universally quantified one, to be
+    grounded at that constant."""
+    shared: list[Qtl] = []
+    per_const: dict[str, list[Qtl]] = {c: [] for c in constants}
+    for n, about in conjuncts_about(qtl):
+        if about == EVERY_CONSTANT:
             for parts in per_const.values():
                 parts.append(n)
-        elif named:
-            per_const[named.pop()].append(n)
-        else:
+        elif about is None:
             shared.append(n)
+        else:
+            per_const[about].append(n)
     return shared, per_const
+
+
+def renamings(universal: list[Qtl], constants: tuple[str, ...]) -> list[dict[str, str]]:
+    """For each constant after the first, how grounding the universal
+    conjuncts at it renames their grounding at the first: each predicate
+    that they apply to the variable, `pred.prop_name(first)` →
+    `pred.prop_name(constant)`."""
+    preds = {
+        m.pred for m in _subformulas(universal)
+        if isinstance(m, QAtom) and isinstance(m.term, Var)
+    }
+    first = constants[0]
+    return [{p.prop_name(first): p.prop_name(c) for p in preds} for c in constants[1:]]

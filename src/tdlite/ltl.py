@@ -29,7 +29,8 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Mapping
 
 
 REPR_LIMIT = 200
@@ -307,6 +308,20 @@ def structural_index(f: Ltl) -> list[tuple]:
     return list(key_to_uid)
 
 
+def spine_leaves(keys: list[tuple], k: int) -> list[int]:
+    """The uids of the leaves of the maximal conjunction spine at uid k
+    of a `structural_index` table, left to right."""
+    out: list[int] = []
+    stack = [k]
+    while stack:
+        key = keys[k := stack.pop()]
+        if key[0] is LAnd:
+            stack += (key[2], key[1])
+        else:
+            out.append(k)
+    return out
+
+
 # --- simplification ---------------------------------------------------------
 
 def _spine_conjuncts(f: Ltl) -> list[Ltl]:
@@ -333,59 +348,70 @@ def _right_nested(f: LAnd) -> bool:
     return True
 
 
+def _modality(p: Ltl) -> tuple[str, Ltl] | None:
+    """The shared modality that `_merge_siblings` can merge p under, and
+    the formula it holds there: ¬𝕆x gives x for 𝕆 ∈ {◇F, ◇P, ◇P◇F}
+    (tags "bf", "bp", "bpf"), ○x gives x ("xf", "xp")."""
+    if isinstance(p, LNot):
+        if isinstance(p.arg, LSomeP):
+            if isinstance(p.arg.arg, LSomeF):
+                return "bpf", p.arg.arg.arg
+            return "bp", p.arg.arg
+        if isinstance(p.arg, LSomeF):
+            return "bf", p.arg.arg
+    elif isinstance(p, LNextF):
+        return "xf", p.arg
+    elif isinstance(p, LNextP):
+        return "xp", p.arg
+    return None
+
+
+def _merged(tag: str, body: Ltl) -> Ltl:
+    """The merged conjunct of a modality tag whose siblings are merged
+    into `body`: the conjunction of their ○-arguments, or of the
+    negations of their ◇-arguments."""
+    if tag == "xf":
+        return LNextF(body)
+    if tag == "xp":
+        return LNextP(body)
+    if tag == "bf":
+        return LNot(LSomeF(LNot(body)))
+    if tag == "bp":
+        return LNot(LSomeP(LNot(body)))
+    return LNot(LSomeP(LSomeF(LNot(body))))
+
+
 def _merge_siblings(parts: list[Ltl]) -> list[Ltl]:
     """Collapse sibling conjuncts under a shared modality: ¬𝕆x ∧ ¬𝕆y →
     ¬𝕆¬(¬x∧¬y) for 𝕆 ∈ {◇F, ◇P, ◇P◇F} and ○x ∧ ○y → ○(x∧y).  All four
     rewrites are equivalences; first-occurrence order is preserved.  With
     nothing to merge, `parts` itself is returned."""
-    groups: dict[str, list[Ltl]] = {"bf": [], "bp": [], "bpf": [], "xf": [], "xp": []}
-    slots: dict[str, int] = {}
-    out: list[Ltl | None] = []
-
-    def classify(p: Ltl) -> tuple[str, Ltl] | None:
-        if isinstance(p, LNot):
-            if isinstance(p.arg, LSomeP):
-                if isinstance(p.arg.arg, LSomeF):
-                    return "bpf", p.arg.arg.arg
-                return "bp", p.arg.arg
-            if isinstance(p.arg, LSomeF):
-                return "bf", p.arg.arg
-        elif isinstance(p, LNextF):
-            return "xf", p.arg
-        elif isinstance(p, LNextP):
-            return "xp", p.arg
-        return None
-
+    groups: dict[str, list[Ltl]] = {}
+    out: list[Ltl | str] = []
     for p in parts:
-        hit = classify(p)
+        hit = _modality(p)
         if hit is None:
             out.append(p)
             continue
         tag, a = hit
+        if tag not in groups:
+            groups[tag] = []
+            out.append(tag)
         groups[tag].append((p, a))
-        if tag not in slots:
-            slots[tag] = len(out)
-            out.append(None)
-    if all(len(groups[tag]) == 1 for tag in slots):
+    if all(len(entries) == 1 for entries in groups.values()):
         return parts
-    for tag, slot in slots.items():
-        entries = groups[tag]
-        if len(entries) == 1:
-            out[slot] = entries[0][0]
-            continue
-        if tag in ("xf", "xp"):
-            body = conj([a for _, a in entries])
-            out[slot] = LNextF(body) if tag == "xf" else LNextP(body)
-            continue
-        # the disjunction of the diamond arguments, as ¬(⋀¬xᵢ)
-        body = LNot(conj([_negated(a) for _, a in entries]))
-        if tag == "bf":
-            out[slot] = LNot(LSomeF(body))
-        elif tag == "bp":
-            out[slot] = LNot(LSomeP(body))
+    merged: list[Ltl] = []
+    for p in out:
+        if type(p) is not str:
+            merged.append(p)
+        elif len(groups[p]) == 1:
+            merged.append(groups[p][0][0])
+        elif p in ("xf", "xp"):
+            merged.append(_merged(p, conj([a for _, a in groups[p]])))
         else:
-            out[slot] = LNot(LSomeP(LSomeF(body)))
-    return [p for p in out if p is not None]
+            # the disjunction of the diamond arguments, as ¬(⋀¬xᵢ)
+            merged.append(_merged(p, conj([_negated(a) for _, a in groups[p]])))
+    return merged
 
 
 def _is_true(n: Ltl) -> bool:
@@ -610,6 +636,172 @@ def optimize(f: Ltl) -> Ltl:
         if f.size == size:
             break
     return f
+
+
+def _build(keys: list[tuple], start: int, out: list[Ltl], names: Mapping[str, str],
+           base: list[Ltl] | None = None, renamed: list[bool] | None = None) -> None:
+    """Append to `out` one node per uid of the key table from `start` on,
+    with the propositions in `names` renamed; a uid that `renamed` does
+    not mark gets the node `base` has for it instead of a new one."""
+    append = out.append
+    for uid in range(start, len(keys)):
+        key = keys[uid]
+        t = key[0]
+        if base is not None and not renamed[uid]:
+            append(base[uid])
+        elif t is LAnd:
+            append(LAnd(out[key[1]], out[key[2]]))
+        elif t is LProp:
+            append(LProp(names.get(key[1], key[1])))
+        elif t is LFalse:
+            append(FALSE)
+        else:
+            append(t(out[key[1]]))
+
+
+@gc_paused()
+def optimize_instances(
+    pieces: list[Ltl], renamings: list[Mapping[str, str]], rest: Ltl = TRUE
+) -> Ltl:
+    """`optimize` of the conjunction of the pieces and their renamed
+    instances, piece-major (each piece, then the piece with its
+    propositions renamed by each renaming in turn), and then `rest`.
+
+    Each piece is optimized once, on its own, and the results are renamed
+    afterwards: optimize treats every name alike, so it commutes with an
+    injective renaming into names the pieces do not have.  Every renaming
+    must be one, over the same names.  What `simplify` does across the
+    instances is done on the key table of the optimized pieces, without
+    keying any instance: a conjunct naming no renamed proposition is one
+    node in every instance, so it is dropped after its first occurrence,
+    and a conjunct that names one equals, or negates, another only in the
+    same instance.  Siblings under a shared modality merge (the optimized
+    pieces of a grounding are each one box), and the merged conjunct's
+    spine gets the same treatment, one nesting level per round of
+    `optimize` and at most as many.  A piece whose box holds one conjunct
+    has it as the box's argument, where the constancy rewrite of
+    `_rigidity_rewrite` does not see it; merged into a box body, it gets
+    that rewrite, as the next round of `optimize` would give it.
+
+    `rest` is optimized on its own, and its top conjuncts follow the
+    instances' as they are.  So none of them may equal, negate or share a
+    modality with a top conjunct of an instance; in a grounding the
+    instances are boxes, and the rest are ABox literals, ○-chains of them
+    and implications.
+    """
+    # the table of the optimized pieces, keyed on the nodes of `held`
+    # and of the instances, which live until this call returns
+    uid_of: dict[int, int] = {}
+    key_to_uid: dict[tuple, int] = {}
+    held = [optimize(p) for p in pieces]
+    roots = [_intern(p, uid_of, key_to_uid) for p in held]
+    keys: list[tuple] = []
+    renamed: list[bool] = []  # whether a uid names a renamed proposition
+    domain = {name for names in renamings for name in names}
+    instances: list[list[Ltl]] = [[] for _ in range(len(renamings) + 1)]
+    base = instances[0]
+
+    def extend() -> None:
+        """Give each uid the table gained a key, a mark and a node of the
+        pieces' own instance; the other instances build theirs in `node`."""
+        start = len(keys)
+        # `_intern` only appends, so the new keys are the last ones
+        keys.extend(reversed(list(islice(reversed(key_to_uid), len(key_to_uid) - start))))
+        for key in keys[start:]:
+            t = key[0]
+            if t is LAnd:
+                renamed.append(renamed[key[1]] or renamed[key[2]])
+            elif t is LProp:
+                renamed.append(key[1] in domain)
+            else:
+                renamed.append(t is not LFalse and renamed[key[1]])
+        _build(keys, start, base, {})
+        for uid in range(start, len(keys)):
+            uid_of[id(base[uid])] = uid
+
+    def node(uid: int, i: int) -> Ltl:
+        if uid >= len(instances[i]):
+            for copy, names in zip(instances[1:], renamings):
+                _build(keys, len(copy), copy, names, base, renamed)
+        return instances[i][uid]
+
+    extend()
+    boxed: dict[tuple[str, int], list[int]] = {}
+
+    def merged_leaves(tag: str, a: int) -> list[int]:
+        """The conjuncts a sibling adds to the spine that merging under
+        `tag` builds, a being the formula `_modality` gives for it."""
+        if tag in ("xf", "xp"):
+            return spine_leaves(keys, a)
+        if keys[a][0] is LNot:
+            return spine_leaves(keys, keys[a][1])
+        if (tag, a) not in boxed:
+            body = LNot(base[a])
+            rewritten = _negated(_modality(_rigidity_rewrite(_merged(tag, body)))[1])
+            if rewritten is not body:
+                body = optimize(rewritten)
+            held.append(body)
+            uid = _intern(body, uid_of, key_to_uid)
+            extend()
+            boxed[(tag, a)] = spine_leaves(keys, uid)
+        return boxed[(tag, a)]
+
+    def finish(conjuncts: list[tuple[int, int]], depth: int) -> list[Ltl] | None:
+        """The conjuncts (uid, instance) of one spine as `simplify` leaves
+        them, or None for falsum."""
+        kept: list[tuple[int, int]] = []
+        seen: set[tuple[int, int | None]] = set()
+        for uid, i in conjuncts:
+            key = keys[uid]
+            if key[0] is LFalse:
+                return None
+            if key[0] is LNot and keys[key[1]][0] is LFalse:
+                continue
+            mark = i if renamed[uid] else None
+            if (uid, mark) in seen:
+                continue
+            opposite = key[1] if key[0] is LNot else key_to_uid.get((LNot, uid))
+            if (opposite, mark) in seen:
+                return None
+            seen.add((uid, mark))
+            kept.append((uid, i))
+        groups: dict[str, list[tuple[int, int, int]]] = {}
+        out: list[Ltl | str] = []
+        for uid, i in kept:
+            hit = _modality(base[uid]) if depth < OPTIMIZE_MAX_ROUNDS else None
+            if hit is None:
+                out.append(node(uid, i))
+                continue
+            tag, a = hit
+            if tag not in groups:
+                groups[tag] = []
+                out.append(tag)
+            groups[tag].append((uid, i, uid_of[id(a)]))
+        parts: list[Ltl] = []
+        for p in out:
+            if type(p) is not str:
+                parts.append(p)
+            elif len(groups[p]) == 1:
+                uid, i, _ = groups[p][0]
+                parts.append(node(uid, i))
+            else:
+                inner = [(leaf, i) for _, i, a in groups[p] for leaf in merged_leaves(p, a)]
+                merged = finish(inner, depth + 1)
+                body = FALSE if merged is None else conj(merged)
+                # the merged conjunct's own rules, its body being done
+                whole = simplify(_merged(p, body), ({}, {}), {id(body): body})
+                if type(whole) is LFalse:
+                    return None
+                if not _is_true(whole):
+                    parts.append(whole)
+        return parts
+
+    parts = finish([(leaf, i) for root in roots for i in range(len(instances))
+                    for leaf in spine_leaves(keys, root)], 0)
+    tail = _spine_conjuncts(optimize(rest))
+    if parts is None or any(type(c) is LFalse for c in tail):
+        return FALSE
+    return conj(parts + [c for c in tail if not _is_true(c)])
 
 
 # --- infix concrete syntax --------------------------------------------------

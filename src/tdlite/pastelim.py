@@ -34,6 +34,7 @@ grounding of a knowledge base the translation is already a fixpoint of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .ltl import (
     LAnd,
@@ -46,6 +47,7 @@ from .ltl import (
     LSomeP,
     Ltl,
     gc_paused,
+    spine_leaves,
     structural_index,
 )
 
@@ -150,25 +152,13 @@ def build_table(f: Ltl) -> SubformulaTable:
                            [uid for uid, key in enumerate(keys) if key[0] in _TEMPORAL])
 
 
-def _spine_leaves(keys: list[tuple], k: int) -> list[int]:
-    """The uids of the leaves of the maximal conjunction spine at uid k,
-    left to right."""
-    out: list[int] = []
-    stack = [k]
-    while stack:
-        key = keys[k := stack.pop()]
-        if key[0] is LAnd:
-            stack += (key[2], key[1])
-        else:
-            out.append(k)
-    return out
-
-
 @gc_paused()
-def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
+def print_past_free(
+    f: Ltl, tokens: dict, table: Optional[SubformulaTable] = None
+) -> tuple[str, set[str]]:
     """The text and the proposition names that `ltl.print_formula` gives
-    for the past-free translation of f, written from f's table without
-    building the translation.
+    for the past-free translation of f, written from f's table (`table`,
+    when the caller has built it) without building the translation.
 
     Each subformula's flattening gets one text per half of the timeline,
     stored only when it is neither a conjunction nor a negation of one (a
@@ -181,7 +171,8 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
     leaves of its spine, since `print_formula` flattens a maximal spine
     into one group.
     """
-    table = build_table(f)
+    if table is None:
+        table = build_table(f)
     keys = table.keys
     false, true = tokens["false"], tokens["true"]
     neg_ = f"({tokens[LNot]} "
@@ -230,7 +221,7 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
 
     def spine(k: int, texts: list) -> str:
         """The leaves of conjunction k's spine, joined."""
-        leaves = [texts[leaf] for leaf in _spine_leaves(keys, k)]
+        leaves = [texts[leaf] for leaf in spine_leaves(keys, k)]
         return compose(k, texts, True) if None in leaves else " & ".join(leaves)
 
     def negated(k: int, texts: list) -> str:
@@ -251,7 +242,7 @@ def print_past_free(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
         push = stack.append
 
         def open_spine(k: int, close: bool) -> None:
-            leaves = _spine_leaves(keys, k)
+            leaves = spine_leaves(keys, k)
             if close:
                 write("(")
                 push(")")

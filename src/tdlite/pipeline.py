@@ -3,16 +3,20 @@
 A knowledge base runs through up to three translation stages — the
 one-variable first-order temporal formula, its propositional grounding,
 and (over ℤ) the past-free rendering — with per-stage sizes and timings
-collected in a trace.  The trace keeps the first two formulas; of the
-third it records only the size, taken from past elimination's table
-(`SubformulaTable.output_size`).  No past-free formula is ever built:
-`tdlite translate --to ltl` prints it from the table
-(`pastelim.print_past_free`).  In process, checking decides the grounding
-one constant at a time (`components.check_by_constant`); an external
-solver profile gets `solver_formula`, the whole optimized grounding,
+collected in a trace.  The trace keeps the first two formulas, the
+constants of the grounding, and over ℤ the grounding's table of
+structural keys; of the third stage it records only the size, taken from
+past elimination's table (`SubformulaTable.output_size`).  No past-free
+formula is ever built: `tdlite translate --to ltl` prints it from the
+table (`pastelim.print_past_free`).  In process, checking decides the
+grounding one constant at a time (`components.check_by_constant`); an
+external solver profile gets `solver_formula`, the optimized grounding,
 which the emitters print over ℤ with its past eliminated.
 `solver_formula` is the one definition of what a solver receives;
-`tdlite translate --to smv|infix` and `tdlite bench` use it too.
+`tdlite translate --to smv|infix` and `tdlite bench` use it too.  It
+optimizes the universal part of the grounding at one constant and renames
+the result to the others (`ltl.optimize_instances`), since the grounding
+of ∀x φ(x) is one copy of φ per constant.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .components import Decomposition, check_by_constant
-from .ground import GroundingContext, ground
+from .ground import EVERY_CONSTANT, GroundingContext, conjuncts_about, ground, renamings
 from .kb import KnowledgeBase, concept_size
-from .ltl import Ltl, count_props, gc_paused, optimize, tree_size
+from .ltl import Ltl, count_props, gc_paused, optimize_instances, tree_size
 from .pastelim import build_table
-from .qtl import Qtl, TranslationContext, qtl_size, translate_kb
+from .qtl import Qtl, TranslationContext, q_conj, qtl_size, translate_kb
 from .solvers import SolverProfile, run_solver
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +48,13 @@ class PipelineTrace:
     # formulas are far too deep for the recursive dataclass repr
     qtl: Optional[Qtl] = field(default=None, repr=False)
     qtl_ctx: Optional[TranslationContext] = None
+    # the constants the grounding instantiates the quantifier with
+    gctx: Optional[GroundingContext] = None
     # the ℕ flow's final translation; over ℤ, its past elimination is
     grounded: Optional[Ltl] = field(default=None, repr=False)
+    # over ℤ, the grounding's `ltl.structural_index`, from the ltl stage;
+    # None after a check by a solver profile, which re-checks nothing
+    keys: Optional[list[tuple]] = field(default=None, repr=False)
     # how an in-process check split the grounding; None for other runs
     decomposition: Optional[Decomposition] = None
 
@@ -92,7 +101,8 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
     formula is already past-free).  The `ltl` stage records the size of
     the grounding's past elimination without building it: it times the
     table of the grounding and the arithmetic over it.  Over ℤ that table
-    also gives the `ltlp` stage's proposition count.
+    also gives the `ltlp` stage's proposition count, and its keys stay on
+    the trace for an in-process check's re-check of the combined word.
     """
     trace = PipelineTrace(flow=flow)
     trace.stages.append(StageRecord("kb", kb_node_count(kb), None, 0.0))
@@ -104,7 +114,8 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
     trace.stages.append(StageRecord("qtl1", qtl_size(q), None, wall))
 
     t0 = time.monotonic()
-    g = ground(q, GroundingContext.from_kb(kb, ctx))
+    trace.gctx = GroundingContext.from_kb(kb, ctx)
+    g = ground(q, trace.gctx)
     wall = (time.monotonic() - t0) * 1000.0
     trace.grounded = g
     if flow == "n":
@@ -116,6 +127,7 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
         table = build_table(g)
         nodes, props = table.output_size(), table.output_props()
     ltl_wall = (time.monotonic() - t0) * 1000.0
+    trace.keys = table.keys
     trace.stages.append(StageRecord("ltlp", tree_size(g), len(table.props), wall))
     trace.stages.append(StageRecord("ltl", nodes, props, ltl_wall))
     return trace
@@ -142,12 +154,12 @@ def check_kb(
     trace = run_pipeline(kb, flow)
     if profile is None:
         word, trace.decomposition = check_by_constant(
-            trace.qtl,
-            trace.qtl_ctx,
-            GroundingContext.from_kb(kb, trace.qtl_ctx),
-            trace.grounded,
+            trace.qtl, trace.qtl_ctx, trace.gctx, trace.grounded, trace.keys
         )
         return ("SAT" if word is not None else "UNSAT"), trace
+    # only the in-process re-check reads the keys; held through the
+    # emission, they would add their size to its peak
+    trace.keys = None
     result = run_solver(
         profile,
         solver_formula(trace),
@@ -160,11 +172,38 @@ def check_kb(
 
 
 def solver_formula(trace: PipelineTrace) -> Ltl:
-    """What an external solver gets: the optimized grounding.  The
-    emitters print it for the trace's flow (`solvers.emit`), over ℤ as its
-    past-free translation, written from past elimination's table.
+    """What an external solver gets: the optimized grounding, as
+    `optimize(trace.grounded)` gives it (where optimize stops short of
+    its fixpoint, this may stop at another point on the way).  The
+    emitters print it for the trace's flow (`solvers.emit`), over ℤ as
+    its past-free translation, written from past elimination's table.
+
+    It is built in two parts.  The universal conjuncts are grounded at
+    the first constant, and `optimize_instances` optimizes each once and
+    renames the results to the other constants.
+    The other conjuncts (ABox facts, witness demands, a constant-free
+    falsum) are grounded over all constants and optimized together, so
+    that the ○-chains of facts about different constants merge as they
+    do in the whole grounding.  The first part's top conjuncts are boxes
+    and the second's never are, and the dagger translation's first
+    conjunct is universal whenever one is, so conjoining the two parts as
+    they are puts every conjunct where `optimize` puts it.
 
     Past elimination writes clauses that are already simplified, so the ℤ
     text needs no second `optimize` pass.
     """
-    return optimize(trace.grounded)
+    universal, rest = [], []
+    for part, about in conjuncts_about(trace.qtl):
+        (universal if about == EVERY_CONSTANT else rest).append(part)
+    constants = trace.gctx.constants
+    # the conjunction's spine holds each part's grounding as a left child
+    f = ground(q_conj(universal), GroundingContext(constants[:1]))
+    pieces = []
+    for _ in universal[1:]:
+        pieces.append(f.left)
+        f = f.right
+    return optimize_instances(
+        pieces + [f] if universal else [],
+        renamings(universal, constants),
+        ground(q_conj(rest), trace.gctx),
+    )

@@ -41,7 +41,7 @@ from .ltl import (
     gc_paused,
     print_formula,
 )
-from .pastelim import build_table, print_past_free
+from .pastelim import SubformulaTable, build_table, print_past_free
 
 DEFAULT_CPU_SECONDS = 600.0
 DEFAULT_MEMORY_BYTES = 1 << 30
@@ -113,13 +113,13 @@ _INFIX_TOKENS = {k: v for k, v in INFIX_TOKENS.items() if k not in (LNextP, LSom
 _SMV_TOKENS = {"false": "FALSE", "true": "TRUE", LNot: "!", LNextF: "X", LSomeF: "F"}
 
 
-def emit_infix(f: Ltl, flow: str = "n") -> str:
+def emit_infix(f: Ltl, flow: str = "n", table: Optional[SubformulaTable] = None) -> str:
     """The infix input file for f: one fully parenthesized line of the
     past-free formula f, or over ℤ of f's past-free translation."""
-    return emit(f, "infix-ltl", flow)[0]
+    return emit(f, "infix-ltl", flow, table)[0]
 
 
-def emit_smv(f: Ltl, flow: str = "n") -> str:
+def emit_smv(f: Ltl, flow: str = "n", table: Optional[SubformulaTable] = None) -> str:
     """An SMV module encoding satisfiability of f (over ℤ, of its past-free
     translation) as model checking.
 
@@ -128,15 +128,22 @@ def emit_smv(f: Ltl, flow: str = "n") -> str:
     alphabet; the specification asserts ¬f, hence a counterexample is a
     model of f and "specification is false" means satisfiable.
     """
-    return emit(f, "smv", flow)[0]
+    return emit(f, "smv", flow, table)[0]
 
 
-def emit(f: Ltl, input_format: str, flow: str = "n") -> tuple[str, set[str]]:
+def emit(
+    f: Ltl, input_format: str, flow: str = "n", table: Optional[SubformulaTable] = None
+) -> tuple[str, set[str]]:
     """The text of a solver's input file for f in the given format, and
     the propositions it names.  Over ℕ f must be past-free and is printed
-    as it is; over ℤ the text is that of its past-free translation."""
+    as it is; over ℤ the text is that of its past-free translation,
+    printed from f's table of past elimination (`table`, when the caller
+    has built it)."""
     tokens = _SMV_TOKENS if input_format == "smv" else _INFIX_TOKENS
-    expr, props = print_formula(f, tokens) if flow == "n" else print_past_free(f, tokens)
+    if flow == "n":
+        expr, props = print_formula(f, tokens)
+    else:
+        expr, props = print_past_free(f, tokens, table)
     if input_format != "smv":
         return expr + "\n", props
     lines = ["MODULE main"]
@@ -147,13 +154,15 @@ def emit(f: Ltl, input_format: str, flow: str = "n") -> tuple[str, set[str]]:
     return "\n".join(lines) + "\n", props
 
 
-def _input_props(f: Ltl, flow: str) -> int:
+def _input_props(f: Ltl, flow: str) -> tuple[int, Optional[SubformulaTable]]:
     """How many propositions a solver's input for f names, without
-    emitting it: over ℤ, from past elimination's table."""
+    emitting it, and over ℤ past elimination's table, which gives the
+    count and then the text."""
     if flow == "n":
-        return count_props(f)
+        return count_props(f), None
     with gc_paused():
-        return build_table(f).output_props()
+        table = build_table(f)
+    return table.output_props(), table
 
 
 # --- profile files -----------------------------------------------------------
@@ -257,25 +266,28 @@ def run_solver(
 ) -> RunResult:
     """Emit f for the flow, run the profile's command on it under resource
     limits, and classify the outcome.  A profile's max-props is checked
-    before anything is emitted.  Never raises: every mishap is a FAIL (or
+    before anything is emitted, over ℤ on past elimination's table, which
+    the emitter then prints from.  Never raises: every mishap is a FAIL (or
     TIMEOUT when a limit was hit), with its cause in the result's
     `reason`."""
     cpu = profile.cpu_seconds if cpu_seconds is None else cpu_seconds
     mem = profile.memory_bytes if memory_bytes is None else memory_bytes
 
     tmpdir = None
+    table = None
     try:
         if profile.max_props is not None:
-            count = _input_props(f, flow)
+            count, table = _input_props(f, flow)
             if count > profile.max_props:
                 return RunResult("SKIPPED", 0.0, 0.0, 0, "",
                                  f"{count} propositions, max-props {profile.max_props}")
         # the emitters are looked up by name at each call, so a wrapper
         # installed on the module sees every emission
         if profile.input_format == "smv":
-            text = emit_smv(f, flow)
+            text = emit_smv(f, flow, table)
         else:
-            text = emit_infix(f, flow)
+            text = emit_infix(f, flow, table)
+        del table  # as large as the formula's table; the solver run needs none
         suffix = ".smv" if profile.input_format == "smv" else ".ltl"
         tmpdir = tempfile.mkdtemp(prefix=f"tdlite-{profile.name}-")
         in_path = os.path.join(tmpdir, "input" + suffix)

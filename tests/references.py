@@ -13,7 +13,8 @@ hash-consing of `ltl._intern` as they were before they kept unchanged
 nodes, dispatched on exact type and keyed nodes in one loop: rounds that
 rebuild every node, a printer that runs down an `isinstance` chain, and
 an interning walk with `(node, done)` stack entries and name-tagged
-tuple keys.
+tuple keys, the renaming of a formula's propositions, and `optimize`
+repeated until the text stops changing.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ from tdlite.ltl import (
     iff,
     iter_nodes,
     lor,
+    optimize,
     prop_names,
+    to_infix,
 )
 from tdlite.oracle import BiLassoWord, Valuation
 from tdlite.pastelim import SubformulaTable, build_table, pair_names, surrogate_name
@@ -539,3 +542,39 @@ def depast(f: Ltl) -> Ltl:
     """Equisatisfiable past-free translation of an LTL formula over ℤ."""
     out, _ = depast_with_table(f)
     return out
+
+
+def renamed(f: Ltl, names: dict[str, str]) -> Ltl:
+    """f with each proposition in `names` renamed, every node rebuilt."""
+    memo: dict[int, Ltl] = {}
+    stack = [(f, False)]
+    while stack:
+        n, done = stack.pop()
+        if id(n) in memo:
+            continue
+        t = type(n)
+        if t is LProp:
+            memo[id(n)] = LProp(names.get(n.name, n.name))
+        elif t is LFalse:
+            memo[id(n)] = n
+        elif not done:
+            stack.append((n, True))
+            stack.extend((c, False) for c in ((n.left, n.right) if t is LAnd else (n.arg,)))
+        elif t is LAnd:
+            memo[id(n)] = LAnd(memo[id(n.left)], memo[id(n.right)])
+        else:
+            memo[id(n)] = t(memo[id(n.arg)])
+    return memo[id(f)]
+
+
+def optimized_to_the_end(f: Ltl, limit: int = 50) -> Ltl:
+    """`optimize` applied until the text stops changing.  One call stops
+    at a round that leaves the size unchanged, or after
+    OPTIMIZE_MAX_ROUNDS rounds, also where the formula still changes."""
+    text = to_infix(f)
+    for _ in range(limit):
+        g = optimize(f)
+        if to_infix(g) == text:
+            return f
+        f, text = g, to_infix(g)
+    raise AssertionError(f"optimize still changes the formula after {limit} calls")

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from tdlite.ground import GroundingContext, ground, split_by_constant
+from tdlite.ground import (
+    EVERY_CONSTANT,
+    GroundingContext,
+    conjuncts_about,
+    ground,
+    renamings,
+    split_by_constant,
+)
 from tdlite.kb import (
     Atomic,
     ConceptAssertion,
@@ -13,7 +20,7 @@ from tdlite.kb import (
     Signature,
     normalize_kb,
 )
-from tdlite.ltl import prop_names, tree_size
+from tdlite.ltl import prop_names, struct_eq, tree_size
 from tdlite.names import SYNTHETIC_CONST, witness_const
 from tdlite.qtl import (
     ConceptPred,
@@ -28,7 +35,7 @@ from tdlite.qtl import (
 )
 
 from conftest import load_toy
-from references import has_past
+from references import has_past, renamed
 
 
 def _translate(name, flow):
@@ -95,6 +102,21 @@ def test_split_by_constant_grounds_to_the_whole_formula():
     for c, names in props.items():
         assert all(n.endswith("__" + c) or n.startswith("p__") for n in names)
     assert set().union(*props.values()) == prop_names(ground(q, gctx))
+
+
+@pytest.mark.parametrize("flow", ["n", "z"])
+@pytest.mark.parametrize("name", ["ex2", "ex2_variant"])
+def test_grounding_the_universal_conjuncts_elsewhere_renames_their_predicates(name, flow):
+    kb, q, ctx = _translate(name, flow)
+    constants = GroundingContext.from_kb(kb, ctx).constants
+    labelled = conjuncts_about(q)
+    universal = [part for part, about in labelled if about == EVERY_CONSTANT]
+    assert universal and len(constants) > 1
+    assert all(about in constants for _, about in labelled if about not in (EVERY_CONSTANT, None))
+    at_first = ground(q_conj(universal), GroundingContext(constants[:1]))
+    for c, names in zip(constants[1:], renamings(universal, constants)):
+        assert struct_eq(ground(q_conj(universal), GroundingContext((c,))), renamed(at_first, names))
+        assert set(names) == {n for n in prop_names(at_first) if n.endswith("__" + constants[0])}
 
 
 def test_split_by_constant_rejects_a_conjunct_about_two_constants():

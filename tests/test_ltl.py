@@ -31,6 +31,7 @@ from tdlite.ltl import (
     implies,
     lor,
     optimize,
+    optimize_instances,
     parse_infix,
     print_formula,
     prop_names,
@@ -48,8 +49,10 @@ from references import (
     depast,
     has_past,
     named_key,
+    optimized_to_the_end,
     rebuilt_optimize,
     rebuilt_simplify,
+    renamed,
     tuple_keyed_intern,
     walked_tree_size,
 )
@@ -223,6 +226,37 @@ def test_optimize_preserves_meaning_on_random_formulas():
         for _ in range(4):
             w = random_bilasso(rng)
             assert eval_on_lasso(f, w, 0) == eval_on_lasso(g, w, 0), to_infix(f)
+
+
+def test_optimize_instances_is_optimize_of_the_conjunction_of_the_instances():
+    # boxed and unboxed pieces over a and b, renamed, and over p and q,
+    # shared by every instance; where optimize stops at a round that
+    # leaves the size unchanged but not the formula, the two can stop at
+    # different points, which further optimize calls take to one formula
+    rng = random.Random(17)
+    shapes = (lambda f: alw_p(alw_f(f)), alw_f, alw_p, LNextF, lambda f: f)
+    stopped_apart = 0
+    for _ in range(400):
+        pieces = [rng.choice(shapes)(random_ltlp(rng.randint(1, 12), rng, props=("a", "b", "p", "q")))
+                  for _ in range(rng.randint(1, 4))]
+        names = [{"a": f"a{i}", "b": f"b{i}"} for i in range(rng.randint(0, 3))]
+        got = optimize_instances(pieces, names)
+        want = optimize(conj([g for f in pieces for g in [f] + [renamed(f, r) for r in names]]))
+        if to_infix(got) != to_infix(want):
+            stopped_apart += 1
+            assert to_infix(optimized_to_the_end(got)) == to_infix(optimized_to_the_end(want))
+    assert stopped_apart < 20
+
+
+def test_optimize_instances_rewrites_a_lone_constancy_conjunct_once_merged():
+    # alone, ¬◇P◇F(a ∧ ◇P◇F¬a) keeps its constancy conjunct, which is the
+    # box's argument; merged with a copy it is a box-body conjunct, and
+    # the rewrite to one-step form applies, as optimize's next round does
+    f = parse_infix("H (G (a -> (H (G a))))")
+    assert to_infix(optimize(f)) == "(~ (P (F (a & (P (F (~ a)))))))"
+    got = optimize_instances([f], [{"a": "b"}])
+    assert to_infix(got) == to_infix(optimize(LAnd(f, renamed(f, {"a": "b"}))))
+    assert "X" in to_infix(got)
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 
 import pytest
 
-from tdlite.ground import GroundingContext, ground
+from tdlite.ground import EVERY_CONSTANT, GroundingContext, conjuncts_about, ground
 from tdlite.kbparse import parse_kb
-from tdlite import ltl
-from tdlite import solvers
+from tdlite import ltl, oracle, pastelim, solvers
 from tdlite.ltl import (
     INFIX_TOKENS,
     _intern,
@@ -28,7 +28,16 @@ from tdlite.pipeline import (
 )
 from tdlite.qtl import ConceptPred, QAtom, X
 from tdlite.randgen import BatchSpec, generate_instance
-from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS, emit_infix, oracle_profile, run_solver
+from tdlite.names import SYNTHETIC_CONST
+from tdlite.solvers import (
+    _INFIX_TOKENS,
+    _SMV_TOKENS,
+    emit,
+    emit_infix,
+    emit_smv,
+    oracle_profile,
+    run_solver,
+)
 
 from conftest import TOY_VERDICTS, load_toy, toy_text
 from references import (
@@ -36,6 +45,7 @@ from references import (
     depast,
     has_past,
     named_key,
+    optimized_to_the_end,
     rebuilt_optimize,
     tuple_keyed_intern,
     walked_tree_size,
@@ -116,6 +126,87 @@ def _handoff_kbs():
         for i in range(spec.F):
             for flow in ("n", "z"):
                 yield f"{label}#{i}/{flow}", generate_instance(spec, i, flow=flow), flow
+
+
+GATE0_SMV_SHA256 = "902d8ce6cebde98d6bd39cadb5cad7be9c671a369a4cfb374dad89a7e6c80983"
+
+
+def _assert_same_hand_off(trace, label):
+    # solver_formula against the reference: the whole grounding optimized
+    got, want = solver_formula(trace), optimize(trace.grounded)
+    for input_format in ("smv", "infix-ltl"):
+        assert emit(got, input_format, trace.flow) == emit(want, input_format, trace.flow), label
+
+
+def test_solver_formula_is_optimize_of_the_grounding_on_the_handoff_kbs():
+    for label, kb, flow in _handoff_kbs():
+        _assert_same_hand_off(run_pipeline(kb, flow), label)
+
+
+def test_solver_formula_of_the_gate_instance_is_the_recorded_hand_off():
+    kb = generate_instance(BatchSpec(F=1, N=7, Lt=100, Lc=20, Q=5, seed=20260824), 0, flow="z")
+    trace = run_pipeline(kb, "z")
+    text = emit_smv(solver_formula(trace), "z")
+    assert text == emit_smv(optimize(trace.grounded), "z")
+    assert hashlib.sha256(text.encode()).hexdigest() == GATE0_SMV_SHA256
+
+
+_SIG = "SIG\nconcept A\nconcept B\nlocal role R\nindividual a\nindividual b\n"
+_EDGE_KBS = {
+    # no universal conjunct: the ABox alone
+    "empty TBox": "SIG\nconcept A\nindividual b\nindividual c\nTBOX\nABOX\n"
+                  "A(b)@3\nNOT A(c)@2\nA(c)@5\n",
+    "empty KB": "SIG\nconcept A\nTBOX\nABOX\n",
+    # no individual and no role: the one synthetic constant, nothing renamed
+    "synthetic constant": "SIG\nconcept A\nconcept B\nTBOX\nA SUB X A\nB SUB NOT A\nABOX\n",
+    "one inclusion, one constant": "SIG\nconcept A\nTBOX\nA SUB ALWF A\nABOX\n",
+    "one inclusion, two constants": "SIG\nconcept A\nindividual a\nindividual b\nTBOX\n"
+                                    "A SUB ALWF A\nABOX\nA(a)@0\n",
+    # X X ⊥ names no constant: one conjunct of the box body, not one per copy
+    "constant-free conjunct": _SIG + "TBOX\nTOP SUB X X BOT\nA SUB B\nABOX\nA(a)@1\nR(a,b)@0\n",
+    # X ⊥ and its negation, in every copy: falsum
+    "complementary conjuncts": _SIG + "TBOX\nTOP SUB X BOT\nTOP SUB NOT X BOT\nA SUB B\n"
+                               "ABOX\nA(a)@0\n",
+    # boxes and next-formulas inside the box body merge across the copies
+    "nested boxes": _SIG + "TBOX\nTOP SUB ALWF A\nTOP SUB ALWF B\nA SUB SOMF B\nABOX\nA(a)@0\n",
+    "nested nexts": _SIG + "TBOX\nTOP SUB X A\nTOP SUB X X B\nTOP SUB X X BOT\nABOX\nB(b)@2\n",
+    "conjunction body": _SIG + "TBOX\nTOP SUB A AND B\nA SUB X B\nABOX\nA(a)@0\n",
+    # X-chains of facts about several constants, merged over more rounds
+    # than optimize runs
+    "long X-chains": _SIG + "TBOX\nA SUB X B\nABOX\nA(a)@30\nB(b)@25\nNOT A(b)@31\n"
+                     "B(a)@40\nR(a,b)@12\n",
+}
+
+
+@pytest.mark.parametrize("flow", ["n", "z"])
+@pytest.mark.parametrize("name", sorted(_EDGE_KBS))
+def test_solver_formula_is_optimize_of_the_grounding_on_edge_cases(name, flow):
+    trace = run_pipeline(parse_kb(_EDGE_KBS[name]), flow)
+    _assert_same_hand_off(trace, name)
+    text = ltl.to_infix(solver_formula(trace))
+    if name == "empty TBox":
+        assert all(about != EVERY_CONSTANT for _, about in conjuncts_about(trace.qtl))
+    elif name == "synthetic constant":
+        assert trace.gctx.constants == (SYNTHETIC_CONST,)
+    elif name == "constant-free conjunct":
+        assert len(trace.gctx.constants) == 4 and text.count("(X (X false))") == 1
+    elif name == "complementary conjuncts":
+        assert text == "false"
+    elif name == "long X-chains":
+        assert optimize(optimize(trace.grounded)).size < optimize(trace.grounded).size
+
+
+@pytest.mark.parametrize("flow", ["n", "z"])
+def test_solver_formula_and_optimize_stop_short_at_different_points(flow):
+    # chains of 12 and 13 X under boxes merge one level per round, and
+    # optimize stops after OPTIMIZE_MAX_ROUNDS; the instances merge in
+    # one step, so the two stop at different points of the way, which
+    # further optimize calls take both to the same formula
+    kb = parse_kb(_SIG + "TBOX\nTOP SUB" + " X" * 12 + " A\nTOP SUB" + " X" * 13 + " B\nABOX\n")
+    trace = run_pipeline(kb, flow)
+    got, want = solver_formula(trace), optimize(trace.grounded)
+    assert ltl.to_infix(got) != ltl.to_infix(want)
+    assert ltl.to_infix(optimized_to_the_end(got)) == ltl.to_infix(optimized_to_the_end(want))
 
 
 def _past_free(f, flow):
@@ -215,6 +306,20 @@ def test_intern_matches_the_tuple_keyed_reference_on_the_handoff_kbs():
             assert uid_of == ref_uid_of, label
             assert [named_key(k) for k in keys] == list(ref_keys), label
             assert structural_index(f) == list(keys), label
+
+
+@pytest.mark.parametrize("name", ["ex1_tbox", "ex2_variant"])
+def test_an_in_process_z_check_keys_the_grounding_once(monkeypatch, name):
+    # the ltl stage's table of the grounding is the one the combined
+    # word's re-check reads
+    keyed = []
+    for module in (pastelim, oracle):
+        index = module.structural_index
+        monkeypatch.setattr(module, "structural_index",
+                            lambda f, index=index: keyed.append(f) or index(f))
+    verdict, trace = check_kb(load_toy(name), "z")
+    assert verdict == TOY_VERDICTS[name] == "SAT"
+    assert sum(f is trace.grounded for f in keyed) == 1
 
 
 def test_run_solver_on_solver_formula():

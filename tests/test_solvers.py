@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tdlite import solvers
+from tdlite import pastelim, solvers
 from tdlite.ltl import LAnd, LNextF, LNot, LProp, LSomeF, LSomeP, conj, parse_infix, prop_names
 from tdlite.pipeline import run_pipeline, solver_formula
 from tdlite.solvers import (
@@ -254,13 +254,33 @@ def test_max_props_is_checked_before_anything_is_emitted(monkeypatch, flow, form
     assert r.reason == f"{count} propositions, max-props 1"
 
 
+@pytest.mark.parametrize("input_format", ["smv", "infix-ltl"])
+def test_max_props_over_z_builds_the_table_once(monkeypatch, input_format):
+    # the table that counts the propositions is the one the text is
+    # printed from; `cat` echoes the input, so equal digests are equal texts
+    built = []
+    real = pastelim.build_table
+    for module in (solvers, pastelim):
+        monkeypatch.setattr(module, "build_table", lambda f: built.append(f) or real(f))
+    f = parse_infix("a & (P b)")
+    echo = dict(command=("cat", "{input}"), input_format=input_format)
+    skipped = run_solver(_profile(max_props=1, **echo), f, "z")
+    assert (skipped.verdict, skipped.reason) == ("SKIPPED", "6 propositions, max-props 1")
+    assert len(built) == 1
+    limited = run_solver(_profile(max_props=6, **echo), f, "z")
+    assert len(built) == 2
+    unlimited = run_solver(_profile(**echo), f, "z")
+    assert len(built) == 3
+    assert limited.output_digest == unlimited.output_digest != ""
+
+
 def test_run_solver_emits_through_the_emitters_module_names(monkeypatch):
     # what a wrapper installed on the module, as a tracer does, relies on
     seen = []
     for name in ("emit_smv", "emit_infix"):
-        def recorded(f, flow, name=name, orig=getattr(solvers, name)):
+        def recorded(f, flow, table=None, name=name, orig=getattr(solvers, name)):
             seen.append(name)
-            return orig(f, flow)
+            return orig(f, flow, table)
 
         monkeypatch.setattr(solvers, name, recorded)
     for input_format in ("infix-ltl", "smv"):
