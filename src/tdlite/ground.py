@@ -4,8 +4,11 @@ Every universally quantified conjunct is replaced by the conjunction of its
 instantiations over all constants: the declared individuals plus one fresh
 witness d_R per role representation.  Boxes are desugared on the way out,
 so the result uses only negation, conjunction, and the four next/eventually
-operators.  `split_by_constant` sorts the top-level conjuncts by the one
-constant each is about, for grounding one constant at a time.
+operators.  `conjuncts_about` labels the top-level conjuncts with the one
+constant each is about, and `split_by_constant` sorts them by it, for
+grounding one constant at a time.  `renamings` maps the grounding of the
+universal conjuncts at the first constant to their grounding at each
+other one.
 """
 
 from __future__ import annotations
