@@ -8,7 +8,11 @@ in-process inputs, and record the runs in a BENCH JSON file.
 
 With --workload, runs `benchmark/run.py` in each checkout, K pairs of runs
 one after the other, the side that runs first alternating from pair to
-pair.  Each checkout runs its own `benchmark/` on its own `src/`.  The
+pair.  Both runs of a pair are pinned to one CPU (`os.sched_setaffinity`
+on the benchmark child, which its workers inherit), and the CPU
+alternates from pair to pair over those this process may run on, since
+one core can run a pass markedly slower than another; each pair records
+its CPU.  Each checkout runs its own `benchmark/` on its own `src/`.  The
 runs are added to the file under "<workload>/seed<N>/trace<T>" with, per
 metric, each side's median and quartiles and, over untraced pairs, how
 many pairs the change won (lower is better for every metric; ties count
@@ -28,8 +32,8 @@ the cap (a percentile that lands on one is recorded as null).  With
 --fixed it also records the benchmark-scale hand-off, instance 0 of
 `BatchSpec(N=7, Lt=100, Lc=20, Q=5, seed=20260824)` over ℤ (the
 `solver-handoff` gate instance), in one child per side under a 120 s CPU
-cap: the milliseconds and node counts of `ground`, the `ltl` stage of
-`run_pipeline` (its recorded `wall_ms` and nodes), `optimize` of the
+cap: the milliseconds and node counts of `ground`, the `ltlp` and `ltl`
+stages of `run_pipeline` (their recorded `wall_ms` and nodes), `optimize` of the
 whole grounding and `pipeline.solver_formula` (what the hand-off runs;
 on a checkout where it is that `optimize`, the two time the same work),
 then the SMV emission of `solver_formula`'s result over ℤ (its
@@ -100,8 +104,9 @@ def timed(name, fn, *args):
 q, ctx = translate_kb(kb, "z")
 g = timed("ground", ground, q, GroundingContext.from_kb(kb, ctx))
 trace = run_pipeline(kb, "z")
-ltl = trace.stage("ltl")
-stages["ltl-stage"] = {"ms": ltl.wall_ms, "nodes": ltl.nodes}
+for name in ("ltlp", "ltl"):
+    rec = trace.stage(name)
+    stages[f"{name}-stage"] = {"ms": rec.wall_ms, "nodes": rec.nodes}
 timed("optimize", optimize, g)
 f = timed("solver-formula", solver_formula, trace)
 t = time.perf_counter()
@@ -113,10 +118,11 @@ print(json.dumps(stages))
 """
 
 
-def run_once(root: Path, args) -> dict:
+def run_once(root: Path, args, cpu: int) -> dict:
     cmd = [sys.executable, "benchmark/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{root}: benchmark/run.py printed nothing (exit {proc.returncode})")
@@ -246,13 +252,15 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
         return 0
 
+    cpus = sorted(os.sched_getaffinity(0))
     pairs = []
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        pair = {"first": order[0]}
+        pair = {"first": order[0], "cpu": cpus[i % len(cpus)]}
         for side in order:
-            pair[side] = run_once(roots[side], args)
-            print(f"pair {i} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
+            pair[side] = run_once(roots[side], args, pair["cpu"])
+            print(f"pair {i} {side} on cpu {pair['cpu']}: {json.dumps(pair[side]['metrics'])}",
+                  file=sys.stderr)
         pairs.append(pair)
 
     metrics = {}
@@ -271,7 +279,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "metrics": metrics,
         "runs": [
-            {"first": p["first"],
+            {"first": p["first"], "cpu": p["cpu"],
              **{side: {"correct": p[side]["correct"], "attempted": p[side]["attempted"],
                        "failed": p[side]["failed"], "exit": p[side]["exit"],
                        "metrics": {k: v["value"] for k, v in p[side]["metrics"].items()}}

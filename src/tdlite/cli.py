@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from .ground import ground
 from .kb import validate
 from .kbparse import KbSyntaxError, parse_kb
 from .ltl import INFIX_TOKENS, optimize, to_infix, parse_infix, InfixSyntaxError
@@ -68,23 +69,26 @@ def cmd_translate(args: argparse.Namespace) -> int:
         return EXIT_FLOW
     if args.to == "qtl1":
         text = qtl_to_text(trace.qtl)
-    elif args.to == "ltlp":
-        text = to_infix(trace.grounded)
-    elif args.to == "ltl":
-        if trace.flow == "n":
-            text = to_infix(trace.grounded)
+    elif args.to in ("ltlp", "ltl"):
+        g = ground(trace.qtl, trace.gctx)
+        if args.to == "ltl" and trace.flow == "z":
+            text = print_past_free(g, INFIX_TOKENS)[0]
         else:
-            text = print_past_free(trace.grounded, INFIX_TOKENS)[0]
+            text = to_infix(g)
     elif args.to == "smv":
         text = emit_smv(solver_formula(trace), trace.flow)
     else:  # infix
         text = emit_infix(solver_formula(trace), trace.flow)
     _write_out(text, args.out)
-    if args.emit_trace:
-        with open(args.emit_trace, "w", encoding="utf-8") as fh:
+    _write_trace(trace, args.emit_trace)
+    return EXIT_SAT
+
+
+def _write_trace(trace, path: str | None) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(trace.as_dict(), fh, indent=2)
             fh.write("\n")
-    return EXIT_SAT
 
 
 _VERDICT_EXIT = {"SAT": EXIT_SAT, "UNSAT": EXIT_UNSAT}
@@ -102,7 +106,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_INDEFINITE
     profile = None if args.solver == "oracle" else profiles[args.solver]
     try:
-        verdict, _ = check_kb(
+        verdict, trace = check_kb(
             kb,
             args.flow,
             profile=profile,
@@ -114,6 +118,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"flow violation: {e}", file=sys.stderr)
         return EXIT_FLOW
     print(verdict)
+    _write_trace(trace, args.emit_trace)
     return _VERDICT_EXIT.get(verdict, EXIT_INDEFINITE)
 
 
@@ -293,6 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--solver", default="oracle",
                     help="solver profile name (default: built-in oracle)")
     add_limits(sp)
+    sp.add_argument("--emit-trace", default=None,
+                    help="also write the pipeline trace (stage sizes and timings, and how an "
+                         "in-process check split the KB) as JSON to this file")
     sp.set_defaults(fn=cmd_check)
 
     def add_gen_params(sp):

@@ -32,7 +32,7 @@ from typing import Optional
 
 from . import names
 from .ground import GroundingContext, ground, split_by_constant
-from .ltl import Ltl, optimize
+from .ltl import optimize
 from .oracle import BiLassoWord, checked, z_sat
 from .qtl import Const, QAtom, QNot, Qtl, TranslationContext, q_conj, unshift
 
@@ -61,14 +61,10 @@ class Decomposition:
 
 
 def check_by_constant(
-    q: Qtl,
-    ctx: TranslationContext,
-    gctx: GroundingContext,
-    grounded: Ltl,
-    keys: Optional[list[tuple]] = None,
+    q: Qtl, ctx: TranslationContext, gctx: GroundingContext
 ) -> tuple[Optional[BiLassoWord], Decomposition]:
-    """A model of `grounded` (the grounding of `q` over `gctx`) or None
-    for unsatisfiable, deciding one component per constant.
+    """A model of the grounding of `q` over `gctx`, or None for
+    unsatisfiable, deciding one component per constant.
 
     The set P of role propositions held true is the greatest fixpoint of
     one step: start with every p_R true, and drop p_R⁻ when the component
@@ -93,10 +89,10 @@ def check_by_constant(
     The SAT word is the product of the component bi-lassos (prefixes
     padded to the longest, loops to the lcm of their lengths, on each
     side) with each kept p_R
-    true everywhere; it is re-checked once against `grounded` itself
+    true everywhere; it is re-checked once against the grounding itself
     (`WitnessCheckFailed` if it is not a model), so the check does not
-    rest on `optimize`.  `keys` is `grounded`'s `structural_index`, when
-    the caller has it.
+    rest on `optimize`.  That re-check is the only place the whole
+    grounding is built.
     """
     shared, per_const = split_by_constant(q, gctx.constants)
     labelled = ([(SHARED, shared)] if shared else []) + list(per_const.items())
@@ -127,7 +123,7 @@ def check_by_constant(
                 dropped = True
     final = frozenset(kept)
     word = product_word([words[(label, final)] for label, _, _ in groups], final)
-    return checked(grounded, word, "the combined word", keys), record(None)
+    return checked(ground(q, gctx), word, "the combined word"), record(None)
 
 
 def split_facts(

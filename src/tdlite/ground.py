@@ -9,6 +9,14 @@ constant each is about, and `split_by_constant` sorts them by it, for
 grounding one constant at a time.  `renamings` maps the grounding of the
 universal conjuncts at the first constant to their grounding at each
 other one.
+
+`symbolic_grounding` gives the distinct subformulas of the grounding
+without building it: each universal body and each conjunct about one
+constant is grounded once, with the constant kept as a symbol, and each
+key of the result says how many distinct subformulas of the grounding it
+stands for.  The pipeline sizes its `ltlp` and `ltl` stages from it
+(`pastelim.SubformulaTable`), so sizing a translation grounds no
+conjunct at more than one constant.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ __all__ = [
     "ground",
     "renamings",
     "split_by_constant",
+    "symbolic_grounding",
 ]
 
 
@@ -220,3 +229,108 @@ def renamings(universal: list[Qtl], constants: tuple[str, ...]) -> list[dict[str
     }
     first = constants[0]
     return [{p.prop_name(first): p.prop_name(c) for p in preds} for c in constants[1:]]
+
+
+# what a symbolic grounding names the constant of a proposition; not an
+# identifier, so no constant has it
+SYMBOL = "(x)"
+
+
+@gc_paused()
+def symbolic_grounding(qtl: Qtl, gctx: GroundingContext) -> tuple[list[tuple], list[int]]:
+    """The distinct subformulas of `ground(qtl, gctx)`, grounding no
+    conjunct at more than one constant: a table of structural keys in the
+    form of `ltl.structural_index` (children first, the grounding's own
+    key last), and for each key how many distinct subformulas of the
+    grounding it stands for.
+
+    Each universal body is grounded once with its variable kept as
+    SYMBOL, and each ABox or witness conjunct once with its one constant
+    kept as SYMBOL; all of it is hash-consed into one table.  A key with
+    SYMBOL below it stands for its copy at each constant it is grounded
+    at: every constant for a key of a universal body, and the conjunct's
+    own constant for a key of a conjunct about one.  A key without it
+    stands for one subformula.  A `∀x` node is its
+    body's copies at the constants, conjoined; a conjunction of copies at
+    two different constants is one formula, keyed on its children's
+    copies rather than on their keys, so it never meets a symbolic key.
+    The grounding's per-occurrence size and its sizes after past
+    elimination follow from the table alone
+    (`pastelim.SubformulaTable`).
+    """
+    constants = gctx.constants
+    every = (1 << len(constants)) - 1
+    bit = {c: 1 << i for i, c in enumerate(constants)}
+    keys: list[tuple] = []
+    # per key, the constants (as bits) whose copies of it the grounding has;
+    # 0 for a key without SYMBOL below it
+    at: list[int] = []
+    index: dict[tuple, int] = {}
+
+    # A copy is (uid, bits): a key and the one constant its SYMBOL stands
+    # for, as a bit (every constant, for a universal body), or 0.
+    def node(key: tuple, bits: int, index_key: Optional[tuple] = None) -> tuple[int, int]:
+        index_key = index_key or key
+        uid = index.get(index_key)
+        if uid is None:
+            uid = index[index_key] = len(keys)
+            keys.append(key)
+            at.append(0)
+        at[uid] |= bits
+        return uid, bits
+
+    def unary(t: type, a: tuple[int, int]) -> tuple[int, int]:
+        return node((t, a[0]), a[1])
+
+    def binary(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        key = (LAnd, a[0], b[0])
+        if a[1] and b[1] and a[1] != b[1]:
+            return node(key, 0, (LAnd, a, b))
+        return node(key, a[1] | b[1])
+
+    memo: dict[int, tuple[int, int]] = {}
+    # (node, whether a quantifier binds its variable, children done)
+    stack: list[tuple[Qtl, bool, bool]] = [(qtl, False, False)]
+    while stack:
+        n, bound, done = stack.pop()
+        if id(n) in memo:
+            continue
+        t = type(n)
+        if not done:
+            stack.append((n, bound, True))
+            if t is QForAll:
+                stack.append((n.body, True, False))
+            elif t is QAnd:
+                stack.append((n.left, bound, False))
+                stack.append((n.right, bound, False))
+            elif t is not QFalsum and t is not QProp and t is not QAtom:
+                stack.append((n.arg, bound, False))
+            continue
+        if t is QFalsum:
+            out = node((LFalse,), 0)
+        elif t is QProp:
+            out = node((LProp, n.name), 0)
+        elif t is QAtom:
+            if type(n.term) is Const:
+                bits = bit[n.term.name.lower()]
+            elif bound:
+                bits = every
+            else:
+                raise ValueError("free variable outside a quantifier")
+            out = node((LProp, n.pred.prop_name(SYMBOL)), bits)
+        elif t is QForAll:
+            uid, bits = memo[id(n.body)]
+            copies = [(uid, bit[c] if bits else 0) for c in constants]
+            out = copies[-1]
+            for copy in reversed(copies[:-1]):
+                out = binary(copy, out)
+        elif t is QAnd:
+            out = binary(memo[id(n.left)], memo[id(n.right)])
+        elif t is QAlwF:
+            out = unary(LNot, unary(LSomeF, unary(LNot, memo[id(n.arg)])))
+        elif t is QAlwP:
+            out = unary(LNot, unary(LSomeP, unary(LNot, memo[id(n.arg)])))
+        else:
+            out = unary(_QUNARY[t], memo[id(n.arg)])
+        memo[id(n)] = out
+    return keys, [max(1, bits.bit_count()) for bits in at]

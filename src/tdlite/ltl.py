@@ -8,7 +8,7 @@ expand into this core.
 Formulas can be very large (millions of nodes, right-nested conjunction
 chains), so every traversal here is iterative and memoized on node
 identity, visiting a shared subtree once; only printing writes it out at
-every occurrence.  `tree_size` counts a shared subtree once per
+every occurrence.  A node's `size` counts a shared subtree once per
 occurrence, as the paper's sizes do, but walks nothing: each node stores
 that count when it is built.
 
@@ -229,11 +229,6 @@ def iter_nodes(f: Ltl) -> Iterator[Ltl]:
             stack += (n.left, n.right)
         elif type(n) in _UNARY:
             stack.append(n.arg)
-
-
-def tree_size(f: Ltl) -> int:
-    """AST node count with shared subtrees counted per occurrence."""
-    return f.size
 
 
 def prop_names(f: Ltl) -> set[str]:

@@ -9,9 +9,11 @@ in the size of the input.
 
 No `Ltl` node of the translation is ever built.  Its node and proposition
 counts follow from the table of subformulas alone
-(`SubformulaTable.output_size`, `output_props`), which is how the
-pipeline's `ltl` stage records its size, and `print_past_free` writes its
-text straight from the table, which is how a solver receives it.  The
+(`SubformulaTable.output_size`, `output_props`).  The pipeline's `ltl`
+stage records them from the table of a symbolic grounding, whose keys
+each stand for several subformulas (`ground.symbolic_grounding`), and
+`print_past_free` writes the text straight from the table of the
+formula, which is how a solver receives it.  The
 translation is the conjunction of
 
 * the flattening of the input on the positive half: each proposition
@@ -34,7 +36,7 @@ grounding of a knowledge base the translation is already a fixpoint of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .ltl import (
     LAnd,
@@ -74,31 +76,66 @@ class SubformulaTable:
     uid order; `surrogates` holds the uid of each temporal subformula, in
     increasing order.  Their pair names (`pair_names`, `surrogate_name`)
     are formatted only where a printer writes them.
+
+    The counts take `copies`, how many distinct subformulas each key
+    stands for, for a table whose keys stand for several
+    (`ground.symbolic_grounding`); without it each key stands for one.
     """
 
     keys: list[tuple]
     props: list[str]
     surrogates: list[int]
 
-    def output_props(self) -> int:
+    @classmethod
+    def of(cls, keys: list[tuple]) -> "SubformulaTable":
+        return cls(keys, [key[1] for key in keys if key[0] is LProp],
+                   [uid for uid, key in enumerate(keys) if key[0] in _TEMPORAL])
+
+    def input_size(self) -> int:
+        """The node count of the input, shared subtrees counted per
+        occurrence."""
+        size: list[int] = []
+        for key in self.keys:
+            t = key[0]
+            if t is LAnd:
+                size.append(1 + size[key[1]] + size[key[2]])
+            elif t is LProp or t is LFalse:
+                size.append(1)
+            else:
+                size.append(1 + size[key[1]])
+        return size[-1]
+
+    def input_props(self, copies: Optional[Sequence[int]] = None) -> int:
+        """How many propositions the input names."""
+        if copies is None:
+            return len(self.props)
+        return sum(copies[uid] for uid, key in enumerate(self.keys) if key[0] is LProp)
+
+    def _surrogate_count(self, copies: Optional[Sequence[int]]) -> int:
+        if copies is None:
+            return len(self.surrogates)
+        return sum(copies[uid] for uid in self.surrogates)
+
+    def output_props(self, copies: Optional[Sequence[int]] = None) -> int:
         """How many propositions the past-free translation names: both
         names of every pair, since its time-zero sync conjunction names
         each pair."""
-        return 2 * (len(self.props) + len(self.surrogates))
+        return 2 * (self.input_props(copies) + self._surrogate_count(copies))
 
-    def output_size(self) -> int:
+    def output_size(self, copies: Optional[Sequence[int]] = None) -> int:
         """The node count of the past-free translation, shared subtrees
         counted per occurrence, by arithmetic over the table alone.
 
         The flattening of a subformula has the same shape on both halves
         of the timeline, so one size per uid serves both, and its root is
         a negation exactly when the subformula's is.  The input's root is
-        the last key.
+        the last key.  Each temporal key adds its step clauses once per
+        subformula it stands for.
         """
         keys = self.keys
         size: list[int] = []  # of each subformula's flattening
         step_sizes = 0
-        for key in keys:
+        for uid, key in enumerate(keys):
             t = key[0]
             if t is LAnd:
                 size.append(1 + size[key[1]] + size[key[2]])
@@ -113,19 +150,21 @@ class SubformulaTable:
             arg, arg_not = size[k], keys[k][0] is LNot
             if t is LNextF or t is LNextP:
                 # ○s ↔ a on one half, s ↔ ○a on the other
-                step_sizes += _iff_size(2, False, arg, arg_not)
+                steps = _iff_size(2, False, arg, arg_not)
             else:
                 # ○s ↔ (s ∨ ○a) on one half, s ↔ ◇a on the other
-                step_sizes += _iff_size(2, False, _lor_size(1, arg + 1), True)
-            step_sizes += _iff_size(1, False, arg + 1, False)
+                steps = _iff_size(2, False, _lor_size(1, arg + 1), True)
+            steps += _iff_size(1, False, arg + 1, False)
+            step_sizes += steps if copies is None else copies[uid] * steps
 
         parts = [size[-1]]
-        syncs = len(self.props) + len(self.surrogates)
+        surrogates = self._surrogate_count(copies)
+        syncs = self.input_props(copies) + surrogates
         if syncs:
             parts.append(_conj_size(syncs * _iff_size(1, False, 1, False), syncs))
-        if self.surrogates:
+        if surrogates:
             # alw_f adds ¬◇¬ around the conjunction of the step clauses
-            parts.append(3 + _conj_size(step_sizes, 2 * len(self.surrogates)))
+            parts.append(3 + _conj_size(step_sizes, 2 * surrogates))
         return _conj_size(sum(parts), len(parts))
 
 
@@ -147,9 +186,7 @@ def _iff_size(a: int, a_not: bool, b: int, b_not: bool) -> int:
 
 
 def build_table(f: Ltl) -> SubformulaTable:
-    keys = structural_index(f)
-    return SubformulaTable(keys, [key[1] for key in keys if key[0] is LProp],
-                           [uid for uid, key in enumerate(keys) if key[0] in _TEMPORAL])
+    return SubformulaTable.of(structural_index(f))
 
 
 @gc_paused()

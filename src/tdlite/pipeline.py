@@ -3,15 +3,19 @@
 A knowledge base runs through up to three translation stages — the
 one-variable first-order temporal formula, its propositional grounding,
 and (over ℤ) the past-free rendering — with per-stage sizes and timings
-collected in a trace.  The trace keeps the first two formulas, the
-constants of the grounding, and over ℤ the grounding's table of
-structural keys; of the third stage it records only the size, taken from
-past elimination's table (`SubformulaTable.output_size`).  No past-free
-formula is ever built: `tdlite translate --to ltl` prints it from the
-table (`pastelim.print_past_free`).  In process, checking decides the
-grounding one constant at a time (`components.check_by_constant`); an
-external solver profile gets `solver_formula`, the optimized grounding,
-which the emitters print over ℤ with its past eliminated.
+collected in a trace.  The trace keeps the first formula and the
+constants of the grounding.  Of the other two stages it records only the
+sizes, and neither is built to get them: the symbolic grounding
+(`ground.symbolic_grounding`) grounds each universal body and each fact
+once, and past elimination's table of it gives both stages' node and
+proposition counts (`pastelim.SubformulaTable`).  `tdlite translate --to
+ltlp|ltl` grounds the KB itself to print it, the second over ℤ from past
+elimination's table (`pastelim.print_past_free`).  In process, checking
+decides the grounding one constant at a time
+(`components.check_by_constant`), and grounds the whole KB only to
+re-check a combined SAT word; an external solver profile gets
+`solver_formula`, the optimized grounding, which the emitters print over
+ℤ with its past eliminated.
 `solver_formula` is the one definition of what a solver receives;
 `tdlite translate --to smv|infix` and `tdlite bench` use it too.  It
 optimizes the universal part of the grounding at one constant and renames
@@ -26,10 +30,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .components import Decomposition, check_by_constant
-from .ground import EVERY_CONSTANT, GroundingContext, conjuncts_about, ground, renamings
+from .ground import (
+    EVERY_CONSTANT,
+    GroundingContext,
+    conjuncts_about,
+    ground,
+    renamings,
+    symbolic_grounding,
+)
 from .kb import KnowledgeBase, concept_size
-from .ltl import Ltl, count_props, gc_paused, optimize_instances, tree_size
-from .pastelim import build_table
+from .ltl import Ltl, optimize_instances
+from .pastelim import SubformulaTable
 from .qtl import Qtl, TranslationContext, q_conj, qtl_size, translate_kb
 from .solvers import SolverProfile, run_solver
 
@@ -50,11 +61,6 @@ class PipelineTrace:
     qtl_ctx: Optional[TranslationContext] = None
     # the constants the grounding instantiates the quantifier with
     gctx: Optional[GroundingContext] = None
-    # the ℕ flow's final translation; over ℤ, its past elimination is
-    grounded: Optional[Ltl] = field(default=None, repr=False)
-    # over ℤ, the grounding's `ltl.structural_index`, from the ltl stage;
-    # None after a check by a solver profile, which re-checks nothing
-    keys: Optional[list[tuple]] = field(default=None, repr=False)
     # how an in-process check split the grounding; None for other runs
     decomposition: Optional[Decomposition] = None
 
@@ -98,11 +104,10 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
 
     Stage order is KB → qtl1 → ltlp → ltl; the last stage exists only in
     the ℤ flow, where past elimination is required (the ℕ flow's grounded
-    formula is already past-free).  The `ltl` stage records the size of
-    the grounding's past elimination without building it: it times the
-    table of the grounding and the arithmetic over it.  Over ℤ that table
-    also gives the `ltlp` stage's proposition count, and its keys stay on
-    the trace for an in-process check's re-check of the combined word.
+    formula is already past-free).  Neither the grounding nor its past
+    elimination is built: the `ltlp` stage times the symbolic grounding
+    and the grounding's size from its table, the `ltl` stage the
+    arithmetic of past elimination over the same table.
     """
     trace = PipelineTrace(flow=flow)
     trace.stages.append(StageRecord("kb", kb_node_count(kb), None, 0.0))
@@ -115,21 +120,14 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
 
     t0 = time.monotonic()
     trace.gctx = GroundingContext.from_kb(kb, ctx)
-    g = ground(q, trace.gctx)
-    wall = (time.monotonic() - t0) * 1000.0
-    trace.grounded = g
-    if flow == "n":
-        trace.stages.append(StageRecord("ltlp", tree_size(g), count_props(g), wall))
-        return trace
-
-    t0 = time.monotonic()
-    with gc_paused():
-        table = build_table(g)
-        nodes, props = table.output_size(), table.output_props()
-    ltl_wall = (time.monotonic() - t0) * 1000.0
-    trace.keys = table.keys
-    trace.stages.append(StageRecord("ltlp", tree_size(g), len(table.props), wall))
-    trace.stages.append(StageRecord("ltl", nodes, props, ltl_wall))
+    keys, copies = symbolic_grounding(q, trace.gctx)
+    table = SubformulaTable.of(keys)
+    nodes, props = table.input_size(), table.input_props(copies)
+    trace.stages.append(StageRecord("ltlp", nodes, props, (time.monotonic() - t0) * 1000.0))
+    if flow == "z":
+        t0 = time.monotonic()
+        nodes, props = table.output_size(copies), table.output_props(copies)
+        trace.stages.append(StageRecord("ltl", nodes, props, (time.monotonic() - t0) * 1000.0))
     return trace
 
 
@@ -153,13 +151,8 @@ def check_kb(
     """
     trace = run_pipeline(kb, flow)
     if profile is None:
-        word, trace.decomposition = check_by_constant(
-            trace.qtl, trace.qtl_ctx, trace.gctx, trace.grounded, trace.keys
-        )
+        word, trace.decomposition = check_by_constant(trace.qtl, trace.qtl_ctx, trace.gctx)
         return ("SAT" if word is not None else "UNSAT"), trace
-    # only the in-process re-check reads the keys; held through the
-    # emission, they would add their size to its peak
-    trace.keys = None
     result = run_solver(
         profile,
         solver_formula(trace),
@@ -173,7 +166,7 @@ def check_kb(
 
 def solver_formula(trace: PipelineTrace) -> Ltl:
     """What an external solver gets: the optimized grounding, as
-    `optimize(trace.grounded)` gives it (where optimize stops short of
+    `optimize(ground(trace.qtl, trace.gctx))` gives it (where optimize stops short of
     its fixpoint, this may stop at another point on the way).  The
     emitters print it for the trace's flow (`solvers.emit`), over ℤ as
     its past-free translation, written from past elimination's table.

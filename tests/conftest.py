@@ -11,6 +11,7 @@ from tdlite.kb import KnowledgeBase
 from tdlite.kbparse import parse_kb
 from tdlite.ltl import FALSE, LAnd, LNextF, LNextP, LNot, LProp, LSomeF, LSomeP, Ltl
 from tdlite.oracle import BiLassoWord
+from tdlite.randgen import BatchSpec, generate_instance
 
 PROPS = ("a", "b", "c", "d")
 UNARY_OPS = (LNot, LNextF, LNextP, LSomeF, LSomeP)
@@ -30,6 +31,22 @@ def toy_text(name: str) -> str:
 
 def load_toy(name: str) -> KnowledgeBase:
     return parse_kb(toy_text(name))
+
+
+def handoff_kbs():
+    """The hand-off corpus: (label, KB, flow) for the toy corpus in both
+    flows, three instances of the translation gate's spec at a smaller
+    scale and six with random ABoxes, each in both flows."""
+    for name in sorted(TOY_VERDICTS):
+        for flow in ("n", "z"):
+            yield f"{name}/{flow}", load_toy(name), flow
+    # the translation gate's spec at a smaller scale, and random ABoxes
+    gate = BatchSpec(F=3, N=3, Lt=10, Lc=6, Q=2, seed=20260824)
+    aboxes = BatchSpec(F=6, N=2, Lt=3, Lc=4, Q=2, abox_size=4, seed=23)
+    for label, spec in (("gate", gate), ("abox", aboxes)):
+        for i in range(spec.F):
+            for flow in ("n", "z"):
+                yield f"{label}#{i}/{flow}", generate_instance(spec, i, flow=flow), flow
 
 
 def random_ltlp(

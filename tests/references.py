@@ -4,8 +4,8 @@ A bounded, sound-but-incomplete model search over ℤ that cross-checks the
 complete checker, a word evaluator that searches (node, position) pairs
 on demand, against which the bottom-up `oracle.eval_on_lasso` is tested,
 the read-back of a model with past from an ℕ model of its past-free
-translation, a walk that counts a formula's nodes, for the size each
-node stores, the closed-form count of a TBox's monotonicity conjuncts,
+translation, the size each node stores (`tree_size`) and a walk that
+counts a formula's nodes for it, the closed-form count of a TBox's monotonicity conjuncts,
 a test for past operators, past elimination built as `Ltl` nodes (the
 formula `pastelim.print_past_free` writes and `SubformulaTable` sizes),
 and `optimize`, `print_formula` and the
@@ -50,6 +50,8 @@ from tdlite.ltl import (
     prop_names,
     to_infix,
 )
+from tdlite.ground import ground
+from tdlite.ltl import count_props
 from tdlite.oracle import BiLassoWord, Valuation
 from tdlite.pastelim import SubformulaTable, build_table, pair_names, surrogate_name
 from tdlite.qtl import TranslationContext
@@ -265,6 +267,35 @@ def _children(f: Ltl) -> tuple[Ltl, ...]:
     if isinstance(f, _UNARY):
         return (f.arg,)
     return ()
+
+
+def tree_size(f: Ltl) -> int:
+    """AST node count with shared subtrees counted per occurrence, as
+    each node stores it."""
+    return f.size
+
+
+def grounding(trace) -> Ltl:
+    """The grounding of a pipeline trace's KB over all its constants."""
+    return ground(trace.qtl, trace.gctx)
+
+
+def grounded_sizes(trace) -> tuple[int, ...]:
+    """The sizes that the trace's `ltlp` stage and, over ℤ, its `ltl`
+    stage record, counted on the whole grounding: its node and
+    proposition counts, and those of its past elimination from the
+    grounding's own table."""
+    g = grounding(trace)
+    if trace.flow == "n":
+        return tree_size(g), count_props(g)
+    table = build_table(g)
+    return tree_size(g), count_props(g), table.output_size(), table.output_props()
+
+
+def recorded_sizes(trace) -> tuple[int, ...]:
+    """The sizes that the trace records, in the order of `grounded_sizes`."""
+    names = ("ltlp",) if trace.flow == "n" else ("ltlp", "ltl")
+    return tuple(x for name in names for x in (trace.stage(name).nodes, trace.stage(name).props))
 
 
 def walked_tree_size(f: Ltl) -> int:

@@ -17,7 +17,6 @@ from scipy import stats
 
 from tdlite.ground import GroundingContext, ground
 from tdlite.kb import normalize_kb
-from tdlite.ltl import tree_size
 from tdlite.oracle import BiLassoWord, eval_on_lasso, z_sat
 from tdlite.pipeline import check_kb, run_pipeline, solver_formula
 from tdlite.qtl import build_context, translate_kb, translate_tbox
@@ -40,6 +39,7 @@ from references import (
     depast_with_table,
     eq2_conjunct_count,
     reconstruct_value,
+    tree_size,
     z_sat_bounded,
 )
 

@@ -26,7 +26,7 @@ from tdlite.ltl import to_infix
 from tdlite.pipeline import run_pipeline, solver_formula
 from tdlite.solvers import emit_smv
 
-from references import depast
+from references import depast, grounding
 
 UNSAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB BOT\nABOX\nA(x)@0\n"
 SAT_KB = "SIG\nconcept A\nindividual x\nTBOX\nA SUB X A\nABOX\nA(x)@0\n"
@@ -129,7 +129,7 @@ def test_translate_prints_the_formula_a_solver_gets(kb_file, capsys, flow):
 def test_translate_to_ltl_prints_the_final_translation(kb_file, capsys, flow):
     # over ℤ the past-free translation of the grounding, printed from its
     # table; over ℕ the grounding itself
-    grounded = run_pipeline(parse_kb(SAT_KB), flow).grounded
+    grounded = grounding(run_pipeline(parse_kb(SAT_KB), flow))
     want = to_infix(depast(grounded) if flow == "z" else grounded)
     assert run_cli("translate", kb_file(SAT_KB), "--flow", flow, "--to", "ltl") == EXIT_SAT
     assert capsys.readouterr().out == want + "\n"
@@ -145,6 +145,35 @@ def test_translate_trace_artifact(kb_file, tmp_path, capsys):
     doc = json.loads(trace_path.read_text())
     assert [s["name"] for s in doc["stages"]] == ["kb", "qtl1", "ltlp", "ltl"]
     assert (tmp_path / "out.ltl").read_text().strip()
+
+
+@pytest.mark.parametrize("flow", ["n", "z"])
+def test_check_trace_artifact(kb_file, tmp_path, capsys, flow):
+    # the stages and how the in-process check split the KB, as the
+    # trace that check_kb returns gives them
+    trace_path = tmp_path / "trace.json"
+    code = run_cli("check", kb_file(SAT_KB), "--flow", flow, "--emit-trace", str(trace_path))
+    assert code == EXIT_SAT
+    assert capsys.readouterr().out.strip() == "SAT"
+    doc = json.loads(trace_path.read_text())
+    assert doc["flow"] == flow
+    stages = ["kb", "qtl1", "ltlp"] + (["ltl"] if flow == "z" else [])
+    assert [s["name"] for s in doc["stages"]] == stages
+    trace = run_pipeline(parse_kb(SAT_KB), flow)
+    assert [(s["nodes"], s["props"]) for s in doc["stages"]] == [
+        (rec.nodes, rec.props) for rec in trace.stages
+    ]
+    assert all(s["wall-ms"] >= 0 for s in doc["stages"])
+    assert doc["decomposition"] == {
+        "components": 1, "checker-calls": 1, "kept-role-props": [], "refuted-by": None,
+    }
+
+
+def test_check_writes_no_trace_on_a_flow_violation(kb_file, tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    code = run_cli("check", kb_file(PAST_KB), "--flow", "n", "--emit-trace", str(trace_path))
+    assert code == EXIT_FLOW
+    assert not trace_path.exists()
 
 
 def test_solve_command(tmp_path, capsys):

@@ -38,7 +38,6 @@ from tdlite.ltl import (
     simplify,
     struct_eq,
     to_infix,
-    tree_size,
 )
 from tdlite.oracle import eval_on_lasso
 from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS
@@ -53,6 +52,7 @@ from references import (
     rebuilt_optimize,
     rebuilt_simplify,
     renamed,
+    tree_size,
     tuple_keyed_intern,
     walked_tree_size,
 )

@@ -23,7 +23,7 @@ from tdlite.pipeline import run_pipeline
 from tdlite.randgen import BatchSpec, generate_instance
 
 from conftest import FUTURE_UNARY_OPS, UNARY_OPS, formulas, random_bilasso, random_ltlp
-from references import depast, searched_eval_on_lasso, z_sat_bounded
+from references import depast, grounding, searched_eval_on_lasso, z_sat_bounded
 
 V = frozenset
 A = V({"a"})
@@ -92,7 +92,7 @@ def test_eval_window_follows_nesting_depth_not_operator_count():
     # future operators, nested only a few deep; the window set by their
     # count made this one evaluation take tens of seconds
     kb = generate_instance(BatchSpec(F=6, N=3, Lt=10, Lc=6, Q=2, seed=20260824), 0, flow="z")
-    f = optimize(run_pipeline(kb, "z").grounded)
+    f = optimize(grounding(run_pipeline(kb, "z")))
     word = BiLassoWord(left_loop=(E,), left_prefix=(), anchor=E, right_prefix=(), right_loop=(E,))
     start = time.process_time()
     assert not eval_on_lasso(f, word, 0)

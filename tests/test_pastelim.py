@@ -28,14 +28,13 @@ from tdlite.ltl import (
     count_props,
     print_formula,
     prop_names,
-    tree_size,
 )
 from tdlite.oracle import eval_on_lasso, z_sat
 from tdlite.pastelim import build_table, pair_names, print_past_free, surrogate_name
 from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS
 
 from conftest import formulas, random_ltlp
-from references import depast, depast_with_table, has_past, reconstruct_value
+from references import depast, depast_with_table, has_past, reconstruct_value, tree_size
 
 
 def test_output_is_past_free():

@@ -9,7 +9,7 @@ import pytest
 
 from tdlite.ground import EVERY_CONSTANT, GroundingContext, conjuncts_about, ground
 from tdlite.kbparse import parse_kb
-from tdlite import ltl, oracle, pastelim, solvers
+from tdlite import components, ltl, oracle, pastelim, solvers
 from tdlite.ltl import (
     INFIX_TOKENS,
     _intern,
@@ -17,7 +17,6 @@ from tdlite.ltl import (
     optimize,
     parse_infix,
     structural_index,
-    tree_size,
 )
 from tdlite.pastelim import print_past_free
 from tdlite.pipeline import (
@@ -39,14 +38,16 @@ from tdlite.solvers import (
     run_solver,
 )
 
-from conftest import TOY_VERDICTS, load_toy, toy_text
+from conftest import TOY_VERDICTS, handoff_kbs, load_toy, toy_text
 from references import (
     chained_print_formula,
     depast,
+    grounding,
     has_past,
     named_key,
     optimized_to_the_end,
     rebuilt_optimize,
+    tree_size,
     tuple_keyed_intern,
     walked_tree_size,
 )
@@ -63,13 +64,13 @@ def test_stage_sequence_per_flow():
     assert [s.name for s in n.stages] == ["kb", "qtl1", "ltlp"]
     assert z.stages[0].nodes == kb_node_count(kb)
     # the ltl stage is the size of past elimination on the grounding
-    past_free = depast(z.grounded)
+    past_free = depast(grounding(z))
     assert not has_past(past_free)
     assert (z.stage("ltl").nodes, z.stage("ltl").props) == (
         tree_size(past_free), count_props(past_free),
     )
     assert (n.stage("ltlp").nodes, n.stage("ltlp").props) == (
-        tree_size(n.grounded), count_props(n.grounded),
+        tree_size(grounding(n)), count_props(grounding(n)),
     )
     with pytest.raises(KeyError):
         n.stage("ltl")
@@ -115,31 +116,18 @@ def test_solver_input_is_past_free():
         assert not has_past(parse_infix(emit_infix(solver_formula(trace), flow)))
 
 
-def _handoff_kbs():
-    for name in sorted(TOY_VERDICTS):
-        for flow in ("n", "z"):
-            yield f"{name}/{flow}", load_toy(name), flow
-    # the translation gate's spec at a smaller scale, and random ABoxes
-    gate = BatchSpec(F=3, N=3, Lt=10, Lc=6, Q=2, seed=20260824)
-    aboxes = BatchSpec(F=6, N=2, Lt=3, Lc=4, Q=2, abox_size=4, seed=23)
-    for label, spec in (("gate", gate), ("abox", aboxes)):
-        for i in range(spec.F):
-            for flow in ("n", "z"):
-                yield f"{label}#{i}/{flow}", generate_instance(spec, i, flow=flow), flow
-
-
 GATE0_SMV_SHA256 = "902d8ce6cebde98d6bd39cadb5cad7be9c671a369a4cfb374dad89a7e6c80983"
 
 
 def _assert_same_hand_off(trace, label):
     # solver_formula against the reference: the whole grounding optimized
-    got, want = solver_formula(trace), optimize(trace.grounded)
+    got, want = solver_formula(trace), optimize(grounding(trace))
     for input_format in ("smv", "infix-ltl"):
         assert emit(got, input_format, trace.flow) == emit(want, input_format, trace.flow), label
 
 
 def test_solver_formula_is_optimize_of_the_grounding_on_the_handoff_kbs():
-    for label, kb, flow in _handoff_kbs():
+    for label, kb, flow in handoff_kbs():
         _assert_same_hand_off(run_pipeline(kb, flow), label)
 
 
@@ -147,7 +135,7 @@ def test_solver_formula_of_the_gate_instance_is_the_recorded_hand_off():
     kb = generate_instance(BatchSpec(F=1, N=7, Lt=100, Lc=20, Q=5, seed=20260824), 0, flow="z")
     trace = run_pipeline(kb, "z")
     text = emit_smv(solver_formula(trace), "z")
-    assert text == emit_smv(optimize(trace.grounded), "z")
+    assert text == emit_smv(optimize(grounding(trace)), "z")
     assert hashlib.sha256(text.encode()).hexdigest() == GATE0_SMV_SHA256
 
 
@@ -193,7 +181,7 @@ def test_solver_formula_is_optimize_of_the_grounding_on_edge_cases(name, flow):
     elif name == "complementary conjuncts":
         assert text == "false"
     elif name == "long X-chains":
-        assert optimize(optimize(trace.grounded)).size < optimize(trace.grounded).size
+        assert optimize(optimize(grounding(trace))).size < optimize(grounding(trace)).size
 
 
 @pytest.mark.parametrize("flow", ["n", "z"])
@@ -204,7 +192,7 @@ def test_solver_formula_and_optimize_stop_short_at_different_points(flow):
     # further optimize calls take both to the same formula
     kb = parse_kb(_SIG + "TBOX\nTOP SUB" + " X" * 12 + " A\nTOP SUB" + " X" * 13 + " B\nABOX\n")
     trace = run_pipeline(kb, flow)
-    got, want = solver_formula(trace), optimize(trace.grounded)
+    got, want = solver_formula(trace), optimize(grounding(trace))
     assert ltl.to_infix(got) != ltl.to_infix(want)
     assert ltl.to_infix(optimized_to_the_end(got)) == ltl.to_infix(optimized_to_the_end(want))
 
@@ -218,7 +206,7 @@ def _past_free(f, flow):
 def test_solver_formula_is_an_optimize_fixpoint():
     # past elimination writes already-simplified clauses, which is why the
     # solver's text needs no optimize pass after it
-    for label, kb, flow in _handoff_kbs():
+    for label, kb, flow in handoff_kbs():
         f = _past_free(solver_formula(run_pipeline(kb, flow)), flow)
         assert tree_size(optimize(f)) == tree_size(f), label
 
@@ -226,15 +214,15 @@ def test_solver_formula_is_an_optimize_fixpoint():
 def test_optimize_matches_the_rebuilding_rounds_on_the_handoff_kbs():
     # optimize keeps unchanged nodes and carries them between rounds;
     # rounds that rebuild everything must print the same text
-    for label, kb, flow in _handoff_kbs():
-        g = run_pipeline(kb, flow).grounded
+    for label, kb, flow in handoff_kbs():
+        g = grounding(run_pipeline(kb, flow))
         f = optimize(g)
         assert ltl.to_infix(f) == ltl.to_infix(rebuilt_optimize(g)), label
         assert optimize(f) is f, label
 
 
 def test_emitters_match_the_chained_printer_on_the_handoff_kbs():
-    for label, kb, flow in _handoff_kbs():
+    for label, kb, flow in handoff_kbs():
         f = _past_free(solver_formula(run_pipeline(kb, flow)), flow)
         for tokens in (_INFIX_TOKENS, _SMV_TOKENS):
             assert ltl.print_formula(f, tokens) == chained_print_formula(f, tokens), label
@@ -244,40 +232,36 @@ def test_printer_matches_the_built_translation_on_the_handoff_kbs():
     # the text written from the table, byte for byte the text of the
     # formula that past elimination builds, on the raw and the optimized
     # grounding of either flow
-    for label, kb, flow in _handoff_kbs():
-        g = run_pipeline(kb, flow).grounded
+    for label, kb, flow in handoff_kbs():
+        g = grounding(run_pipeline(kb, flow))
         for f in (g, optimize(g)):
             past_free = depast(f)
             for tokens in (INFIX_TOKENS, _INFIX_TOKENS, _SMV_TOKENS):
                 assert print_past_free(f, tokens) == ltl.print_formula(past_free, tokens), label
 
 
-def _final_translation(trace):
-    """The formula the last stage of a trace records: the grounding over
-    ℕ, its past-free translation over ℤ (which the program never builds)."""
-    return trace.grounded if trace.flow == "n" else depast(trace.grounded)
-
-
 def test_stage_sizes_count_every_occurrence():
     # the sizes stored at construction, on what `ground`, `depast` and
-    # `optimize` build, against a walk of the formula; the ltl stage's
-    # size is computed from past elimination's table alone
-    for label, kb, flow in _handoff_kbs():
+    # `optimize` build, against a walk of the formula; the stages' sizes
+    # are computed from the symbolic grounding's table alone
+    for label, kb, flow in handoff_kbs():
         trace = run_pipeline(kb, flow)
-        final = _final_translation(trace)
-        for f in (trace.grounded, final, solver_formula(trace)):
+        g = grounding(trace)
+        final = g if flow == "n" else depast(g)
+        for f in (g, final, solver_formula(trace)):
             assert tree_size(f) == walked_tree_size(f), label
-        assert trace.stage("ltlp").nodes == walked_tree_size(trace.grounded), label
+        assert trace.stage("ltlp").nodes == walked_tree_size(g), label
         assert trace.stage("ltl" if flow == "z" else "ltlp").nodes == walked_tree_size(final), label
 
 
 def test_stage_props_count_every_proposition():
-    # over ℤ both counts come from past elimination's table, not from a
+    # both counts come from the symbolic grounding's table, not from a
     # walk of the formula
-    for label, kb, flow in _handoff_kbs():
+    for label, kb, flow in handoff_kbs():
         trace = run_pipeline(kb, flow)
-        assert trace.stage("ltlp").props == count_props(trace.grounded), label
-        final = _final_translation(trace)
+        g = grounding(trace)
+        assert trace.stage("ltlp").props == count_props(g), label
+        final = g if flow == "n" else depast(g)
         assert trace.stage("ltl" if flow == "z" else "ltlp").props == count_props(final), label
 
 
@@ -296,8 +280,8 @@ def test_run_pipeline_prints_no_past_free_formula(monkeypatch):
 def test_intern_matches_the_tuple_keyed_reference_on_the_handoff_kbs():
     # the surrogate names s{uid}, and with them the SMV bytes, depend on
     # the uids and the order of the representatives
-    for label, kb, flow in _handoff_kbs():
-        g = run_pipeline(kb, flow).grounded
+    for label, kb, flow in handoff_kbs():
+        g = grounding(run_pipeline(kb, flow))
         for f in (g, optimize(g)):
             ref_uid_of, ref_keys = {}, {}
             tuple_keyed_intern(f, ref_uid_of, ref_keys)
@@ -310,16 +294,25 @@ def test_intern_matches_the_tuple_keyed_reference_on_the_handoff_kbs():
 
 @pytest.mark.parametrize("name", ["ex1_tbox", "ex2_variant"])
 def test_an_in_process_z_check_keys_the_grounding_once(monkeypatch, name):
-    # the ltl stage's table of the grounding is the one the combined
-    # word's re-check reads
-    keyed = []
+    # only the combined word's re-check grounds the whole KB, and it keys
+    # that grounding once; no stage grounds or keys it
+    grounded, keyed = [], []
+    real_ground = components.ground
+
+    def spy(q, gctx, fixed=None):
+        g = real_ground(q, gctx, fixed)
+        grounded.append((q, g))
+        return g
+
+    monkeypatch.setattr(components, "ground", spy)
     for module in (pastelim, oracle):
         index = module.structural_index
         monkeypatch.setattr(module, "structural_index",
                             lambda f, index=index: keyed.append(f) or index(f))
     verdict, trace = check_kb(load_toy(name), "z")
     assert verdict == TOY_VERDICTS[name] == "SAT"
-    assert sum(f is trace.grounded for f in keyed) == 1
+    (whole,) = [g for q, g in grounded if q is trace.qtl]
+    assert sum(f is whole for f in keyed) == 1
 
 
 def test_run_solver_on_solver_formula():
@@ -362,7 +355,7 @@ def test_run_pipeline_keeps_a_disabled_collector_disabled():
 
 
 def test_optimize_leaves_the_collector_enabled():
-    g = run_pipeline(parse_kb(SAT_KB), "z").grounded
+    g = grounding(run_pipeline(parse_kb(SAT_KB), "z"))
     assert gc.isenabled()
     optimize(g)
     assert gc.isenabled()
@@ -378,13 +371,13 @@ def test_optimize_restores_the_collector_when_it_raises(monkeypatch):
     monkeypatch.setattr(ltl, "simplify", failing_simplify)
     assert gc.isenabled()
     with pytest.raises(RuntimeError, match="simplify failed"):
-        optimize(run_pipeline(parse_kb(SAT_KB), "z").grounded)
+        optimize(grounding(run_pipeline(parse_kb(SAT_KB), "z")))
     assert seen == [False]  # paused while it ran
     assert gc.isenabled()
 
 
 def test_optimize_keeps_a_disabled_collector_disabled():
-    g = run_pipeline(parse_kb(SAT_KB), "z").grounded
+    g = grounding(run_pipeline(parse_kb(SAT_KB), "z"))
     gc.disable()
     try:
         optimize(g)
