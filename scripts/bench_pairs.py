@@ -90,6 +90,7 @@ HANDOFF_CHILD = """
 import hashlib, json, sys, time
 from tdlite.ground import GroundingContext, ground
 from tdlite.ltl import optimize
+from tdlite.pastelim import build_table
 from tdlite.pipeline import run_pipeline, solver_formula
 from tdlite.qtl import translate_kb
 from tdlite.randgen import BatchSpec, generate_instance
@@ -99,7 +100,8 @@ stages = {}
 def timed(name, fn, *args):
     t = time.perf_counter()
     out = fn(*args)
-    stages[name] = {"ms": (time.perf_counter() - t) * 1000.0, "nodes": out.size}
+    stages[name] = {"ms": (time.perf_counter() - t) * 1000.0,
+                    "nodes": build_table(out).input_size()}
     return out
 q, ctx = translate_kb(kb, "z")
 g = timed("ground", ground, q, GroundingContext.from_kb(kb, ctx))

@@ -8,9 +8,10 @@ expand into this core.
 Formulas can be very large (millions of nodes, right-nested conjunction
 chains), so every traversal here is iterative and memoized on node
 identity, visiting a shared subtree once; only printing writes it out at
-every occurrence.  A node's `size` counts a shared subtree once per
-occurrence, as the paper's sizes do, but walks nothing: each node stores
-that count when it is built.
+every occurrence.  A node holds only its children.  The size of a
+formula, a shared subtree counted once per occurrence as the paper's
+sizes are, is read off its table of subformulas
+(`pastelim.SubformulaTable`).
 
 Node identity stays inside this module: `structural_index` gives other
 modules one post-order table of structural keys, indexed by uid, so past
@@ -19,9 +20,8 @@ keying nodes by `id()`.
 
 A node is never mutated after it is built.  The node classes are not
 frozen only because a frozen `__init__` costs about twice as much, and a
-translation builds millions of nodes; the stored sizes, the `id()`-keyed
-memos and the sharing of subtrees between formulas rely on nodes staying
-as built.
+translation builds millions of nodes; the `id()`-keyed memos and the
+sharing of subtrees between formulas rely on nodes staying as built.
 """
 
 from __future__ import annotations
@@ -66,87 +66,45 @@ class Ltl:
         return out if not stack and length <= REPR_LIMIT else out[:REPR_LIMIT] + "..."
 
 
-# Every node class stores `size`, the node count with shared subtrees
-# counted once per occurrence, computed from its children's when it is built.
-
-@dataclass(slots=True, eq=False, init=False, repr=False)
+@dataclass(slots=True, eq=False, repr=False)
 class LFalse(Ltl):
-    size: int
-
-    def __init__(self) -> None:
-        self.size = 1
+    pass
 
 
-@dataclass(slots=True, eq=False, init=False, repr=False)
+@dataclass(slots=True, eq=False, repr=False)
 class LProp(Ltl):
     name: str
-    size: int
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.size = 1
 
 
-@dataclass(slots=True, eq=False, init=False, repr=False)
+@dataclass(slots=True, eq=False, repr=False)
 class LNot(Ltl):
     arg: Ltl
-    size: int
-
-    def __init__(self, arg: Ltl) -> None:
-        self.arg = arg
-        self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False, init=False, repr=False)
+@dataclass(slots=True, eq=False, repr=False)
 class LAnd(Ltl):
     left: Ltl
     right: Ltl
-    size: int
-
-    def __init__(self, left: Ltl, right: Ltl) -> None:
-        self.left = left
-        self.right = right
-        self.size = 1 + left.size + right.size
 
 
-@dataclass(slots=True, eq=False, init=False, repr=False)
+@dataclass(slots=True, eq=False, repr=False)
 class LNextF(Ltl):
     arg: Ltl
-    size: int
-
-    def __init__(self, arg: Ltl) -> None:
-        self.arg = arg
-        self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False, init=False, repr=False)
+@dataclass(slots=True, eq=False, repr=False)
 class LNextP(Ltl):
     arg: Ltl
-    size: int
-
-    def __init__(self, arg: Ltl) -> None:
-        self.arg = arg
-        self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False, init=False, repr=False)
+@dataclass(slots=True, eq=False, repr=False)
 class LSomeF(Ltl):
     arg: Ltl
-    size: int
-
-    def __init__(self, arg: Ltl) -> None:
-        self.arg = arg
-        self.size = 1 + arg.size
 
 
-@dataclass(slots=True, eq=False, init=False, repr=False)
+@dataclass(slots=True, eq=False, repr=False)
 class LSomeP(Ltl):
     arg: Ltl
-    size: int
-
-    def __init__(self, arg: Ltl) -> None:
-        self.arg = arg
-        self.size = 1 + arg.size
 
 
 _UNARY = (LNot, LNextF, LNextP, LSomeF, LSomeP)
@@ -214,30 +172,6 @@ def conj(items: Iterable[Ltl]) -> Ltl:
 
 
 # --- traversals -------------------------------------------------------------
-
-def iter_nodes(f: Ltl) -> Iterator[Ltl]:
-    """Each distinct node object once, parents before children."""
-    seen: set[int] = set()
-    stack = [f]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        yield n
-        if type(n) is LAnd:
-            stack += (n.left, n.right)
-        elif type(n) in _UNARY:
-            stack.append(n.arg)
-
-
-def prop_names(f: Ltl) -> set[str]:
-    return {n.name for n in iter_nodes(f) if isinstance(n, LProp)}
-
-
-def count_props(f: Ltl) -> int:
-    return len(prop_names(f))
-
 
 def _intern(f: Ltl, uid_of: dict[int, int], key_to_uid: dict[tuple, int]) -> int:
     """Hash-cons f into the given tables and return its uid.
@@ -605,8 +539,9 @@ def optimize(f: Ltl) -> Ltl:
     OPTIMIZE_MAX_ROUNDS rounds.  Sibling merging can expose new merges one
     nesting level down (the ○-merge descends one level of an X-chain per
     round), so a few rounds are needed to collapse box towers.  A round
-    that leaves the size unchanged is the last; a formula still shrinking
-    after the last round is returned short of its fixpoint.
+    that returns its input itself has reached the fixpoint and is the
+    last; a formula still changing after the last round is returned short
+    of its fixpoint.
 
     Both passes return a node itself when its children come back
     unchanged and no rule fires, and each pass's result at a node depends
@@ -624,12 +559,12 @@ def optimize(f: Ltl) -> Ltl:
     simplified: dict[int, Ltl] = {}  # its values hold every interned node
     held: list[Ltl] = []  # the memos' keys are nodes of these formulas
     for _ in range(OPTIMIZE_MAX_ROUNDS):
-        size = f.size
         r = _rigidity_rewrite(f, rewritten)
         held += (f, r)
-        f = simplify(r, index, simplified)
-        if f.size == size:
+        g = simplify(r, index, simplified)
+        if g is f:
             break
+        f = g
     return f
 
 
@@ -661,6 +596,8 @@ def optimize_instances(
     """`optimize` of the conjunction of the pieces and their renamed
     instances, piece-major (each piece, then the piece with its
     propositions renamed by each renaming in turn), and then `rest`.
+    Where optimize stops at OPTIMIZE_MAX_ROUNDS short of its fixpoint,
+    the two may stop at different points on the way.
 
     Each piece is optimized once, on its own, and the results are renamed
     afterwards: optimize treats every name alike, so it commutes with an

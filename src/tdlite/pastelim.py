@@ -77,19 +77,22 @@ class SubformulaTable:
     increasing order.  Their pair names (`pair_names`, `surrogate_name`)
     are formatted only where a printer writes them.
 
-    The counts take `copies`, how many distinct subformulas each key
-    stands for, for a table whose keys stand for several
-    (`ground.symbolic_grounding`); without it each key stands for one.
+    `copies` holds, by uid, how many distinct subformulas each key stands
+    for: several in the table of a symbolic grounding
+    (`ground.symbolic_grounding`), one in the table of a formula.  The
+    counts read it, the printer does not.
     """
 
     keys: list[tuple]
     props: list[str]
     surrogates: list[int]
+    copies: Sequence[int]
 
     @classmethod
-    def of(cls, keys: list[tuple]) -> "SubformulaTable":
+    def of(cls, keys: list[tuple], copies: Optional[Sequence[int]] = None) -> "SubformulaTable":
         return cls(keys, [key[1] for key in keys if key[0] is LProp],
-                   [uid for uid, key in enumerate(keys) if key[0] in _TEMPORAL])
+                   [uid for uid, key in enumerate(keys) if key[0] in _TEMPORAL],
+                   [1] * len(keys) if copies is None else copies)
 
     def input_size(self) -> int:
         """The node count of the input, shared subtrees counted per
@@ -105,24 +108,22 @@ class SubformulaTable:
                 size.append(1 + size[key[1]])
         return size[-1]
 
-    def input_props(self, copies: Optional[Sequence[int]] = None) -> int:
+    def input_props(self) -> int:
         """How many propositions the input names."""
-        if copies is None:
-            return len(self.props)
+        copies = self.copies
         return sum(copies[uid] for uid, key in enumerate(self.keys) if key[0] is LProp)
 
-    def _surrogate_count(self, copies: Optional[Sequence[int]]) -> int:
-        if copies is None:
-            return len(self.surrogates)
+    def _surrogate_count(self) -> int:
+        copies = self.copies
         return sum(copies[uid] for uid in self.surrogates)
 
-    def output_props(self, copies: Optional[Sequence[int]] = None) -> int:
+    def output_props(self) -> int:
         """How many propositions the past-free translation names: both
         names of every pair, since its time-zero sync conjunction names
         each pair."""
-        return 2 * (self.input_props(copies) + self._surrogate_count(copies))
+        return 2 * (self.input_props() + self._surrogate_count())
 
-    def output_size(self, copies: Optional[Sequence[int]] = None) -> int:
+    def output_size(self) -> int:
         """The node count of the past-free translation, shared subtrees
         counted per occurrence, by arithmetic over the table alone.
 
@@ -132,7 +133,7 @@ class SubformulaTable:
         the last key.  Each temporal key adds its step clauses once per
         subformula it stands for.
         """
-        keys = self.keys
+        keys, copies = self.keys, self.copies
         size: list[int] = []  # of each subformula's flattening
         step_sizes = 0
         for uid, key in enumerate(keys):
@@ -155,11 +156,11 @@ class SubformulaTable:
                 # ○s ↔ (s ∨ ○a) on one half, s ↔ ◇a on the other
                 steps = _iff_size(2, False, _lor_size(1, arg + 1), True)
             steps += _iff_size(1, False, arg + 1, False)
-            step_sizes += steps if copies is None else copies[uid] * steps
+            step_sizes += copies[uid] * steps
 
         parts = [size[-1]]
-        surrogates = self._surrogate_count(copies)
-        syncs = self.input_props(copies) + surrogates
+        surrogates = self._surrogate_count()
+        syncs = self.input_props() + surrogates
         if syncs:
             parts.append(_conj_size(syncs * _iff_size(1, False, 1, False), syncs))
         if surrogates:

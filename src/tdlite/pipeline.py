@@ -121,12 +121,12 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
     t0 = time.monotonic()
     trace.gctx = GroundingContext.from_kb(kb, ctx)
     keys, copies = symbolic_grounding(q, trace.gctx)
-    table = SubformulaTable.of(keys)
-    nodes, props = table.input_size(), table.input_props(copies)
+    table = SubformulaTable.of(keys, copies)
+    nodes, props = table.input_size(), table.input_props()
     trace.stages.append(StageRecord("ltlp", nodes, props, (time.monotonic() - t0) * 1000.0))
     if flow == "z":
         t0 = time.monotonic()
-        nodes, props = table.output_size(copies), table.output_props(copies)
+        nodes, props = table.output_size(), table.output_props()
         trace.stages.append(StageRecord("ltl", nodes, props, (time.monotonic() - t0) * 1000.0))
     return trace
 
@@ -166,10 +166,11 @@ def check_kb(
 
 def solver_formula(trace: PipelineTrace) -> Ltl:
     """What an external solver gets: the optimized grounding, as
-    `optimize(ground(trace.qtl, trace.gctx))` gives it (where optimize stops short of
-    its fixpoint, this may stop at another point on the way).  The
-    emitters print it for the trace's flow (`solvers.emit`), over ℤ as
-    its past-free translation, written from past elimination's table.
+    `optimize(ground(trace.qtl, trace.gctx))` gives it (where optimize
+    stops at its round cap short of its fixpoint, this may stop at
+    another point on the way).  The emitters print it for the trace's
+    flow (`solvers.emit`), over ℤ as its past-free translation, written
+    from past elimination's table.
 
     It is built in two parts.  The universal conjuncts are grounded at
     the first constant, and `optimize_instances` optimizes each once and

@@ -37,7 +37,6 @@ from .ltl import (
     LSomeP,
     Ltl,
     PastOperatorPresent,
-    count_props,
     gc_paused,
     print_formula,
 )
@@ -154,15 +153,13 @@ def emit(
     return "\n".join(lines) + "\n", props
 
 
-def _input_props(f: Ltl, flow: str) -> tuple[int, Optional[SubformulaTable]]:
-    """How many propositions a solver's input for f names, without
-    emitting it, and over ℤ past elimination's table, which gives the
-    count and then the text."""
-    if flow == "n":
-        return count_props(f), None
+def _input_props(f: Ltl, flow: str) -> tuple[int, SubformulaTable]:
+    """How many propositions a solver's input for f names, counted on f's
+    table of subformulas without emitting it, and the table: over ℤ past
+    elimination's, which the emitter then prints from."""
     with gc_paused():
         table = build_table(f)
-    return table.output_props(), table
+    return (table.input_props() if flow == "n" else table.output_props()), table
 
 
 # --- profile files -----------------------------------------------------------
@@ -266,7 +263,7 @@ def run_solver(
 ) -> RunResult:
     """Emit f for the flow, run the profile's command on it under resource
     limits, and classify the outcome.  A profile's max-props is checked
-    before anything is emitted, over ℤ on past elimination's table, which
+    before anything is emitted, on f's table of subformulas, which over ℤ
     the emitter then prints from.  Never raises: every mishap is a FAIL (or
     TIMEOUT when a limit was hit), with its cause in the result's
     `reason`."""

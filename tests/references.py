@@ -4,11 +4,12 @@ A bounded, sound-but-incomplete model search over ℤ that cross-checks the
 complete checker, a word evaluator that searches (node, position) pairs
 on demand, against which the bottom-up `oracle.eval_on_lasso` is tested,
 the read-back of a model with past from an ℕ model of its past-free
-translation, the size each node stores (`tree_size`) and a walk that
-counts a formula's nodes for it, the closed-form count of a TBox's monotonicity conjuncts,
-a test for past operators, past elimination built as `Ltl` nodes (the
-formula `pastelim.print_past_free` writes and `SubformulaTable` sizes),
-and `optimize`, `print_formula` and the
+translation, walks that count a formula's nodes per occurrence
+(`tree_size`) and its propositions (`count_props`), the closed-form count
+of a TBox's monotonicity conjuncts, a test for past operators, past
+elimination built as `Ltl` nodes (the formula
+`pastelim.print_past_free` writes and `SubformulaTable` sizes), and
+`optimize`, `print_formula` and the
 hash-consing of `ltl._intern` as they were before they kept unchanged
 nodes, dispatched on exact type and keyed nodes in one loop: rounds that
 rebuild every node, a printer that runs down an `isinstance` chain, and
@@ -19,7 +20,7 @@ repeated until the text stops changing.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from tdlite import oracle
 from tdlite.bdd import Bdd
@@ -44,14 +45,12 @@ from tdlite.ltl import (
     conj,
     gc_paused,
     iff,
-    iter_nodes,
     lor,
     optimize,
-    prop_names,
+    struct_eq,
     to_infix,
 )
 from tdlite.ground import ground
-from tdlite.ltl import count_props
 from tdlite.oracle import BiLassoWord, Valuation
 from tdlite.pastelim import SubformulaTable, build_table, pair_names, surrogate_name
 from tdlite.qtl import TranslationContext
@@ -270,9 +269,42 @@ def _children(f: Ltl) -> tuple[Ltl, ...]:
 
 
 def tree_size(f: Ltl) -> int:
-    """AST node count with shared subtrees counted per occurrence, as
-    each node stores it."""
-    return f.size
+    """AST node count with shared subtrees counted per occurrence, by a
+    walk that visits each distinct node once (memoized on identity)."""
+    memo: dict[int, int] = {}
+    stack: list[tuple[Ltl, bool]] = [(f, False)]
+    while stack:
+        n, done = stack.pop()
+        if id(n) in memo:
+            continue
+        kids = _children(n)
+        if done or not kids:
+            memo[id(n)] = 1 + sum(memo[id(k)] for k in kids)
+        else:
+            stack.append((n, True))
+            stack.extend((k, False) for k in kids)
+    return memo[id(f)]
+
+
+def iter_nodes(f: Ltl) -> Iterator[Ltl]:
+    """Each distinct node object once, parents before children."""
+    seen: set[int] = set()
+    stack = [f]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        yield n
+        stack.extend(_children(n))
+
+
+def prop_names(f: Ltl) -> set[str]:
+    return {n.name for n in iter_nodes(f) if isinstance(n, LProp)}
+
+
+def count_props(f: Ltl) -> int:
+    return len(prop_names(f))
 
 
 def grounding(trace) -> Ltl:
@@ -296,24 +328,6 @@ def recorded_sizes(trace) -> tuple[int, ...]:
     """The sizes that the trace records, in the order of `grounded_sizes`."""
     names = ("ltlp",) if trace.flow == "n" else ("ltlp", "ltl")
     return tuple(x for name in names for x in (trace.stage(name).nodes, trace.stage(name).props))
-
-
-def walked_tree_size(f: Ltl) -> int:
-    """AST node count with shared subtrees counted per occurrence, by a
-    walk that visits each distinct node once (memoized on identity)."""
-    memo: dict[int, int] = {}
-    stack: list[tuple[Ltl, bool]] = [(f, False)]
-    while stack:
-        n, done = stack.pop()
-        if id(n) in memo:
-            continue
-        kids = _children(n)
-        if done or not kids:
-            memo[id(n)] = 1 + sum(memo[id(k)] for k in kids)
-        else:
-            stack.append((n, True))
-            stack.extend((k, False) for k in kids)
-    return memo[id(f)]
 
 
 def has_past(f: Ltl) -> bool:
@@ -455,12 +469,13 @@ def rebuilt_rigidity_rewrite(f: Ltl) -> Ltl:
 
 def rebuilt_optimize(f: Ltl) -> Ltl:
     """`ltl.optimize` as rounds that each rebuild the whole formula: the
-    same rounds and the same stop, nothing carried from round to round."""
+    same rounds, nothing carried from round to round, and the same stop,
+    at a round whose result is structurally its input."""
     for _ in range(OPTIMIZE_MAX_ROUNDS):
-        size = f.size
-        f = rebuilt_simplify(rebuilt_rigidity_rewrite(f))
-        if f.size == size:
+        g = rebuilt_simplify(rebuilt_rigidity_rewrite(f))
+        if struct_eq(g, f):
             break
+        f = g
     return f
 
 
@@ -600,8 +615,8 @@ def renamed(f: Ltl, names: dict[str, str]) -> Ltl:
 
 def optimized_to_the_end(f: Ltl, limit: int = 50) -> Ltl:
     """`optimize` applied until the text stops changing.  One call stops
-    at a round that leaves the size unchanged, or after
-    OPTIMIZE_MAX_ROUNDS rounds, also where the formula still changes."""
+    short of that only after OPTIMIZE_MAX_ROUNDS rounds that each changed
+    the formula."""
     text = to_infix(f)
     for _ in range(limit):
         g = optimize(f)

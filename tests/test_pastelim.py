@@ -25,16 +25,22 @@ from tdlite.ltl import (
     LProp,
     LSomeF,
     LSomeP,
-    count_props,
     print_formula,
-    prop_names,
 )
 from tdlite.oracle import eval_on_lasso, z_sat
 from tdlite.pastelim import build_table, pair_names, print_past_free, surrogate_name
 from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS
 
 from conftest import formulas, random_ltlp
-from references import depast, depast_with_table, has_past, reconstruct_value, tree_size
+from references import (
+    count_props,
+    depast,
+    depast_with_table,
+    has_past,
+    prop_names,
+    reconstruct_value,
+    tree_size,
+)
 
 
 def test_output_is_past_free():

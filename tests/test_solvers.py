@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from tdlite import pastelim, solvers
-from tdlite.ltl import LAnd, LNextF, LNot, LProp, LSomeF, LSomeP, conj, parse_infix, prop_names
+from tdlite.ltl import LAnd, LNextF, LNot, LProp, LSomeF, LSomeP, conj, parse_infix
 from tdlite.pipeline import run_pipeline, solver_formula
 from tdlite.solvers import (
     PastOperatorPresent,
@@ -22,7 +22,7 @@ from tdlite.solvers import (
 )
 
 from conftest import TOY_VERDICTS, load_toy
-from references import depast
+from references import depast, prop_names
 
 
 def _profile(**kw):
