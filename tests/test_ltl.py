@@ -22,6 +22,7 @@ from tdlite.ltl import (
     REPR_LIMIT,
     TRUE,
     _intern,
+    _rigidity_rewrite,
     alw_f,
     alw_p,
     conj,
@@ -37,6 +38,7 @@ from tdlite.ltl import (
     to_infix,
 )
 from tdlite.oracle import eval_on_lasso
+from tdlite.pastelim import build_table
 from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS
 
 from conftest import UNARY_OPS, formulas, random_bilasso, random_ltlp
@@ -77,6 +79,38 @@ def test_basic_accessors():
     assert count_props(f) == 2
     assert has_past(f)
     assert not has_past(LSomeF(LProp("a")))
+
+
+@given(shared_formulas())
+@settings(max_examples=200, deadline=None)
+def test_table_size_counts_every_occurrence(f):
+    # the size `SubformulaTable` counts from one key per distinct
+    # subformula, against a walk, on shared trees and on what the
+    # builders, the parser and the rewrites make of them
+    built = [
+        f,
+        conj([f, f, LProp("c")]),
+        iff(f, LNot(f)),
+        parse_infix(to_infix(f)),
+        simplify(f),
+        _rigidity_rewrite(f),
+        optimize(f),
+        depast(f),
+    ]
+    for g in built:
+        assert build_table(g).input_size() == tree_size(g), to_infix(g)
+
+
+def test_table_size_of_a_doubling_tower():
+    # 60 doublings: one key per level, 2**61 - 1 occurrences
+    f = LProp("a")
+    for _ in range(60):
+        f = LAnd(f, f)
+    table = build_table(f)
+    assert len(table.keys) == 61
+    # compared as plain ints: a failing assert must not print the tower
+    counted, walked = table.input_size(), tree_size(f)
+    assert counted == walked == 2**61 - 1
 
 
 def test_pinned_infix_forms():
