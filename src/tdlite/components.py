@@ -96,7 +96,7 @@ def check_by_constant(
     """
     shared, per_const = split_by_constant(q, gctx.constants)
     labelled = ([(SHARED, shared)] if shared else []) + list(per_const.items())
-    groups = [(label, *split_facts(parts, gctx)) for label, parts in labelled]
+    groups = [(label, *split_facts(parts)) for label, parts in labelled]
     role_props = [names.role_prop(r) for r in ctx.roles_of_k]
     demand = {names.witness_const(r): names.role_prop(r.inverse()) for r in ctx.roles_of_k}
     kept = set(role_props)
@@ -126,9 +126,7 @@ def check_by_constant(
     return checked(ground(q, gctx), word, "the combined word"), record(None)
 
 
-def split_facts(
-    parts: list[Qtl], gctx: GroundingContext
-) -> tuple[list[Qtl], tuple[tuple[int, str, bool], ...]]:
+def split_facts(parts: list[Qtl]) -> tuple[list[Qtl], tuple[tuple[int, str, bool], ...]]:
     """A component's conjuncts without its ABox facts, and those facts as
     `z_sat` takes them: (t, proposition, truth value) for each conjunct
     of the shape `qtl.translate_abox` builds, one literal about a
@@ -139,7 +137,7 @@ def split_facts(
         lit, t = unshift(part)
         atom = lit.arg if isinstance(lit, QNot) else lit
         if isinstance(atom, QAtom) and isinstance(atom.term, Const):
-            facts.append((t, ground(atom, gctx).name, atom is lit))
+            facts.append((t, atom.pred.prop_name(atom.term.name.lower()), atom is lit))
         else:
             rest.append(part)
     return rest, tuple(facts)

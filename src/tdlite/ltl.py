@@ -13,6 +13,13 @@ formula, a shared subtree counted once per occurrence as the paper's
 sizes are, is read off its table of subformulas
 (`pastelim.SubformulaTable`).
 
+`simplify` is the one rewriting walk: every rule, the rewrite of a
+constancy conjunct into one-step form included, fires on simplified
+children, and the walk hash-conses what it keeps.  `optimize` is rounds
+of `simplify`, sharing one index and one memo, until a round returns its
+input; `optimize_instances` gives the same for the copies of a grounding
+without walking each copy.
+
 Node identity stays inside this module: `structural_index` gives other
 modules one post-order table of structural keys, indexed by uid, so past
 elimination and the checker read child uids off the table instead of
@@ -347,6 +354,65 @@ def _is_true(n: Ltl) -> bool:
     return type(n) is LNot and type(n.arg) is LFalse
 
 
+def _complementary(x: Ltl, y: Ltl, index: tuple[dict, dict]) -> bool:
+    """Whether one of x and y is the structural negation of the other
+    (neither being a double negation, as in `simplify`'s output), read
+    off the hash-cons index as `simplify`'s conjunction case reads it."""
+    uid_of, key_to_uid = index
+    uid, other = _intern(x, *index), _intern(y, *index)
+    if type(x) is LNot:
+        return uid_of[id(x.arg)] == other
+    return key_to_uid.get((LNot, uid)) == other
+
+
+def _constancy_conjunct(c: Ltl, two_sided: bool, index: tuple[dict, dict]) -> Ltl:
+    """Rewrite a box-body conjunct forcing a formula to be constant over
+    the whole flow into its one-step form.
+
+    ¬(◇Fa ∧ ◇F¬a) under any enclosing box, and ¬(a ∧ ◇P◇F¬a) under an
+    enclosing two-sided box, both say "a never changes value"; repeated at
+    every instant that is exactly ⋀(a ↔ ○Fa).  The one-step form keeps
+    the symbolic checker's transition constraints local.
+    """
+    if type(c) is not LNot or type(c.arg) is not LAnd:
+        return c
+    a, b = c.arg.left, c.arg.right
+    if type(a) is LSomeF and type(b) is LSomeF and _complementary(a.arg, b.arg, index):
+        return iff(a.arg, LNextF(a.arg))
+    if (
+        two_sided
+        and type(b) is LSomeP
+        and type(b.arg) is LSomeF
+        and _complementary(a, b.arg.arg, index)
+    ):
+        return iff(a, LNextF(a))
+    return c
+
+
+def _one_step_box(t: type, a: Ltl, index: tuple[dict, dict]) -> Ltl | None:
+    """The constancy rule at t(a), t being LSomeF or LSomeP and a
+    simplified: the node rebuilt with its box body in one-step form, or
+    None when the body has no constancy conjunct.
+
+    At ◇Fa the body of the box ¬◇F¬body is `_negated(a)`, one-sided; at
+    ◇P◇Fx it is `_negated(x)`, two-sided.  The rule is sound wherever
+    the node occurs, not only under a negation: □(¬(◇a ∧ ◇¬a) ∧ r) ≡
+    □((a ↔ ○a) ∧ r), so ◇ of the negations of the two agree too.
+    """
+    if t is LSomeF:
+        x, two_sided = a, False
+    elif type(a) is LSomeF:
+        x, two_sided = a.arg, True
+    else:
+        return None
+    parts = _spine_conjuncts(_negated(x))
+    rewritten = [_constancy_conjunct(c, two_sided, index) for c in parts]
+    if all(r is c for r, c in zip(rewritten, parts)):
+        return None
+    box = LSomeF(LNot(conj(rewritten)))
+    return box if t is LSomeF else LSomeP(box)
+
+
 def simplify(
     f: Ltl,
     index: tuple[dict, dict] | None = None,
@@ -354,14 +420,22 @@ def simplify(
 ) -> Ltl:
     """Sound shrinking: double-negation elimination, conjunction flattening
     with structural deduplication, complementary conjuncts, sibling
-    box/next merging, truth/falsum propagation, idempotent eventually.
-    Preserves equivalence.
+    box/next merging, truth/falsum propagation, idempotent eventually, and
+    the constancy rule.  Preserves equivalence.
 
     A conjunct is dropped when it is structurally equal to an earlier one
     of the same spine, also when the two are distinct objects, and a spine
     that holds a conjunct and its structural negation is falsum; every
     output node is keyed once, so neither test walks a subtree twice, and
     the negation of a keyed conjunct is one key lookup.
+
+    The constancy rule rewrites the body of a box into one-step form
+    (`_one_step_box`): at ◇Fa, with a simplified, the body is
+    `_negated(a)`, and at ◇P◇Fx two-sidedly `_negated(x)`.  A node it
+    rewrites is rebuilt and simplified in the same walk, pushed on the
+    stack above the node it stands for.  The memo keys the rebuilt node's
+    new subformulas by id(), so it holds the rebuilt node under the
+    negative of its id, which no node's id is.
 
     A node whose children come back unchanged and where no rule fires is
     returned itself; for a conjunction spine that means the same leaves,
@@ -374,22 +448,23 @@ def simplify(
     if memo is None:
         memo = {}
     uid_of, key_to_uid = index
+    # a node, and a conjunction's leaves or the box rebuilt for a node
     stack: list[tuple[Ltl, object]] = [(f, None)]
     while stack:
-        n, leaves = stack.pop()
+        n, extra = stack.pop()
         if id(n) in memo:
             continue
         t = type(n)
         if t is LAnd:
-            if leaves is None:
-                leaves = _spine_conjuncts(n)
-                stack.append((n, leaves))
-                stack.extend((c, None) for c in leaves)
+            if extra is None:
+                extra = _spine_conjuncts(n)
+                stack.append((n, extra))
+                stack.extend((c, None) for c in extra)
                 continue
             parts: list[Ltl] = []
             uids: set[int] = set()
             changed = False
-            for c in leaves:
+            for c in extra:
                 sc = memo[id(c)]
                 if sc is not c:
                     changed = True
@@ -424,6 +499,10 @@ def simplify(
         if t is LProp or t is LFalse:
             memo[id(n)] = n
             continue
+        if extra is not None:  # the box rebuilt for n is done
+            memo[id(n)] = memo[id(extra)]
+            memo[-id(extra)] = extra
+            continue
         arg = n.arg
         a = memo.get(id(arg))
         if a is None:
@@ -440,6 +519,11 @@ def simplify(
             if ta is LFalse or ta is t or _is_true(a):
                 out = a
             else:
+                rebuilt = _one_step_box(t, a, index)
+                if rebuilt is not None:
+                    stack.append((n, rebuilt))
+                    stack.append((rebuilt, None))
+                    continue
                 out = n if a is arg else t(a)
         elif _is_true(a):  # LNextF, LNextP
             out = a
@@ -449,119 +533,34 @@ def simplify(
     return memo[id(f)]
 
 
-def _constancy_conjunct(c: Ltl, two_sided: bool) -> Ltl:
-    """Rewrite a box-body conjunct forcing a formula to be constant over
-    the whole flow into its one-step form.
-
-    ¬(◇Fa ∧ ◇F¬a) under any enclosing box, and ¬(a ∧ ◇P◇F¬a) under an
-    enclosing two-sided box, both say "a never changes value"; repeated at
-    every instant that is exactly ⋀(a ↔ ○Fa).  The one-step form keeps
-    the symbolic checker's transition constraints local.
-    """
-    if not isinstance(c, LNot) or not isinstance(c.arg, LAnd):
-        return c
-    a, b = c.arg.left, c.arg.right
-    if isinstance(a, LSomeF) and isinstance(b, LSomeF):
-        if struct_eq(_negated(a.arg), b.arg) or struct_eq(a.arg, _negated(b.arg)):
-            return iff(a.arg, LNextF(a.arg))
-    if (
-        two_sided
-        and isinstance(b, LSomeP)
-        and isinstance(b.arg, LSomeF)
-        and struct_eq(_negated(a), b.arg.arg)
-    ):
-        return iff(a, LNextF(a))
-    return c
-
-
-def _rewrite_box_body(body: Ltl, two_sided: bool) -> Ltl | None:
-    parts = _spine_conjuncts(body)
-    rewritten = [_constancy_conjunct(c, two_sided) for c in parts]
-    if all(r is c for r, c in zip(rewritten, parts)):
-        return None
-    return conj(rewritten)
-
-
-def _rigidity_rewrite(f: Ltl, memo: dict[int, Ltl] | None = None) -> Ltl:
-    """Apply the constancy rewrite inside every boxed conjunction,
-    rebuilding bottom-up.  A node whose children come back unchanged and
-    where no rewrite fires is returned itself; `memo` is as in
-    `simplify`."""
-    if memo is None:
-        memo = {}
-    stack: list[tuple[Ltl, bool]] = [(f, False)]
-    while stack:
-        n, done = stack.pop()
-        if id(n) in memo:
-            continue
-        t = type(n)
-        if t is LAnd:
-            left, right = n.left, n.right
-            if not done:
-                stack.append((n, True))
-                stack.append((left, False))
-                stack.append((right, False))
-                continue
-            new_left, new_right = memo[id(left)], memo[id(right)]
-            if new_left is left and new_right is right:
-                memo[id(n)] = n
-            else:
-                memo[id(n)] = LAnd(new_left, new_right)
-            continue
-        if t is LProp or t is LFalse:
-            memo[id(n)] = n
-            continue
-        arg = n.arg
-        if not done:
-            stack.append((n, True))
-            stack.append((arg, False))
-            continue
-        a = memo[id(arg)]
-        new = n if a is arg else t(a)
-        if t is LSomeF and type(a) is LNot:
-            body = _rewrite_box_body(a.arg, two_sided=False)
-            if body is not None:
-                new = LSomeF(LNot(body))
-        elif t is LSomeP and type(a) is LSomeF and type(a.arg) is LNot:
-            body = _rewrite_box_body(a.arg.arg, two_sided=True)
-            if body is not None:
-                new = LSomeP(LSomeF(LNot(body)))
-        memo[id(n)] = new
-    return memo[id(f)]
-
-
 OPTIMIZE_MAX_ROUNDS = 10
 
 
 @gc_paused()
 def optimize(f: Ltl) -> Ltl:
-    """The constancy rewrite then simplify, for at most
-    OPTIMIZE_MAX_ROUNDS rounds.  Sibling merging can expose new merges one
-    nesting level down (the ○-merge descends one level of an X-chain per
-    round), so a few rounds are needed to collapse box towers.  A round
-    that returns its input itself has reached the fixpoint and is the
-    last; a formula still changing after the last round is returned short
-    of its fixpoint.
+    """`simplify` run to its fixpoint, for at most OPTIMIZE_MAX_ROUNDS
+    rounds.  Sibling merging can expose new merges one nesting level down
+    (the ○-merge descends one level of an X-chain per round), so a few
+    rounds are needed to collapse box towers.  A round that returns its
+    input itself has reached the fixpoint and is the last; a formula
+    still changing after the last round is returned short of its
+    fixpoint.
 
-    Both passes return a node itself when its children come back
-    unchanged and no rule fires, and each pass's result at a node depends
-    only on the node's subtree.  So both passes keep one memo over all
-    rounds: a node that a round maps to itself is a fixpoint of every
-    later round, and a later round that meets it again (or any node it
-    met before) reads its result instead of walking its subtree.  The
-    rounds share one hash-cons index too.  The memos and the index are
-    keyed by id(), so every keyed object stays referenced (`held`) until
-    optimize returns; a freed node's id could be reused by a new node,
-    which would then hit a stale entry.
+    `simplify` returns a node itself when its children come back
+    unchanged and no rule fires, and its result at a node depends only on
+    the node's subtree.  So the rounds share one memo: a node that a
+    round maps to itself is a fixpoint of every later round, and a later
+    round that meets it again (or any node it met before) reads its
+    result instead of walking its subtree.  The rounds share one
+    hash-cons index too.  Both are keyed by id(); each round's input is
+    f or an earlier round's result, which the memo's values hold, and the
+    memo holds the nodes the constancy rule rebuilds, so no keyed node is
+    freed while optimize runs.
     """
     index: tuple[dict, dict] = ({}, {})
-    rewritten: dict[int, Ltl] = {}
-    simplified: dict[int, Ltl] = {}  # its values hold every interned node
-    held: list[Ltl] = []  # the memos' keys are nodes of these formulas
+    memo: dict[int, Ltl] = {}
     for _ in range(OPTIMIZE_MAX_ROUNDS):
-        r = _rigidity_rewrite(f, rewritten)
-        held += (f, r)
-        g = simplify(r, index, simplified)
+        g = simplify(f, index, memo)
         if g is f:
             break
         f = g
@@ -610,10 +609,11 @@ def optimize_instances(
     same instance.  Siblings under a shared modality merge (the optimized
     pieces of a grounding are each one box), and the merged conjunct's
     spine gets the same treatment, one nesting level per round of
-    `optimize` and at most as many.  A piece whose box holds one conjunct
-    has it as the box's argument, where the constancy rewrite of
-    `_rigidity_rewrite` does not see it; merged into a box body, it gets
-    that rewrite, as the next round of `optimize` would give it.
+    `optimize` and at most as many.  A box's argument joins the merged
+    body as its spine's leaves, or, when it is not a negation, as the
+    one leaf ¬a; the pieces come out of `optimize` with the constancy
+    rule already applied, and the merged box gets it as `simplify` gives
+    it there.
 
     `rest` is optimized on its own, and its top conjuncts follow the
     instances' as they are.  So none of them may equal, negate or share a
@@ -658,7 +658,6 @@ def optimize_instances(
         return instances[i][uid]
 
     extend()
-    boxed: dict[tuple[str, int], list[int]] = {}
 
     def merged_leaves(tag: str, a: int) -> list[int]:
         """The conjuncts a sibling adds to the spine that merging under
@@ -667,16 +666,12 @@ def optimize_instances(
             return spine_leaves(keys, a)
         if keys[a][0] is LNot:
             return spine_leaves(keys, keys[a][1])
-        if (tag, a) not in boxed:
-            body = LNot(base[a])
-            rewritten = _negated(_modality(_rigidity_rewrite(_merged(tag, body)))[1])
-            if rewritten is not body:
-                body = optimize(rewritten)
-            held.append(body)
-            uid = _intern(body, uid_of, key_to_uid)
+        negation = key_to_uid.get((LNot, a))
+        if negation is None:
+            held.append(LNot(base[a]))
+            negation = _intern(held[-1], uid_of, key_to_uid)
             extend()
-            boxed[(tag, a)] = spine_leaves(keys, uid)
-        return boxed[(tag, a)]
+        return [negation]
 
     def finish(conjuncts: list[tuple[int, int]], depth: int) -> list[Ltl] | None:
         """The conjuncts (uid, instance) of one spine as `simplify` leaves
@@ -904,8 +899,3 @@ def parse_infix(text: str) -> Ltl:
     while ops:
         reduce_binary()
     return operands.pop()
-
-
-def struct_eq(a: Ltl, b: Ltl) -> bool:
-    """Structural equality, safe on deep formulas."""
-    return structural_index(a) == structural_index(b)

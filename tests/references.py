@@ -12,10 +12,11 @@ elimination built as `Ltl` nodes (the formula
 `optimize`, `print_formula` and the
 hash-consing of `ltl._intern` as they were before they kept unchanged
 nodes, dispatched on exact type and keyed nodes in one loop: rounds that
-rebuild every node, a printer that runs down an `isinstance` chain, and
-an interning walk with `(node, done)` stack entries and name-tagged
-tuple keys, the renaming of a formula's propositions, and `optimize`
-repeated until the text stops changing.
+rebuild every node and decide the constancy rule by structural equality
+(`struct_eq`), a printer that runs down an `isinstance` chain, and an
+interning walk with `(node, done)` stack entries and name-tagged tuple
+keys, the renaming of a formula's propositions, and `optimize` repeated
+until the text stops changing.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from tdlite.ltl import (
     PastOperatorPresent,
     _UNARY,
     _merge_siblings,
-    _rewrite_box_body,
+    _negated,
     _spine_conjuncts,
     alw_f,
     conj,
@@ -47,7 +48,7 @@ from tdlite.ltl import (
     iff,
     lor,
     optimize,
-    struct_eq,
+    structural_index,
     to_infix,
 )
 from tdlite.ground import ground
@@ -376,8 +377,9 @@ def named_key(key: tuple) -> tuple:
 
 def rebuilt_simplify(f: Ltl) -> Ltl:
     """`ltl.simplify` by a walk that builds every node anew, with a fresh
-    hash-cons index per call, and that keys each conjunct's negation as a
-    new node."""
+    hash-cons index per call, that keys each conjunct's negation as a new
+    node, and that decides the constancy rule by `struct_eq` and
+    simplifies a rebuilt box by a call of its own (`rebuilt_box`)."""
     memo: dict[int, Ltl] = {}
     index: tuple[dict, dict] = ({}, {})
     held: list[Ltl] = []
@@ -427,7 +429,7 @@ def rebuilt_simplify(f: Ltl) -> Ltl:
             if isinstance(a, (LFalse, type(n))) or is_true(a):
                 memo[id(n)] = a
             else:
-                memo[id(n)] = type(n)(a)
+                memo[id(n)] = rebuilt_box(type(n), a)
         elif isinstance(n, (LNextF, LNextP)):
             a = memo[id(n.arg)]
             memo[id(n)] = a if is_true(a) else type(n)(a)
@@ -436,43 +438,57 @@ def rebuilt_simplify(f: Ltl) -> Ltl:
     return memo[id(f)]
 
 
-def rebuilt_rigidity_rewrite(f: Ltl) -> Ltl:
-    """`ltl._rigidity_rewrite` by a walk that builds every inner node
-    anew."""
-    memo: dict[int, Ltl] = {}
-    stack: list[tuple[Ltl, bool]] = [(f, False)]
-    while stack:
-        n, done = stack.pop()
-        if id(n) in memo:
-            continue
-        kids = _children(n)
-        if not done and kids:
-            stack.append((n, True))
-            stack.extend((k, False) for k in kids)
-            continue
-        new = type(n)(*(memo[id(k)] for k in kids)) if kids else n
-        if isinstance(new, LSomeF) and isinstance(new.arg, LNot):
-            body = _rewrite_box_body(new.arg.arg, two_sided=False)
-            if body is not None:
-                new = LSomeF(LNot(body))
-        elif (
-            isinstance(new, LSomeP)
-            and isinstance(new.arg, LSomeF)
-            and isinstance(new.arg.arg, LNot)
-        ):
-            body = _rewrite_box_body(new.arg.arg.arg, two_sided=True)
-            if body is not None:
-                new = LSomeP(LSomeF(LNot(body)))
-        memo[id(n)] = new
-    return memo[id(f)]
+def rebuilt_box(t: type, a: Ltl) -> Ltl:
+    """The constancy rule of `ltl.simplify` at ◇a (t is LSomeF) or ◇P a
+    (t is LSomeP), with a simplified: the box body `_negated(x)`, x being
+    a, or for ◇P◇Fx two-sidedly x, with its constancy conjuncts in
+    one-step form, rebuilt and simplified; `t(a)` when none is found."""
+    if t is LSomeF:
+        x, two_sided = a, False
+    elif isinstance(a, LSomeF):
+        x, two_sided = a.arg, True
+    else:
+        return t(a)
+    parts = _spine_conjuncts(_negated(x))
+    rewritten = [constancy_conjunct(c, two_sided) for c in parts]
+    if all(r is c for r, c in zip(rewritten, parts)):
+        return t(a)
+    box = LSomeF(LNot(conj(rewritten)))
+    return rebuilt_simplify(box if t is LSomeF else LSomeP(box))
+
+
+def constancy_conjunct(c: Ltl, two_sided: bool) -> Ltl:
+    """`ltl._constancy_conjunct` with its complement test made by
+    `struct_eq`: ¬(◇Fa ∧ ◇F¬a), and two-sidedly ¬(a ∧ ◇P◇F¬a), becomes
+    a ↔ ○Fa."""
+    if not isinstance(c, LNot) or not isinstance(c.arg, LAnd):
+        return c
+    a, b = c.arg.left, c.arg.right
+    if isinstance(a, LSomeF) and isinstance(b, LSomeF):
+        if struct_eq(_negated(a.arg), b.arg) or struct_eq(a.arg, _negated(b.arg)):
+            return iff(a.arg, LNextF(a.arg))
+    if (
+        two_sided
+        and isinstance(b, LSomeP)
+        and isinstance(b.arg, LSomeF)
+        and struct_eq(_negated(a), b.arg.arg)
+    ):
+        return iff(a, LNextF(a))
+    return c
+
+
+def struct_eq(a: Ltl, b: Ltl) -> bool:
+    """Structural equality, safe on deep formulas."""
+    return structural_index(a) == structural_index(b)
 
 
 def rebuilt_optimize(f: Ltl) -> Ltl:
-    """`ltl.optimize` as rounds that each rebuild the whole formula: the
-    same rounds, nothing carried from round to round, and the same stop,
-    at a round whose result is structurally its input."""
+    """`ltl.optimize` as rounds of `rebuilt_simplify`, each rebuilding
+    the whole formula: the same rounds, nothing carried from round to
+    round, and the same stop, at a round whose result is structurally its
+    input."""
     for _ in range(OPTIMIZE_MAX_ROUNDS):
-        g = rebuilt_simplify(rebuilt_rigidity_rewrite(f))
+        g = rebuilt_simplify(f)
         if struct_eq(g, f):
             break
         f = g

@@ -16,13 +16,13 @@ import tdlite
 from tdlite import components, ltl, oracle
 from tdlite.components import product_word
 from tdlite.kbparse import parse_kb
-from tdlite.ltl import LNextP, LSomeP, optimize, struct_eq, structural_index
+from tdlite.ltl import LNextP, LSomeP, optimize, structural_index
 from tdlite.oracle import BiLassoWord, WitnessCheckFailed, z_sat
 from tdlite.pipeline import check_kb, run_pipeline
 from tdlite.randgen import BatchSpec, generate_instance, random_abox
 
 from conftest import load_toy, random_bilasso
-from references import grounding, has_past
+from references import grounding, has_past, struct_eq
 
 # no individuals; `>= 1 R` is empty, so each witness's demand is
 # unsatisfiable, and SAT needs the fixpoint to drop both role propositions

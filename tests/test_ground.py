@@ -20,7 +20,6 @@ from tdlite.kb import (
     Signature,
     normalize_kb,
 )
-from tdlite.ltl import struct_eq
 from tdlite.names import SYNTHETIC_CONST, witness_const
 from tdlite.qtl import (
     ConceptPred,
@@ -35,7 +34,7 @@ from tdlite.qtl import (
 )
 
 from conftest import load_toy
-from references import has_past, prop_names, renamed, tree_size
+from references import has_past, prop_names, renamed, struct_eq, tree_size
 
 
 def _translate(name, flow):

@@ -22,7 +22,6 @@ from tdlite.ltl import (
     REPR_LIMIT,
     TRUE,
     _intern,
-    _rigidity_rewrite,
     alw_f,
     alw_p,
     conj,
@@ -34,10 +33,9 @@ from tdlite.ltl import (
     parse_infix,
     print_formula,
     simplify,
-    struct_eq,
     to_infix,
 )
-from tdlite.oracle import eval_on_lasso
+from tdlite.oracle import eval_on_lasso, z_sat
 from tdlite.pastelim import build_table
 from tdlite.solvers import _INFIX_TOKENS, _SMV_TOKENS
 
@@ -52,6 +50,7 @@ from references import (
     rebuilt_optimize,
     rebuilt_simplify,
     renamed,
+    struct_eq,
     tree_size,
     tuple_keyed_intern,
 )
@@ -93,7 +92,6 @@ def test_table_size_counts_every_occurrence(f):
         iff(f, LNot(f)),
         parse_infix(to_infix(f)),
         simplify(f),
-        _rigidity_rewrite(f),
         optimize(f),
         depast(f),
     ]
@@ -258,12 +256,12 @@ def test_optimize_runs_past_a_round_that_keeps_the_size():
     assert optimize(g) is g
 
 
-def test_optimize_instances_rewrites_a_lone_constancy_conjunct_once_merged():
-    # alone, ¬◇P◇F(a ∧ ◇P◇F¬a) keeps its constancy conjunct, which is the
-    # box's argument; merged with a copy it is a box-body conjunct, and
-    # the rewrite to one-step form applies, as optimize's next round does
+def test_optimize_instances_agrees_with_optimize_on_a_lone_constancy_conjunct():
+    # ¬◇P◇F(a ∧ ◇P◇F¬a) has its constancy conjunct as the box's argument,
+    # and the rule rewrites it there; merged with a renamed copy, the
+    # pieces' boxes join as they come out of optimize
     f = parse_infix("H (G (a -> (H (G a))))")
-    assert to_infix(optimize(f)) == "(~ (P (F (a & (P (F (~ a)))))))"
+    assert to_infix(optimize(f)) == "(~ (P (F (~ ((~ (a & (~ (X a)))) & (~ ((X a) & (~ a))))))))"
     got = optimize_instances([f], [{"a": "b"}])
     assert to_infix(got) == to_infix(optimize(LAnd(f, renamed(f, {"a": "b"}))))
     assert "X" in to_infix(got)
@@ -278,6 +276,12 @@ def test_optimize_instances_rewrites_a_lone_constancy_conjunct_once_merged():
         # the same under a two-sided box: ¬(a ∧ ◇P◇F¬a)
         ("H (G ((~ (a & (P (F (~ a))))) & b))",
          "(~ (P (F (~ ((~ (a & (~ (X a)))) & (~ ((X a) & (~ a))) & b)))))"),
+        # a lone two-sided constancy conjunct: double-negation elimination
+        # leaves it as the box's argument, where the rule still sees it
+        ("H (G (~ (a & (P (F (~ a))))))",
+         "(~ (P (F (~ ((~ (a & (~ (X a)))) & (~ ((X a) & (~ a))))))))"),
+        ("H (G (~ (a & (P (F (~ a)))))) & b",
+         "((~ (P (F (~ ((~ (a & (~ (X a)))) & (~ ((X a) & (~ a)))))))) & b)"),
     ],
 )
 def test_optimize_rewrites_constancy_into_one_step_form(text, optimized):
@@ -334,8 +338,8 @@ def test_repr_of_a_shared_tower_is_bounded():
 # --- optimize and the printer against their rebuilding references ------------
 
 # formulas with what optimize rewrites: one- and two-sided boxes over
-# conjunctions, constancy conjuncts, next-chains, double negations and
-# repeated conjuncts, over objects that are reused
+# conjunctions, constancy conjuncts and near misses, next-chains, double
+# negations and repeated conjuncts, over objects that are reused
 boxed_formulas = st.recursive(
     st.sampled_from([LProp("a"), LProp("b"), LProp("c"), FALSE, TRUE]),
     lambda sub: st.one_of(
@@ -348,6 +352,9 @@ boxed_formulas = st.recursive(
         sub.map(lambda x: alw_p(alw_f(x))),
         sub.map(lambda x: LNot(LAnd(LSomeF(x), LSomeF(LNot(x))))),
         sub.map(lambda x: LNot(LAnd(x, LSomeP(LSomeF(LNot(x)))))),
+        # the same shapes over two formulas, constancy when they are equal
+        st.tuples(sub, sub).map(lambda t: LNot(LAnd(LSomeF(LNot(t[0])), LSomeF(t[1])))),
+        st.tuples(sub, sub).map(lambda t: LNot(LAnd(t[0], LSomeP(LSomeF(LNot(t[1])))))),
         st.tuples(sub, sub).map(lambda t: LAnd(*t)),
         st.tuples(sub, sub).map(lambda t: iff(*t)),
         st.lists(sub, min_size=2, max_size=5).map(conj),
@@ -414,3 +421,12 @@ def test_printer_matches_the_chained_printer(f):
                 print_formula(f, tokens)
             continue
         assert print_formula(f, tokens) == want
+
+
+@given(boxed_formulas)
+@settings(max_examples=150, deadline=None)
+def test_optimize_is_equivalent_to_its_input(f):
+    # each way, no model over ℤ of one that is not a model of the other
+    g = optimize(f)
+    assert z_sat(LAnd(f, LNot(g))) is None, to_infix(f)
+    assert z_sat(LAnd(g, LNot(f))) is None, to_infix(f)

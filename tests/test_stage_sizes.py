@@ -15,7 +15,7 @@ from tdlite.ground import (
     symbolic_grounding,
 )
 from tdlite.kbparse import parse_kb
-from tdlite.ltl import LNextF, LProp, struct_eq
+from tdlite.ltl import LNextF, LProp
 from tdlite.names import SYNTHETIC_CONST, concept_prop
 from tdlite.pipeline import check_kb, run_pipeline
 from tdlite.qtl import QFalsum, translate_kb
@@ -23,7 +23,7 @@ from tdlite.randgen import BatchSpec, generate_instance
 from tdlite.solvers import SolverProfile
 
 from conftest import TOY_VERDICTS, handoff_kbs, load_toy, toy_text
-from references import grounded_sizes, grounding, iter_nodes, recorded_sizes
+from references import grounded_sizes, grounding, iter_nodes, recorded_sizes, struct_eq
 
 GATE_SPEC = BatchSpec(F=1, N=7, Lt=100, Lc=20, Q=5, seed=20260824)
 
