@@ -358,11 +358,11 @@ def _complementary(x: Ltl, y: Ltl, index: tuple[dict, dict]) -> bool:
     """Whether one of x and y is the structural negation of the other
     (neither being a double negation, as in `simplify`'s output), read
     off the hash-cons index as `simplify`'s conjunction case reads it."""
-    uid_of, key_to_uid = index
-    uid, other = _intern(x, *index), _intern(y, *index)
+    other = _intern(y, *index)
     if type(x) is LNot:
-        return uid_of[id(x.arg)] == other
-    return key_to_uid.get((LNot, uid)) == other
+        return _intern(x.arg, *index) == other
+    key_to_uid = index[1]
+    return key_to_uid.get((LNot, _intern(x, *index))) == other
 
 
 def _constancy_conjunct(c: Ltl, two_sided: bool, index: tuple[dict, dict]) -> Ltl:
