@@ -24,11 +24,15 @@ address-space limit), the side that runs first alternating: the ℕ batch
 `BatchSpec(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)`, the ℤ batch
 `BatchSpec(F=20, N=2, Lt=2, Lc=2, Q=1, seed=777, abox_size=4)`,
 `ex2_variant` over ℕ 5 times, and the ABox-timestamp sweep `A SUB A` with
-`A(b)@t` for t in 100, 200, 400, 800, 1600 and 3200, in each flow.  Each
+`A(b)@t` for t in 100, 200, 400, 800, 1600 and 3200, in each flow; and,
+under a 60 s CPU cap, instances 2 and 5 of the frontier spec
+`BatchSpec(F=6, N=3, Lt=10, Lc=6, Q=2, seed=20260824)` over ℕ, one child
+each (the in-process checks nearest to what does not decide).  Each
 is added under "fixed/<input>" with, per side, how many checks were
 decided within the cap, the verdicts, and the median and p90 (nearest
 rank) of the checks' CPU seconds, an undecided check counting as over
-the cap (a percentile that lands on one is recorded as null).  With
+the cap (a percentile that lands on one is recorded as null); each
+check's run also records its wall seconds and the child's peak RSS.  With
 --fixed it also records the benchmark-scale hand-off, instance 0 of
 `BatchSpec(N=7, Lt=100, Lc=20, Q=5, seed=20260824)` over ℤ (the
 `solver-handoff` gate instance), in one child per side under a 120 s CPU
@@ -56,6 +60,9 @@ from pathlib import Path
 NORTH_STAR_BATCH = dict(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)
 ABOX4_BATCH = dict(F=20, N=2, Lt=2, Lc=2, Q=1, seed=777, abox_size=4)
 CHILD_CPU_SECONDS = 10
+FRONTIER_SPEC = dict(F=6, N=3, Lt=10, Lc=6, Q=2, seed=20260824)
+FRONTIER_INSTANCES = (2, 5)
+FRONTIER_CPU_SECONDS = 60
 CHILD_AS_BYTES = 2 << 30
 EX2_VARIANT_REPEATS = 5
 SWEEP_TIMESTAMPS = (100, 200, 400, 800, 1600, 3200)
@@ -65,7 +72,7 @@ SWEEP_KB = "SIG\nconcept A\nindividual b\nTBOX\nA SUB A\nABOX\nA(b)@{t}\n"
 # is ["-c", kind, arg, flow, spec]: ("batch", index, flow, BatchSpec JSON),
 # ("toy", kb name, flow, "") or ("text", KB text, flow, "")
 CHECK_CHILD = """
-import json, sys, time
+import json, resource, sys, time
 from tdlite.pipeline import check_kb
 kind, arg, flow, spec = sys.argv[1:5]
 if kind == "batch":
@@ -79,7 +86,8 @@ else:
 cpu, wall = time.process_time(), time.perf_counter()
 verdict, _ = check_kb(kb, flow)
 print(json.dumps({"verdict": verdict, "cpu_s": time.process_time() - cpu,
-                  "wall_s": time.perf_counter() - wall}))
+                  "wall_s": time.perf_counter() - wall,
+                  "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
 HANDOFF_SPEC = dict(F=1, N=7, Lt=100, Lc=20, Q=5, seed=20260824)
@@ -162,10 +170,10 @@ def run_child(root: Path, code: str, argv, cpu_seconds: int) -> dict:
     return {"reason": f"exit status {proc.returncode}: {tail[-1] if tail else ''}"}
 
 
-def check_once(root: Path, check: tuple[str, str, str, str]) -> dict:
+def check_once(root: Path, check: tuple[str, str, str, str], cpu_seconds: int) -> dict:
     """One capped in-process check in a child; its report, or why it
     gave no verdict."""
-    report = run_child(root, CHECK_CHILD, check, CHILD_CPU_SECONDS)
+    report = run_child(root, CHECK_CHILD, check, cpu_seconds)
     return report if "reason" not in report else {"verdict": None, **report}
 
 
@@ -190,32 +198,35 @@ def fixed_summary(reports: list[dict]) -> dict:
 
 
 def run_fixed(roots: dict) -> dict:
-    # each input is a list of (label, child argv) checks
-    def batch(spec: dict, flow: str) -> list:
-        return [(str(i), ("batch", str(i), flow, json.dumps(spec))) for i in range(spec["F"])]
+    # each input is a CPU cap and a list of (label, child argv) checks
+    def batch(spec: dict, flow: str, indices=None) -> list:
+        return [(str(i), ("batch", str(i), flow, json.dumps(spec)))
+                for i in (range(spec["F"]) if indices is None else indices)]
 
     def sweep(flow: str) -> list:
         return [(f"@{t}", ("text", SWEEP_KB.format(t=t), flow, "")) for t in SWEEP_TIMESTAMPS]
 
     inputs = {
-        "north-star-batch-n": batch(NORTH_STAR_BATCH, "n"),
-        "abox4-batch-z": batch(ABOX4_BATCH, "z"),
-        "ex2_variant-n": [("ex2_variant", ("toy", "ex2_variant", "n", ""))] * EX2_VARIANT_REPEATS,
-        "abox-timestamp-sweep-n": sweep("n"),
-        "abox-timestamp-sweep-z": sweep("z"),
+        "north-star-batch-n": (CHILD_CPU_SECONDS, batch(NORTH_STAR_BATCH, "n")),
+        "abox4-batch-z": (CHILD_CPU_SECONDS, batch(ABOX4_BATCH, "z")),
+        "ex2_variant-n": (CHILD_CPU_SECONDS,
+                          [("ex2_variant", ("toy", "ex2_variant", "n", ""))] * EX2_VARIANT_REPEATS),
+        "abox-timestamp-sweep-n": (CHILD_CPU_SECONDS, sweep("n")),
+        "abox-timestamp-sweep-z": (CHILD_CPU_SECONDS, sweep("z")),
+        "frontier": (FRONTIER_CPU_SECONDS, batch(FRONTIER_SPEC, "n", FRONTIER_INSTANCES)),
     }
     out = {}
-    for name, checks in inputs.items():
+    for name, (cap, checks) in inputs.items():
         runs = []
         for i, (label, check) in enumerate(checks):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             run = {"input": label, "first": order[0]}
             for side in order:
-                run[side] = check_once(roots[side], check)
+                run[side] = check_once(roots[side], check, cap)
                 print(f"{name} {label} {side}: {json.dumps(run[side])}", file=sys.stderr)
             runs.append(run)
         out[f"fixed/{name}"] = {
-            "cpu_seconds_cap": CHILD_CPU_SECONDS,
+            "cpu_seconds_cap": cap,
             **{side: fixed_summary([r[side] for r in runs]) for side in roots},
             "runs": runs,
         }

@@ -18,7 +18,9 @@ PYTHONHASHSEED=0 (the script restarts itself with it).  The items are:
   corpus, the `check-timeline` KBs (`benchmark/workloads.timeline_ops`),
   the seed-777 ℕ batch and the `abox_size=4` batch over ℤ;
 - `check/.../optimize`: the infix of `optimize` of each in-process
-  component, in call order.
+  component, in call order;
+- `check/.../order`: the state-variable order (`_Engine._variable_order`)
+  of each checker engine the check builds, in call order.
 
 Alongside the items it records, per corpus, how many rounds `optimize`
 ran (the `simplify` calls made by `optimize` itself).  It uses only
@@ -64,7 +66,7 @@ def word_text(word) -> str:
 def fingerprint(root: Path) -> dict:
     for sub in ("src", "tests", "benchmark"):
         sys.path.insert(0, str(root / sub))
-    from tdlite import components, ltl, pipeline
+    from tdlite import components, ltl, oracle, pipeline
     from tdlite.cli import main as cli_main
     from tdlite.kbparse import parse_kb
     from tdlite.pipeline import check_kb, run_pipeline, solver_formula
@@ -115,10 +117,13 @@ def fingerprint(root: Path) -> dict:
                         cli_main(["translate", path, "--flow", flow, "--to", to, "--out", out])
                     items[f"translate/{name}/{flow}/{to}"] = sha(Path(out).read_text(encoding="utf-8"))
 
-    # the combined word of each check, and each component's optimize
+    # the combined word of each check, each component's optimize and
+    # each engine's variable order
     seen: dict[str, object] = {}
     optimized: list[str] = []
+    orders: list[list[int]] = []
     check_by_constant, optimize = pipeline.check_by_constant, components.optimize
+    variable_order = oracle._Engine._variable_order
 
     def recording_check(*args):
         word, decomposition = check_by_constant(*args)
@@ -130,16 +135,24 @@ def fingerprint(root: Path) -> dict:
         optimized.append(ltl.to_infix(g))
         return g
 
+    def recording_order(engine):
+        order = variable_order(engine)
+        orders.append(order)
+        return order
+
     pipeline.check_by_constant = recording_check
     components.optimize = recording_optimize
+    oracle._Engine._variable_order = recording_order
 
     def checked(prefix: str, kb, flow: str) -> None:
         optimized.clear()
+        orders.clear()
         verdict, trace = check_kb(kb, flow)
         items[f"{prefix}/verdict"] = verdict
         items[f"{prefix}/decomposition"] = sha(json.dumps(trace.decomposition.as_dict()))
         items[f"{prefix}/word"] = sha(word_text(seen["word"]))
         items[f"{prefix}/optimize"] = sha("\n".join(optimized))
+        items[f"{prefix}/order"] = sha(json.dumps(orders))
 
     corpus[0] = "check-toy"
     for name in TOYS:

@@ -2,10 +2,16 @@
 
 Nodes are integers; 0 and 1 are the terminals.  Each internal node is a
 triple (level, low, high) hash-consed in a unique table.  The engine
-provides the classical ite-based boolean operations plus existential
-quantification, conjoin-and-quantify, monotone level renaming, and
-satisfying-assignment extraction — exactly what a symbolic fixpoint model
-checker needs, nothing more.
+provides the boolean operations, existential quantification,
+conjoin-and-quantify, monotone level renaming, and satisfying-assignment
+extraction — exactly what a symbolic fixpoint model checker needs,
+nothing more.
+
+`and_`, `or_` and `not_`, which the checker calls most, each have their
+own memoized recursion that reads the operands' nodes directly; `and_`
+and `or_` order their operands first, so f∧g and g∧f share one entry of
+the computed table.  The three-operand `ite` serves `implies` and `iff_`.
+All operations share the one computed table, `cache`.
 """
 
 from __future__ import annotations
@@ -78,13 +84,64 @@ class Bdd:
         return r
 
     def not_(self, f: int) -> int:
-        return self.ite(f, 0, 1)
+        if f < 2:
+            return 1 - f
+        key = ("n", f)
+        r = self.cache.get(key)
+        if r is not None:
+            return r
+        level, lo, hi = self.nodes[f]
+        r = self.mk(level, self.not_(lo), self.not_(hi))
+        self.cache[key] = r
+        return r
 
     def and_(self, f: int, g: int) -> int:
-        return self.ite(f, g, 0)
+        if f == g or g == 1:
+            return f
+        if f == 1:
+            return g
+        if f == 0 or g == 0:
+            return 0
+        if f > g:
+            f, g = g, f
+        key = ("a", f, g)
+        r = self.cache.get(key)
+        if r is not None:
+            return r
+        fl, f0, f1 = self.nodes[f]
+        gl, g0, g1 = self.nodes[g]
+        if fl == gl:
+            r = self.mk(fl, self.and_(f0, g0), self.and_(f1, g1))
+        elif fl < gl:
+            r = self.mk(fl, self.and_(f0, g), self.and_(f1, g))
+        else:
+            r = self.mk(gl, self.and_(f, g0), self.and_(f, g1))
+        self.cache[key] = r
+        return r
 
     def or_(self, f: int, g: int) -> int:
-        return self.ite(f, 1, g)
+        if f == g or g == 0:
+            return f
+        if f == 0:
+            return g
+        if f == 1 or g == 1:
+            return 1
+        if f > g:
+            f, g = g, f
+        key = ("o", f, g)
+        r = self.cache.get(key)
+        if r is not None:
+            return r
+        fl, f0, f1 = self.nodes[f]
+        gl, g0, g1 = self.nodes[g]
+        if fl == gl:
+            r = self.mk(fl, self.or_(f0, g0), self.or_(f1, g1))
+        elif fl < gl:
+            r = self.mk(fl, self.or_(f0, g), self.or_(f1, g))
+        else:
+            r = self.mk(gl, self.or_(f, g0), self.or_(f, g1))
+        self.cache[key] = r
+        return r
 
     def implies(self, f: int, g: int) -> int:
         return self.ite(f, g, 1)
@@ -115,13 +172,17 @@ class Bdd:
     def _exist(self, f: int, levels: frozenset[int], qid: int) -> int:
         if f < 2:
             return f
-        level, lo, hi = self.nodes[f]
         key = ("e", f, qid)
         r = self.cache.get(key)
         if r is not None:
             return r
-        l, h = self._exist(lo, levels, qid), self._exist(hi, levels, qid)
-        r = self.or_(l, h) if level in levels else self.mk(level, l, h)
+        level, lo, hi = self.nodes[f]
+        if level in levels:
+            r = self._exist(lo, levels, qid)
+            if r != 1:
+                r = self.or_(r, self._exist(hi, levels, qid))
+        else:
+            r = self.mk(level, self._exist(lo, levels, qid), self._exist(hi, levels, qid))
         self.cache[key] = r
         return r
 
@@ -142,11 +203,23 @@ class Bdd:
         r = self.cache.get(key)
         if r is not None:
             return r
-        level = min(self.level(f), self.level(g))
-        f0, f1 = self._cofactors(f, level)
-        g0, g1 = self._cofactors(g, level)
-        l, h = self._and_exist(f0, g0, levels, qid), self._and_exist(f1, g1, levels, qid)
-        r = self.or_(l, h) if level in levels else self.mk(level, l, h)
+        fl, f0, f1 = self.nodes[f]
+        gl, g0, g1 = self.nodes[g]
+        if fl < gl:
+            level, g0, g1 = fl, g, g
+        elif gl < fl:
+            level, f0, f1 = gl, f, f
+        else:
+            level = fl
+        if level in levels:
+            # a quantified level whose low branch is already true needs
+            # no high branch
+            r = self._and_exist(f0, g0, levels, qid)
+            if r != 1:
+                r = self.or_(r, self._and_exist(f1, g1, levels, qid))
+        else:
+            r = self.mk(level, self._and_exist(f0, g0, levels, qid),
+                        self._and_exist(f1, g1, levels, qid))
         self.cache[key] = r
         return r
 

@@ -217,7 +217,7 @@ class _Engine:
         for i, uid in enumerate(elem):
             t = table[uid][0]
             x = b.var(2 * i)
-            x_next = b.rename(x, self.to_primed)
+            x_next = b.var(2 * i + 1)
             if t is LProp:
                 continue
             arg_now = val[table[uid][1]]
@@ -254,6 +254,11 @@ class _Engine:
         by time-zero biconditionals — next to each other.  The pre-order
         walk visits each distinct subformula once: a repeated one adds no
         new variable, since its first visit placed all of its own.
+
+        A FORCE round computes the next order from the current one alone,
+        so once a round leaves the order unchanged every later round
+        would too, and the relaxation stops there; orders that never
+        settle stop after 40 rounds.
         """
         keys = self.keys
 
@@ -310,7 +315,10 @@ class _Engine:
                 uid: (sum(center[e] for e in es) / len(es) if es else pos[uid])
                 for uid, es in by_var.items()
             }
-            order = sorted(order, key=lambda u: (new_pos[u], pos[u]))
+            new_order = sorted(order, key=lambda u: (new_pos[u], pos[u]))
+            if new_order == order:
+                break
+            order = new_order
             pos = {uid: float(i) for i, uid in enumerate(order)}
         return order
 

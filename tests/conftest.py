@@ -80,6 +80,18 @@ formulas = st.recursive(
     max_leaves=12,
 )
 
+# past-free formulas, as the ℕ flow hands the checker
+future_formulas = st.recursive(
+    st.sampled_from([LProp("a"), LProp("b"), LProp("c"), FALSE]),
+    lambda sub: st.one_of(
+        sub.map(LNot),
+        sub.map(LNextF),
+        sub.map(LSomeF),
+        st.tuples(sub, sub).map(lambda t: LAnd(*t)),
+    ),
+    max_leaves=12,
+)
+
 
 def _valuations(rng: random.Random, count: int, props: tuple[str, ...]):
     return tuple(

@@ -15,8 +15,9 @@ nodes, dispatched on exact type and keyed nodes in one loop: rounds that
 rebuild every node and decide the constancy rule by structural equality
 (`struct_eq`), a printer that runs down an `isinstance` chain, and an
 interning walk with `(node, done)` stack entries and name-tagged tuple
-keys, the renaming of a formula's propositions, and `optimize` repeated
-until the text stops changing.
+keys, the renaming of a formula's propositions, `optimize` repeated
+until the text stops changing, and the checker's FORCE variable order
+as it was before it stopped at its fixpoint: always 40 rounds.
 """
 
 from __future__ import annotations
@@ -640,3 +641,64 @@ def optimized_to_the_end(f: Ltl, limit: int = 50) -> Ltl:
             return f
         f, text = g, to_infix(g)
     raise AssertionError(f"optimize still changes the formula after {limit} calls")
+
+
+def forty_round_variable_order(keys: list[tuple]) -> list[int]:
+    """`oracle._Engine._variable_order` of a formula with structural keys
+    `keys`, relaxed for all 40 FORCE rounds, with no stop at a fixpoint."""
+    order: list[int] = []
+    visited: set[int] = set()
+    walk: list[int] = [len(keys) - 1]
+    while walk:
+        uid = walk.pop()
+        if uid in visited:
+            continue
+        visited.add(uid)
+        key = keys[uid]
+        if key[0] in oracle._ELEM_KINDS:
+            order.append(uid)
+        if key[0] is not LProp:
+            walk.extend(key[:0:-1])
+
+    cap = 12
+    supp: list[frozenset[int] | None] = []
+    for uid, key in enumerate(keys):
+        t = key[0]
+        if t in oracle._ELEM_KINDS:
+            supp.append(frozenset((uid,)))
+        elif t is LFalse:
+            supp.append(frozenset())
+        elif t is LNot:
+            supp.append(supp[key[1]])
+        else:  # LAnd
+            sl, sr = supp[key[1]], supp[key[2]]
+            u = None if sl is None or sr is None else sl | sr
+            supp.append(None if u is not None and len(u) > cap else u)
+
+    edges: set[frozenset[int]] = set()
+    for uid, key in enumerate(keys):
+        t = key[0]
+        if t is LAnd:
+            s = supp[uid]
+            if s is not None and len(s) >= 2:
+                edges.add(s)
+        elif t in oracle._ELEM_KINDS and t is not LProp:
+            s = supp[key[1]]
+            if s is not None and s and len(s) <= cap:
+                edges.add(frozenset((uid,)) | s)
+    if not edges:
+        return order
+    pos = {uid: float(i) for i, uid in enumerate(order)}
+    by_var: dict[int, list[frozenset[int]]] = {uid: [] for uid in order}
+    for e in edges:
+        for v in e:
+            by_var[v].append(e)
+    for _ in range(40):
+        center = {e: sum(pos[v] for v in e) / len(e) for e in edges}
+        new_pos = {
+            uid: (sum(center[e] for e in es) / len(es) if es else pos[uid])
+            for uid, es in by_var.items()
+        }
+        order = sorted(order, key=lambda u: (new_pos[u], pos[u]))
+        pos = {uid: float(i) for i, uid in enumerate(order)}
+    return order

@@ -52,6 +52,19 @@ def test_boolean_operations(f, g, h):
     assert b.not_(bf) == build(b, ~f & MASK)
     assert b.ite(bf, bg, bh) == build(b, (f & g) | (~f & h))
     assert table_of(b, b.ite(bf, bg, bh)) == (f & g) | (~f & h)
+    assert b.implies(bf, bg) == build(b, ~f & MASK | g)
+    assert b.iff_(bf, bg) == build(b, ~(f ^ g) & MASK)
+
+
+@given(tables, tables)
+def test_and_and_or_share_one_cache_entry_for_both_operand_orders(f, g):
+    b = Bdd()
+    bf, bg = build(b, f), build(b, g)
+    for op in (Bdd.and_, Bdd.or_):
+        r = op(b, bf, bg)
+        entries = len(b.cache)
+        assert op(b, bg, bf) == r
+        assert len(b.cache) == entries
 
 
 @given(tables, tables, level_sets)
@@ -62,6 +75,19 @@ def test_exist_and_and_exist(f, g, levels):
     both = b.and_exist(bf, bg, levels)
     assert both == b.exist(b.and_(bf, bg), levels)
     assert table_of(b, both) == exist_table(f & g, levels)
+
+
+@given(tables, tables, tables, st.integers(0, LEVELS - 1), level_sets)
+def test_and_exist_where_a_quantified_low_branch_is_true(f, g, c, k, levels):
+    # f and g both true on the rows of c where level k is false, so under
+    # some assignments above k the low branch of f ∧ g at k is true
+    low = sum(1 << row for row in range(ROWS) if not row >> k & 1 and c >> row & 1)
+    b = Bdd()
+    bf, bg = build(b, f | low), build(b, g | low)
+    levels = levels | {k}
+    both = b.and_exist(bf, bg, levels)
+    assert both == b.exist(b.and_(bf, bg), levels)
+    assert table_of(b, both) == exist_table((f | low) & (g | low), levels)
 
 
 @given(tables, st.lists(st.integers(0, 2 * LEVELS), min_size=LEVELS, max_size=LEVELS,

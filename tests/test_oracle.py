@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -14,16 +15,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tdlite
-from tdlite import oracle
+from tdlite import components, oracle
+from tdlite.kbparse import parse_kb
 from tdlite.ltl import (
-    TRUE, LAnd, LNextF, LNextP, LNot, LProp, gc_paused, optimize, parse_infix, to_infix,
+    TRUE, LAnd, LNextF, LNextP, LNot, LProp, gc_paused, optimize, parse_infix,
+    structural_index, to_infix,
 )
 from tdlite.oracle import BiLassoWord, WitnessCheckFailed, eval_on_lasso, z_sat
-from tdlite.pipeline import run_pipeline
+from tdlite.pipeline import check_kb, run_pipeline
 from tdlite.randgen import BatchSpec, generate_instance
 
-from conftest import FUTURE_UNARY_OPS, UNARY_OPS, formulas, random_bilasso, random_ltlp
-from references import depast, grounding, searched_eval_on_lasso, z_sat_bounded
+from conftest import (
+    FUTURE_UNARY_OPS, TOY_VERDICTS, UNARY_OPS, formulas, future_formulas, load_toy,
+    random_bilasso, random_ltlp,
+)
+from references import (
+    depast, forty_round_variable_order, grounding, searched_eval_on_lasso, z_sat_bounded,
+)
 
 V = frozenset
 A = V({"a"})
@@ -204,6 +212,48 @@ def test_z_sat_finds_every_past_free_model_the_bounded_search_finds():
             assert word is not None, to_infix(f)
         unsat += word is None
     assert found > 0 and unsat > 0
+
+
+# --- the variable order --------------------------------------------------------
+
+def timeline_ops():
+    """The `check-timeline` benchmark workload's KBs at seed 0."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.timeline_ops(0)
+
+
+def assert_forty_round_order(f) -> None:
+    order = oracle._Engine(f)._variable_order()
+    assert order == forty_round_variable_order(structural_index(f)), to_infix(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(formulas, future_formulas))
+def test_force_stops_at_the_order_forty_rounds_reach(f):
+    assert_forty_round_order(f)
+
+
+def test_force_stops_at_the_order_forty_rounds_reach_on_every_component(monkeypatch):
+    checked_formulas = []
+    real = components.z_sat
+
+    def spy(f, **kwargs):
+        checked_formulas.append(f)
+        return real(f, **kwargs)
+
+    monkeypatch.setattr(components, "z_sat", spy)
+    for name in TOY_VERDICTS:
+        for flow in ("n", "z"):
+            check_kb(load_toy(name), flow)
+    for op in timeline_ops():
+        check_kb(parse_kb(op.text), op.flow)
+    assert len(checked_formulas) > 80
+    for f in checked_formulas:
+        assert_forty_round_order(f)
 
 
 @settings(max_examples=100, deadline=None)
