@@ -36,7 +36,9 @@ check's run also records its wall seconds and the child's peak RSS.  With
 --fixed it also records the benchmark-scale hand-off, instance 0 of
 `BatchSpec(N=7, Lt=100, Lc=20, Q=5, seed=20260824)` over ℤ (the
 `solver-handoff` gate instance), in one child per side under a 120 s CPU
-cap: the milliseconds and node counts of `ground`, the `ltlp` and `ltl`
+cap: the milliseconds and node counts of `ground` of the whole grounding
+(from the symbolic table `run_pipeline` keeps, on a checkout that keeps
+one; else from the qtl1 formula), the `ltlp` and `ltl`
 stages of `run_pipeline` (their recorded `wall_ms` and nodes), `optimize` of the
 whole grounding and `pipeline.solver_formula` (what the hand-off runs;
 on a checkout where it is that `optimize`, the two time the same work),
@@ -100,7 +102,6 @@ from tdlite.ground import GroundingContext, ground
 from tdlite.ltl import optimize
 from tdlite.pastelim import build_table
 from tdlite.pipeline import run_pipeline, solver_formula
-from tdlite.qtl import translate_kb
 from tdlite.randgen import BatchSpec, generate_instance
 from tdlite.solvers import emit
 kb = generate_instance(BatchSpec(**json.loads(sys.argv[1])), 0, flow="z")
@@ -111,9 +112,13 @@ def timed(name, fn, *args):
     stages[name] = {"ms": (time.perf_counter() - t) * 1000.0,
                     "nodes": build_table(out).input_size()}
     return out
-q, ctx = translate_kb(kb, "z")
-g = timed("ground", ground, q, GroundingContext.from_kb(kb, ctx))
 trace = run_pipeline(kb, "z")
+if getattr(trace, "grounding", None) is not None:
+    # built from the symbolic table that run_pipeline keeps
+    g = timed("ground", ground, trace.grounding)
+else:
+    # a checkout whose `ground` walks the qtl1 formula
+    g = timed("ground", ground, trace.qtl, GroundingContext.from_kb(kb, trace.qtl_ctx))
 for name in ("ltlp", "ltl"):
     rec = trace.stage(name)
     stages[f"{name}-stage"] = {"ms": rec.wall_ms, "nodes": rec.nodes}

@@ -38,7 +38,7 @@ def _load_kb(path: str):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         kb = parse_kb(text)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     except KbSyntaxError as e:
@@ -70,7 +70,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if args.to == "qtl1":
         text = qtl_to_text(trace.qtl)
     elif args.to in ("ltlp", "ltl"):
-        g = ground(trace.qtl, trace.gctx)
+        g = ground(trace.grounding)
         if args.to == "ltl" and trace.flow == "z":
             text = print_past_free(g, INFIX_TOKENS)[0]
         else:
@@ -247,7 +247,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         with open(args.formula_file, encoding="utf-8") as fh:
             f = parse_infix(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except InfixSyntaxError as e:

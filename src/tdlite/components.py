@@ -14,7 +14,8 @@ replaced by its truth value — is satisfiable on its own.  Each component
 is a formula over one constant's propositions only, which keeps the BDD
 checker's variable count small.  `oracle.z_sat` checks every component in
 both flows: an ℕ-flow grounding has no past operator, and on a past-free
-formula `z_sat` decides satisfiability over ℕ.
+formula `z_sat` decides satisfiability over ℕ.  Each component is built
+from the pipeline's symbolic grounding (`ground.ground`).
 
 A component's ABox facts (one literal about its constant at a time t,
 which the translation wraps in t next-operators) are not grounded into
@@ -31,10 +32,10 @@ from math import lcm
 from typing import Optional
 
 from . import names
-from .ground import GroundingContext, ground, split_by_constant
+from .ground import EVERY_CONSTANT, Conjunct, SymbolicGrounding, ground
 from .ltl import optimize
 from .oracle import BiLassoWord, checked, z_sat
-from .qtl import Const, QAtom, QNot, Qtl, TranslationContext, q_conj, unshift
+from .qtl import Const, QAtom, QNot, TranslationContext, unshift
 
 # the label of the constant-free conjuncts' component; not an identifier,
 # so no constant has it
@@ -61,10 +62,10 @@ class Decomposition:
 
 
 def check_by_constant(
-    q: Qtl, ctx: TranslationContext, gctx: GroundingContext
+    sg: SymbolicGrounding, ctx: TranslationContext
 ) -> tuple[Optional[BiLassoWord], Decomposition]:
-    """A model of the grounding of `q` over `gctx`, or None for
-    unsatisfiable, deciding one component per constant.
+    """A model of the grounding whose symbolic table `sg` is, or None
+    for unsatisfiable, deciding one component per constant.
 
     The set P of role propositions held true is the greatest fixpoint of
     one step: start with every p_R true, and drop p_R⁻ when the component
@@ -94,8 +95,10 @@ def check_by_constant(
     rest on `optimize`.  That re-check is the only place the whole
     grounding is built.
     """
-    shared, per_const = split_by_constant(q, gctx.constants)
-    labelled = ([(SHARED, shared)] if shared else []) + list(per_const.items())
+    shared = [p for p in sg.conjuncts if p.about is None]
+    labelled = [(SHARED, shared)] if shared else []
+    labelled += [(c, [p for p in sg.conjuncts if p.about in (c, EVERY_CONSTANT)])
+                 for c in sg.constants]
     groups = [(label, *split_facts(parts)) for label, parts in labelled]
     role_props = [names.role_prop(r) for r in ctx.roles_of_k]
     demand = {names.witness_const(r): names.role_prop(r.inverse()) for r in ctx.roles_of_k}
@@ -111,9 +114,8 @@ def check_by_constant(
         for label, rest, facts in groups:
             key = (label, frozenset(kept))
             if key not in words:
-                consts = () if label == SHARED else (label,)
                 fixed = {prop: prop in kept for prop in role_props}
-                g = ground(q_conj(rest), GroundingContext(consts), fixed)
+                g = ground(sg, rest, None if label == SHARED else label, fixed)
                 words[key] = z_sat(optimize(g), recheck=False, facts=facts)
             if words[key] is None:
                 p = demand.get(label)
@@ -123,18 +125,18 @@ def check_by_constant(
                 dropped = True
     final = frozenset(kept)
     word = product_word([words[(label, final)] for label, _, _ in groups], final)
-    return checked(ground(q, gctx), word, "the combined word"), record(None)
+    return checked(ground(sg), word, "the combined word"), record(None)
 
 
-def split_facts(parts: list[Qtl]) -> tuple[list[Qtl], tuple[tuple[int, str, bool], ...]]:
+def split_facts(parts: list[Conjunct]) -> tuple[list[Conjunct], tuple[tuple[int, str, bool], ...]]:
     """A component's conjuncts without its ABox facts, and those facts as
     `z_sat` takes them: (t, proposition, truth value) for each conjunct
     of the shape `qtl.translate_abox` builds, one literal about a
     constant shifted to time t."""
-    rest: list[Qtl] = []
+    rest: list[Conjunct] = []
     facts: list[tuple[int, str, bool]] = []
     for part in parts:
-        lit, t = unshift(part)
+        lit, t = unshift(part.node)
         atom = lit.arg if isinstance(lit, QNot) else lit
         if isinstance(atom, QAtom) and isinstance(atom.term, Const):
             facts.append((t, atom.pred.prop_name(atom.term.name.lower()), atom is lit))

@@ -4,25 +4,21 @@ Every universally quantified conjunct is replaced by the conjunction of its
 instantiations over all constants: the declared individuals plus one fresh
 witness d_R per role representation.  Boxes are desugared on the way out,
 so the result uses only negation, conjunction, and the four next/eventually
-operators.  `conjuncts_about` labels the top-level conjuncts with the one
-constant each is about, and `split_by_constant` sorts them by it, for
-grounding one constant at a time.  `renamings` maps the grounding of the
-universal conjuncts at the first constant to their grounding at each
-other one.
+operators.
 
-`symbolic_grounding` gives the distinct subformulas of the grounding
-without building it: each universal body and each conjunct about one
-constant is grounded once, with the constant kept as a symbol, and each
-key of the result says how many distinct subformulas of the grounding it
-stands for.  The pipeline sizes its `ltlp` and `ltl` stages from it
-(`pastelim.SubformulaTable`), so sizing a translation grounds no
-conjunct at more than one constant.
+`symbolic_grounding` is the one walk of the formula: it keys the grounding
+into a table, grounding each universal body and each conjunct about one
+constant once, and labels the top-level conjuncts.  The pipeline sizes its
+`ltlp` and `ltl` stages from the table (`pastelim.SubformulaTable`), and
+`ground` builds every grounding from it: the whole one, or top-level
+conjuncts over one constant, for the checker's components and the solver
+hand-off's universal part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from . import names
 from .kb import KnowledgeBase
@@ -38,6 +34,7 @@ from .ltl import (
     LFalse,
     FALSE,
     TRUE,
+    _build,
     conj,
     gc_paused,
 )
@@ -58,16 +55,15 @@ from .qtl import (
     QTRUE,
     Qtl,
     TranslationContext,
-    Var,
 )
 
 __all__ = [
     "EVERY_CONSTANT",
+    "SYMBOL",
+    "Conjunct",
     "GroundingContext",
-    "conjuncts_about",
+    "SymbolicGrounding",
     "ground",
-    "renamings",
-    "split_by_constant",
     "symbolic_grounding",
 ]
 
@@ -88,184 +84,78 @@ class GroundingContext:
 
 
 _QUNARY = {QNot: LNot, QNextF: LNextF, QNextP: LNextP, QSomeF: LSomeF, QSomeP: LSomeP}
+_QBOX = {QAlwF: LSomeF, QAlwP: LSomeP}
 
-
-@gc_paused()
-def ground(
-    qtl: Qtl, gctx: GroundingContext, fixed: Optional[Mapping[str, bool]] = None
-) -> Ltl:
-    """Instantiate quantifiers over the constant set and desugar boxes.
-
-    A proposition named in `fixed` becomes truth or falsum instead.
-    Iterative with memoization on (node, binding) so shared subformulas and
-    repeated instantiations are translated once.
-    """
-    fixed = fixed or {}
-    memo: dict[tuple[int, str | None], Ltl] = {}
-    stack: list[tuple[Qtl, str | None, bool]] = [(qtl, None, False)]
-    while stack:
-        n, binding, done = stack.pop()
-        key = (id(n), binding)
-        if key in memo:
-            continue
-        if not done:
-            stack.append((n, binding, True))
-            if isinstance(n, QForAll):
-                stack.extend((n.body, c, False) for c in gctx.constants)
-            elif isinstance(n, QAnd):
-                stack.append((n.left, binding, False))
-                stack.append((n.right, binding, False))
-            elif isinstance(n, (QNot, QNextF, QNextP, QSomeF, QSomeP, QAlwF, QAlwP)):
-                stack.append((n.arg, binding, False))
-            continue
-        if isinstance(n, QFalsum):
-            memo[key] = LFalse()
-        elif isinstance(n, QProp):
-            if n.name in fixed:
-                memo[key] = TRUE if fixed[n.name] else FALSE
-            else:
-                memo[key] = LProp(n.name)
-        elif isinstance(n, QAtom):
-            if isinstance(n.term, Var):
-                if binding is None:
-                    raise ValueError("free variable outside a quantifier")
-                memo[key] = LProp(n.pred.prop_name(binding))
-            else:
-                memo[key] = LProp(n.pred.prop_name(n.term.name.lower()))
-        elif isinstance(n, QForAll):
-            memo[key] = conj([memo[(id(n.body), c)] for c in gctx.constants])
-        elif isinstance(n, QAnd):
-            memo[key] = LAnd(memo[(id(n.left), binding)], memo[(id(n.right), binding)])
-        elif isinstance(n, QAlwF):
-            memo[key] = LNot(LSomeF(LNot(memo[(id(n.arg), binding)])))
-        elif isinstance(n, QAlwP):
-            memo[key] = LNot(LSomeP(LNot(memo[(id(n.arg), binding)])))
-        else:
-            memo[key] = _QUNARY[type(n)](memo[(id(n.arg), binding)])
-    return memo[(id(qtl), None)]
-
-
-def _subformulas(roots: list[Qtl]) -> Iterator[Qtl]:
-    """Every node under the roots, once per occurrence."""
-    stack = list(roots)
-    while stack:
-        m = stack.pop()
-        yield m
-        if isinstance(m, QForAll):
-            stack.append(m.body)
-        elif isinstance(m, QAnd):
-            stack.append(m.left)
-            stack.append(m.right)
-        elif not isinstance(m, (QFalsum, QAtom, QProp)):
-            stack.append(m.arg)
-
-
-# what `conjuncts_about` says of a universally quantified conjunct; not
-# an identifier, so no constant has it
+# what a symbolic grounding names the constant of a proposition, and what
+# a universally quantified conjunct is about; not identifiers, so no
+# constant has them
+SYMBOL = "(x)"
 EVERY_CONSTANT = "(every)"
 
 
-def conjuncts_about(qtl: Qtl) -> list[tuple[Qtl, Optional[str]]]:
-    """The top-level conjuncts of `qtl` in spine order, each with what it
-    is about: the one constant it names, EVERY_CONSTANT for a universally
+@dataclass(frozen=True, slots=True)
+class Conjunct:
+    """A top-level conjunct, the uid of its grounding, and what it is
+    about: the one constant it names, EVERY_CONSTANT for a universally
     quantified one, or None for a constant-free one (such as the falsum
-    of a contradicted negated role fact).  Truth, the empty ABox's
-    translation, is left out.
+    of a contradicted negated role fact)."""
 
-    Raises ValueError on a conjunct that names two constants, or names a
-    constant under a quantifier; the dagger translation builds neither.
-    """
-    out: list[tuple[Qtl, Optional[str]]] = []
-    spine = [qtl]
-    while spine:
-        n = spine.pop()
-        if isinstance(n, QAnd):
-            spine.append(n.right)
-            spine.append(n.left)
-            continue
-        if n == QTRUE:
-            continue
-        named: set[str] = set()
-        universal = False
-        for m in _subformulas([n]):
-            if isinstance(m, QAtom) and isinstance(m.term, Const):
-                named.add(m.term.name.lower())
-            elif isinstance(m, QForAll):
-                universal = True
-        if len(named) > 1 or (named and universal):
-            raise ValueError(f"a conjunct is about more than one constant: {sorted(named)}")
-        out.append((n, EVERY_CONSTANT if universal else named.pop() if named else None))
-    return out
+    node: Qtl
+    uid: int
+    about: Optional[str]
 
 
-def split_by_constant(
-    qtl: Qtl, constants: tuple[str, ...]
-) -> tuple[list[Qtl], dict[str, list[Qtl]]]:
-    """The top-level conjuncts of `qtl` (`conjuncts_about`), sorted by the
-    constant each is about: the constant-free ones, and per constant the
-    conjuncts that name it plus every universally quantified one, to be
-    grounded at that constant."""
-    shared: list[Qtl] = []
-    per_const: dict[str, list[Qtl]] = {c: [] for c in constants}
-    for n, about in conjuncts_about(qtl):
-        if about == EVERY_CONSTANT:
-            for parts in per_const.values():
-                parts.append(n)
-        elif about is None:
-            shared.append(n)
-        else:
-            per_const[about].append(n)
-    return shared, per_const
+@dataclass(frozen=True, slots=True, repr=False)
+class SymbolicGrounding:
+    """A table of structural keys in the form of `ltl.structural_index`,
+    the grounding's own key last.  A key with SYMBOL below it stands for
+    its copy at each constant of `at[uid]` (a bit per constant), and
+    `copies[uid]` counts the distinct subformulas of the grounding a key
+    stands for.  A key in `pairs` conjoins copies at two different
+    constants: those of its children, as positions in `constants` from 1.
+    `foralls` maps the key of each ∀x node over several constants to its
+    body's uid.  `conjuncts` are the top-level conjuncts in spine order,
+    truth left out."""
 
-
-def renamings(universal: list[Qtl], constants: tuple[str, ...]) -> list[dict[str, str]]:
-    """For each constant after the first, how grounding the universal
-    conjuncts at it renames their grounding at the first: each predicate
-    that they apply to the variable, `pred.prop_name(first)` →
-    `pred.prop_name(constant)`."""
-    preds = {
-        m.pred for m in _subformulas(universal)
-        if isinstance(m, QAtom) and isinstance(m.term, Var)
-    }
-    first = constants[0]
-    return [{p.prop_name(first): p.prop_name(c) for p in preds} for c in constants[1:]]
-
-
-# what a symbolic grounding names the constant of a proposition; not an
-# identifier, so no constant has it
-SYMBOL = "(x)"
+    constants: tuple[str, ...]
+    keys: list[tuple]
+    copies: list[int]
+    at: list[int]
+    pairs: dict[int, tuple[int, int]]
+    foralls: dict[int, int]
+    conjuncts: tuple[Conjunct, ...]
 
 
 @gc_paused()
-def symbolic_grounding(qtl: Qtl, gctx: GroundingContext) -> tuple[list[tuple], list[int]]:
-    """The distinct subformulas of `ground(qtl, gctx)`, grounding no
-    conjunct at more than one constant: a table of structural keys in the
-    form of `ltl.structural_index` (children first, the grounding's own
-    key last), and for each key how many distinct subformulas of the
-    grounding it stands for.
+def symbolic_grounding(qtl: Qtl, gctx: GroundingContext) -> SymbolicGrounding:
+    """The distinct subformulas of the grounding of `qtl` over the
+    constants of `gctx`, grounding no conjunct at more than one constant.
 
     Each universal body is grounded once with its variable kept as
     SYMBOL, and each ABox or witness conjunct once with its one constant
     kept as SYMBOL; all of it is hash-consed into one table.  A key with
     SYMBOL below it stands for its copy at each constant it is grounded
-    at: every constant for a key of a universal body, and the conjunct's
-    own constant for a key of a conjunct about one.  A key without it
-    stands for one subformula.  A `∀x` node is its
-    body's copies at the constants, conjoined; a conjunction of copies at
-    two different constants is one formula, keyed on its children's
-    copies rather than on their keys, so it never meets a symbolic key.
-    The grounding's per-occurrence size and its sizes after past
-    elimination follow from the table alone
-    (`pastelim.SubformulaTable`).
+    at: every constant for a key of a universal body, the conjunct's own
+    constant for a key of a conjunct about one.  A key without it stands
+    for one subformula.  A `∀x` node is its body's copies at the
+    constants, conjoined; a conjunction
+    of copies at two different constants is one formula, keyed on its
+    children's copies rather than on their keys, so it never meets a
+    symbolic key.
+
+    Raises ValueError on a free variable, a constant or a quantifier
+    under a quantifier, and a conjunct about more than one constant; the
+    dagger translation builds none of them.
     """
     constants = gctx.constants
     every = (1 << len(constants)) - 1
+    universal = every + 1  # beside the constants' bits: a ∀x below
     bit = {c: 1 << i for i, c in enumerate(constants)}
     keys: list[tuple] = []
-    # per key, the constants (as bits) whose copies of it the grounding has;
-    # 0 for a key without SYMBOL below it
     at: list[int] = []
     index: dict[tuple, int] = {}
+    pairs: dict[int, tuple[int, int]] = {}
+    foralls: dict[int, int] = {}
 
     # A copy is (uid, bits): a key and the one constant its SYMBOL stands
     # for, as a bit (every constant, for a universal body), or 0.
@@ -285,12 +175,16 @@ def symbolic_grounding(qtl: Qtl, gctx: GroundingContext) -> tuple[list[tuple], l
     def binary(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         key = (LAnd, a[0], b[0])
         if a[1] and b[1] and a[1] != b[1]:
-            return node(key, 0, (LAnd, a, b))
+            out = node(key, 0, (LAnd, a, b))
+            pairs[out[0]] = a[1].bit_length(), b[1].bit_length()
+            return out
         return node(key, a[1] | b[1])
 
-    memo: dict[int, tuple[int, int]] = {}
+    # per node, its copy and the bits of the constants it names, plus
+    # `universal` for a ∀x below it
+    memo: dict[int, tuple[tuple[int, int], int]] = {}
     # (node, whether a quantifier binds its variable, children done)
-    stack: list[tuple[Qtl, bool, bool]] = [(qtl, False, False)]
+    stack: list = [(qtl, False, False)]
     while stack:
         n, bound, done = stack.pop()
         if id(n) in memo:
@@ -306,31 +200,113 @@ def symbolic_grounding(qtl: Qtl, gctx: GroundingContext) -> tuple[list[tuple], l
             elif t is not QFalsum and t is not QProp and t is not QAtom:
                 stack.append((n.arg, bound, False))
             continue
+        named = 0
         if t is QFalsum:
             out = node((LFalse,), 0)
         elif t is QProp:
             out = node((LProp, n.name), 0)
         elif t is QAtom:
-            if type(n.term) is Const:
-                bits = bit[n.term.name.lower()]
-            elif bound:
+            if type(n.term) is not Const:
+                if not bound:
+                    raise ValueError("free variable outside a quantifier")
                 bits = every
+            elif bound:
+                raise ValueError("a constant under a quantifier")
             else:
-                raise ValueError("free variable outside a quantifier")
+                named = bits = bit[n.term.name.lower()]
             out = node((LProp, n.pred.prop_name(SYMBOL)), bits)
         elif t is QForAll:
-            uid, bits = memo[id(n.body)]
+            if bound:
+                raise ValueError("a quantifier under a quantifier")
+            (uid, bits), _ = memo[id(n.body)]
+            named = universal
             copies = [(uid, bit[c] if bits else 0) for c in constants]
             out = copies[-1]
             for copy in reversed(copies[:-1]):
                 out = binary(copy, out)
+            if len(constants) > 1:
+                foralls[out[0]] = uid
         elif t is QAnd:
-            out = binary(memo[id(n.left)], memo[id(n.right)])
-        elif t is QAlwF:
-            out = unary(LNot, unary(LSomeF, unary(LNot, memo[id(n.arg)])))
-        elif t is QAlwP:
-            out = unary(LNot, unary(LSomeP, unary(LNot, memo[id(n.arg)])))
+            (left, ln), (right, rn) = memo[id(n.left)], memo[id(n.right)]
+            out, named = binary(left, right), ln | rn
         else:
-            out = unary(_QUNARY[t], memo[id(n.arg)])
-        memo[id(n)] = out
-    return keys, [max(1, bits.bit_count()) for bits in at]
+            a, named = memo[id(n.arg)]
+            if t in _QBOX:  # □a as ¬◇¬a
+                out = unary(LNot, unary(_QBOX[t], unary(LNot, a)))
+            else:
+                out = unary(_QUNARY[t], a)
+        memo[id(n)] = out, named
+
+    conjuncts: list[Conjunct] = []
+    spine = [qtl]  # the top conjunction spine, left to right
+    while spine:
+        n = spine.pop()
+        if type(n) is QAnd:
+            spine += (n.right, n.left)
+            continue
+        if n == QTRUE:
+            continue
+        (uid, _), named = memo[id(n)]
+        consts = named & every
+        if consts & (consts - 1) or (consts and named & universal):
+            raise ValueError("a conjunct is about more than one constant")
+        about = constants[consts.bit_length() - 1] if consts else None
+        conjuncts.append(Conjunct(n, uid, EVERY_CONSTANT if named & universal else about))
+    return SymbolicGrounding(constants, keys, [max(1, bits.bit_count()) for bits in at],
+                             at, pairs, foralls, tuple(conjuncts))
+
+
+@gc_paused()
+def ground(
+    sg: SymbolicGrounding,
+    parts: Optional[Sequence[Conjunct]] = None,
+    constant: Optional[str] = None,
+    fixed: Optional[Mapping[str, bool]] = None,
+) -> Ltl:
+    """A grounding built from the table of `sg`: by default the whole
+    one, else the conjunction (`ltl.conj`) of the groundings of `parts`,
+    with `constant` over that one constant (a `∀x` node being its body
+    there), without it each at the constant it is about, which may not be
+    every constant.  A proposition named in `fixed` becomes truth or
+    falsum.
+
+    Only the uids the parts reach are built, each once per constant it
+    is reached at, and once in all for a uid without SYMBOL below it.
+    """
+    keys, at = sg.keys, sg.at
+    # slot s ≥ 1 holds the copies at the s-th constant, slot 0 the rest
+    slot = {c: s for s, c in enumerate(sg.constants, 1)}
+    one = 0 if constant is None else slot[constant]
+    foralls = sg.foralls if one else {}
+    # the children, as (uid, slot), of a uid that does not read them in its own slot
+    links = {} if one else {
+        uid: tuple(zip(keys[uid][1:], slots)) for uid, slots in sg.pairs.items()}
+    roots = [(len(keys) - 1, at[-1].bit_length())] if parts is None else [
+        (foralls.get(p.uid, p.uid), one or slot.get(p.about, 0)) for p in parts]
+    # per uid, the slots (as bits) it is built in
+    need = [0] * (max((uid for uid, _ in roots), default=-1) + 1)
+    for uid, s in roots:
+        need[uid] |= 1 << (s if at[uid] else 0)
+    for uid in range(len(need) - 1, -1, -1):
+        b, key = need[uid], keys[uid]
+        if not b or key[0] is LProp or key[0] is LFalse:
+            continue
+        link = links.get(uid)
+        if link is None and one and (key[1] in foralls or key[-1] in foralls):
+            kids = [foralls.get(k, k) for k in key[1:]]
+            link = links[uid] = tuple((k, one if at[k] else 0) for k in kids)
+        if link is None:
+            for k in key[1:]:
+                need[k] |= b if at[k] else 1
+        else:
+            for k, s in link:
+                need[k] |= 1 << s
+    fixed = {name: TRUE if value else FALSE for name, value in (fixed or {}).items()}
+
+    def leaf(name: str, s: int) -> Ltl:
+        return LProp(name.replace(SYMBOL, sg.constants[s - 1])) if s else fixed.get(name, LProp(name))
+
+    outs: list[dict[int, Ltl]] = [{} for _ in range(len(slot) + 1)]
+    _build(keys, enumerate(need), outs, at, leaf, links)
+    built = [outs[s if at[uid] else 0][uid] for uid, s in roots]
+    return built[0] if parts is None else conj(built)

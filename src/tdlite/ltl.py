@@ -37,7 +37,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 REPR_LIMIT = 200
@@ -567,30 +567,40 @@ def optimize(f: Ltl) -> Ltl:
     return f
 
 
-def _build(keys: list[tuple], start: int, out: list[Ltl], names: Mapping[str, str],
-           base: list[Ltl] | None = None, renamed: list[bool] | None = None) -> None:
-    """Append to `out` one node per uid of the key table from `start` on,
-    with the propositions in `names` renamed; a uid that `renamed` does
-    not mark gets the node `base` has for it instead of a new one."""
-    append = out.append
-    for uid in range(start, len(keys)):
+def _build(keys: list[tuple], todo: Iterable[tuple[int, int]], outs: list,
+           local: Sequence, leaf: Callable[[str, int], Ltl],
+           links: Mapping[int, tuple[tuple[int, int], ...]] = {}) -> None:
+    """For each (uid, slots) of `todo`, in increasing uid order, and each
+    slot s of `slots` (a bit per slot), set outs[s][uid] to a new node of
+    the uid's key, `leaf(name, s)` for a proposition.  A child is read from
+    slot s when `local` marks it and from slot 0 when not; a uid in
+    `links` reads its children from the (uid, slot) pairs there."""
+    base = outs[0]
+    for uid, b in todo:
         key = keys[uid]
         t = key[0]
-        if base is not None and not renamed[uid]:
-            append(base[uid])
-        elif t is LAnd:
-            append(LAnd(out[key[1]], out[key[2]]))
-        elif t is LProp:
-            append(LProp(names.get(key[1], key[1])))
-        elif t is LFalse:
-            append(FALSE)
-        else:
-            append(t(out[key[1]]))
+        link = links.get(uid)
+        while b:
+            s = b.bit_length() - 1
+            b ^= 1 << s
+            out = outs[s]
+            if link is not None:
+                out[uid] = t(*[outs[slot][k] for k, slot in link])
+            elif t is LAnd:
+                left, right = key[1], key[2]
+                out[uid] = LAnd((out if local[left] else base)[left],
+                                (out if local[right] else base)[right])
+            elif t is LProp:
+                out[uid] = leaf(key[1], s)
+            elif t is LFalse:
+                out[uid] = FALSE
+            else:
+                out[uid] = t((out if local[key[1]] else base)[key[1]])
 
 
 @gc_paused()
 def optimize_instances(
-    pieces: list[Ltl], renamings: list[Mapping[str, str]], rest: Ltl = TRUE
+    pieces: list[Ltl], renames: list[Mapping[str, str]], rest: Ltl = TRUE
 ) -> Ltl:
     """`optimize` of the conjunction of the pieces and their renamed
     instances, piece-major (each piece, then the piece with its
@@ -629,13 +639,18 @@ def optimize_instances(
     roots = [_intern(p, uid_of, key_to_uid) for p in held]
     keys: list[tuple] = []
     renamed: list[bool] = []  # whether a uid names a renamed proposition
-    domain = {name for names in renamings for name in names}
-    instances: list[list[Ltl]] = [[] for _ in range(len(renamings) + 1)]
+    domain = {name for names in renames for name in names}
+    # the pieces' own instance in slot 0, and each renaming's in the next
+    # for the uids that name a renamed proposition
+    instances: list[list] = [[] for _ in range(len(renames) + 1)]
     base = instances[0]
+    every = (1 << len(instances)) - 1
+
+    def leaf(name: str, s: int) -> Ltl:
+        return LProp(renames[s - 1].get(name, name) if s else name)
 
     def extend() -> None:
-        """Give each uid the table gained a key, a mark and a node of the
-        pieces' own instance; the other instances build theirs in `node`."""
+        """Give each uid the table gained a key, a mark and its nodes."""
         start = len(keys)
         # `_intern` only appends, so the new keys are the last ones
         keys.extend(reversed(list(islice(reversed(key_to_uid), len(key_to_uid) - start))))
@@ -647,15 +662,15 @@ def optimize_instances(
                 renamed.append(key[1] in domain)
             else:
                 renamed.append(t is not LFalse and renamed[key[1]])
-        _build(keys, start, base, {})
+        for instance in instances:
+            instance.extend([None] * (len(keys) - start))
+        _build(keys, ((uid, every if renamed[uid] else 1) for uid in range(start, len(keys))),
+               instances, renamed, leaf)
         for uid in range(start, len(keys)):
             uid_of[id(base[uid])] = uid
 
     def node(uid: int, i: int) -> Ltl:
-        if uid >= len(instances[i]):
-            for copy, names in zip(instances[1:], renamings):
-                _build(keys, len(copy), copy, names, base, renamed)
-        return instances[i][uid]
+        return instances[i if renamed[uid] else 0][uid]
 
     extend()
 

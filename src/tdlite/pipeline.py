@@ -3,19 +3,18 @@
 A knowledge base runs through up to three translation stages — the
 one-variable first-order temporal formula, its propositional grounding,
 and (over ℤ) the past-free rendering — with per-stage sizes and timings
-collected in a trace.  The trace keeps the first formula and the
-constants of the grounding.  Of the other two stages it records only the
-sizes, and neither is built to get them: the symbolic grounding
-(`ground.symbolic_grounding`) grounds each universal body and each fact
-once, and past elimination's table of it gives both stages' node and
-proposition counts (`pastelim.SubformulaTable`).  `tdlite translate --to
-ltlp|ltl` grounds the KB itself to print it, the second over ℤ from past
-elimination's table (`pastelim.print_past_free`).  In process, checking
-decides the grounding one constant at a time
-(`components.check_by_constant`), and grounds the whole KB only to
-re-check a combined SAT word; an external solver profile gets
-`solver_formula`, the optimized grounding, which the emitters print over
-ℤ with its past eliminated.
+collected in a trace.  The trace keeps the first formula and its symbolic
+grounding (`ground.symbolic_grounding`), which grounds each universal
+body and each fact once.  Of the other two stages it records only the
+sizes, read off past elimination's table of the symbolic grounding
+(`pastelim.SubformulaTable`).  Every grounding is built from that table
+(`ground.ground`): `tdlite translate --to ltlp|ltl` builds the whole one
+to print it, the second over ℤ from past elimination's table
+(`pastelim.print_past_free`); in process, checking decides the grounding
+one constant at a time (`components.check_by_constant`), and builds the
+whole grounding only to re-check a combined SAT word; an external solver
+profile gets `solver_formula`, the optimized grounding, which the
+emitters print over ℤ with its past eliminated.
 `solver_formula` is the one definition of what a solver receives;
 `tdlite translate --to smv|infix` and `tdlite bench` use it too.  It
 optimizes the universal part of the grounding at one constant and renames
@@ -32,16 +31,16 @@ from typing import Optional
 from .components import Decomposition, check_by_constant
 from .ground import (
     EVERY_CONSTANT,
+    SYMBOL,
     GroundingContext,
-    conjuncts_about,
+    SymbolicGrounding,
     ground,
-    renamings,
     symbolic_grounding,
 )
 from .kb import KnowledgeBase, concept_size
-from .ltl import Ltl, optimize_instances
+from .ltl import LProp, Ltl, optimize_instances
 from .pastelim import SubformulaTable
-from .qtl import Qtl, TranslationContext, q_conj, qtl_size, translate_kb
+from .qtl import Qtl, TranslationContext, qtl_size, translate_kb
 from .solvers import SolverProfile, run_solver
 
 @dataclass(frozen=True, slots=True)
@@ -59,8 +58,8 @@ class PipelineTrace:
     # formulas are far too deep for the recursive dataclass repr
     qtl: Optional[Qtl] = field(default=None, repr=False)
     qtl_ctx: Optional[TranslationContext] = None
-    # the constants the grounding instantiates the quantifier with
-    gctx: Optional[GroundingContext] = None
+    # the symbolic grounding that every grounding is built from
+    grounding: Optional[SymbolicGrounding] = field(default=None, repr=False)
     # how an in-process check split the grounding; None for other runs
     decomposition: Optional[Decomposition] = None
 
@@ -119,9 +118,8 @@ def run_pipeline(kb: KnowledgeBase, flow: str) -> PipelineTrace:
     trace.stages.append(StageRecord("qtl1", qtl_size(q), None, wall))
 
     t0 = time.monotonic()
-    trace.gctx = GroundingContext.from_kb(kb, ctx)
-    keys, copies = symbolic_grounding(q, trace.gctx)
-    table = SubformulaTable.of(keys, copies)
+    trace.grounding = sg = symbolic_grounding(q, GroundingContext.from_kb(kb, ctx))
+    table = SubformulaTable.of(sg.keys, sg.copies)
     nodes, props = table.input_size(), table.input_props()
     trace.stages.append(StageRecord("ltlp", nodes, props, (time.monotonic() - t0) * 1000.0))
     if flow == "z":
@@ -151,7 +149,7 @@ def check_kb(
     """
     trace = run_pipeline(kb, flow)
     if profile is None:
-        word, trace.decomposition = check_by_constant(trace.qtl, trace.qtl_ctx, trace.gctx)
+        word, trace.decomposition = check_by_constant(trace.grounding, trace.qtl_ctx)
         return ("SAT" if word is not None else "UNSAT"), trace
     result = run_solver(
         profile,
@@ -166,17 +164,18 @@ def check_kb(
 
 def solver_formula(trace: PipelineTrace) -> Ltl:
     """What an external solver gets: the optimized grounding, as
-    `optimize(ground(trace.qtl, trace.gctx))` gives it (where optimize
-    stops at its round cap short of its fixpoint, this may stop at
-    another point on the way).  The emitters print it for the trace's
-    flow (`solvers.emit`), over ℤ as its past-free translation, written
-    from past elimination's table.
+    `optimize(ground(trace.grounding))` gives it (where optimize stops at
+    its round cap short of its fixpoint, this may stop at another point
+    on the way).  The emitters print it for the trace's flow
+    (`solvers.emit`), over ℤ as its past-free translation, written from
+    past elimination's table.
 
     It is built in two parts.  The universal conjuncts are grounded at
     the first constant, and `optimize_instances` optimizes each once and
-    renames the results to the other constants.
+    renames the results to the other constants (each of the table's
+    SYMBOL propositions from its name at the first to its name there).
     The other conjuncts (ABox facts, witness demands, a constant-free
-    falsum) are grounded over all constants and optimized together, so
+    falsum) are grounded at their constants and optimized together, so
     that the ○-chains of facts about different constants merge as they
     do in the whole grounding.  The first part's top conjuncts are boxes
     and the second's never are, and the dagger translation's first
@@ -186,18 +185,19 @@ def solver_formula(trace: PipelineTrace) -> Ltl:
     Past elimination writes clauses that are already simplified, so the ℤ
     text needs no second `optimize` pass.
     """
-    universal, rest = [], []
-    for part, about in conjuncts_about(trace.qtl):
-        (universal if about == EVERY_CONSTANT else rest).append(part)
-    constants = trace.gctx.constants
+    sg = trace.grounding
+    universal = [p for p in sg.conjuncts if p.about == EVERY_CONSTANT]
+    first, *others = sg.constants
     # the conjunction's spine holds each part's grounding as a left child
-    f = ground(q_conj(universal), GroundingContext(constants[:1]))
+    f = ground(sg, universal, first)
     pieces = []
     for _ in universal[1:]:
         pieces.append(f.left)
         f = f.right
+    symbolic = [key[1] for key in sg.keys if key[0] is LProp and SYMBOL in key[1]]
     return optimize_instances(
         pieces + [f] if universal else [],
-        renamings(universal, constants),
-        ground(q_conj(rest), trace.gctx),
+        [{name.replace(SYMBOL, first): name.replace(SYMBOL, c) for name in symbolic}
+         for c in others],
+        ground(sg, [p for p in sg.conjuncts if p.about != EVERY_CONSTANT]),
     )

@@ -39,6 +39,7 @@ from tdlite.ltl import (
     LSomeP,
     Ltl,
     PastOperatorPresent,
+    TRUE,
     _UNARY,
     _merge_siblings,
     _negated,
@@ -52,10 +53,26 @@ from tdlite.ltl import (
     structural_index,
     to_infix,
 )
-from tdlite.ground import ground
+from tdlite.ground import GroundingContext
 from tdlite.oracle import BiLassoWord, Valuation
 from tdlite.pastelim import SubformulaTable, build_table, pair_names, surrogate_name
-from tdlite.qtl import TranslationContext
+from tdlite.qtl import (
+    QAlwF,
+    QAlwP,
+    QAnd,
+    QAtom,
+    QFalsum,
+    QForAll,
+    QNextF,
+    QNextP,
+    QNot,
+    QProp,
+    QSomeF,
+    QSomeP,
+    Qtl,
+    TranslationContext,
+    Var,
+)
 
 MAX_Z_PROPS = 8
 DEFAULT_Z_BOUND = 3
@@ -309,9 +326,68 @@ def count_props(f: Ltl) -> int:
     return len(prop_names(f))
 
 
+_QUNARY = {QNot: LNot, QNextF: LNextF, QNextP: LNextP, QSomeF: LSomeF, QSomeP: LSomeP}
+
+
+@gc_paused()
+def ground(
+    qtl: Qtl, gctx: GroundingContext, fixed: Optional[dict[str, bool]] = None
+) -> Ltl:
+    """Instantiate quantifiers over the constant set and desugar boxes.
+
+    A proposition named in `fixed` becomes truth or falsum instead.
+    Iterative with memoization on (node, binding) so shared subformulas and
+    repeated instantiations are translated once.
+    """
+    fixed = fixed or {}
+    memo: dict[tuple[int, str | None], Ltl] = {}
+    stack: list[tuple[Qtl, str | None, bool]] = [(qtl, None, False)]
+    while stack:
+        n, binding, done = stack.pop()
+        key = (id(n), binding)
+        if key in memo:
+            continue
+        if not done:
+            stack.append((n, binding, True))
+            if isinstance(n, QForAll):
+                stack.extend((n.body, c, False) for c in gctx.constants)
+            elif isinstance(n, QAnd):
+                stack.append((n.left, binding, False))
+                stack.append((n.right, binding, False))
+            elif isinstance(n, (QNot, QNextF, QNextP, QSomeF, QSomeP, QAlwF, QAlwP)):
+                stack.append((n.arg, binding, False))
+            continue
+        if isinstance(n, QFalsum):
+            memo[key] = LFalse()
+        elif isinstance(n, QProp):
+            if n.name in fixed:
+                memo[key] = TRUE if fixed[n.name] else FALSE
+            else:
+                memo[key] = LProp(n.name)
+        elif isinstance(n, QAtom):
+            if isinstance(n.term, Var):
+                if binding is None:
+                    raise ValueError("free variable outside a quantifier")
+                memo[key] = LProp(n.pred.prop_name(binding))
+            else:
+                memo[key] = LProp(n.pred.prop_name(n.term.name.lower()))
+        elif isinstance(n, QForAll):
+            memo[key] = conj([memo[(id(n.body), c)] for c in gctx.constants])
+        elif isinstance(n, QAnd):
+            memo[key] = LAnd(memo[(id(n.left), binding)], memo[(id(n.right), binding)])
+        elif isinstance(n, QAlwF):
+            memo[key] = LNot(LSomeF(LNot(memo[(id(n.arg), binding)])))
+        elif isinstance(n, QAlwP):
+            memo[key] = LNot(LSomeP(LNot(memo[(id(n.arg), binding)])))
+        else:
+            memo[key] = _QUNARY[type(n)](memo[(id(n.arg), binding)])
+    return memo[(id(qtl), None)]
+
+
 def grounding(trace) -> Ltl:
-    """The grounding of a pipeline trace's KB over all its constants."""
-    return ground(trace.qtl, trace.gctx)
+    """The grounding of a pipeline trace's KB over all its constants, by
+    the reference walk `ground`."""
+    return ground(trace.qtl, GroundingContext(trace.grounding.constants))
 
 
 def grounded_sizes(trace) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 
 from scipy import stats
 
-from tdlite.ground import GroundingContext, ground
+from tdlite.ground import GroundingContext, ground, symbolic_grounding
 from tdlite.kb import normalize_kb
 from tdlite.oracle import BiLassoWord, eval_on_lasso, z_sat
 from tdlite.pipeline import check_kb, run_pipeline, solver_formula
@@ -131,7 +131,7 @@ def _kb_series():
         spec = BatchSpec(F=1, N=3, Lt=lt, Lc=6, Q=2, seed=11)
         kb = generate_instance(spec, 0, flow="z")
         q, ctx = translate_kb(kb, "z")
-        g = ground(q, GroundingContext.from_kb(normalize_kb(kb), ctx))
+        g = ground(symbolic_grounding(q, GroundingContext.from_kb(normalize_kb(kb), ctx)))
         out.append((tree_size(g), tree_size(depast(g))))
     return out
 

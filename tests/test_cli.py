@@ -88,6 +88,14 @@ def test_missing_file_exit_code(capsys):
     assert run_cli("check", "/no/such/file.kb") == EXIT_PARSE
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xff\xfeS\x00I\x00G\x00")
+    assert run_cli(command, str(path)) == EXIT_PARSE
+    assert "UnicodeDecodeError" not in capsys.readouterr().err
+
+
 def test_flow_violation_exit_code(kb_file, capsys):
     assert run_cli("check", kb_file(PAST_KB), "--flow", "n") == EXIT_FLOW
     capsys.readouterr()

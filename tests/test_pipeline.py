@@ -7,7 +7,7 @@ import hashlib
 
 import pytest
 
-from tdlite.ground import EVERY_CONSTANT, GroundingContext, conjuncts_about, ground
+from tdlite.ground import EVERY_CONSTANT, GroundingContext, symbolic_grounding
 from tdlite.kbparse import parse_kb
 from tdlite import components, ltl, oracle, pastelim, solvers
 from tdlite.ltl import (
@@ -47,6 +47,7 @@ from references import (
     named_key,
     optimized_to_the_end,
     rebuilt_optimize,
+    struct_eq,
     tree_size,
     tuple_keyed_intern,
 )
@@ -84,6 +85,18 @@ def test_trace_as_dict_round_trips_through_json():
     assert [s["name"] for s in doc["stages"]] == ["kb", "qtl1", "ltlp", "ltl"]
     assert all(s["wall-ms"] >= 0 for s in doc["stages"])
     assert trace.total_ms() >= 0
+
+
+def test_the_repr_of_a_benchmark_scale_trace_stays_small():
+    # the trace holds the qtl1 formula and the symbolic grounding, neither
+    # of which its repr or its JSON form writes out
+    kb = generate_instance(BatchSpec(F=1, N=7, Lt=100, Lc=20, Q=5, seed=20260824), 0, flow="z")
+    trace = run_pipeline(kb, "z")
+    assert len(trace.grounding.keys) > 10_000
+    assert len(repr(trace)) < 4096
+    assert "grounding=" not in repr(trace)
+    assert len(repr(trace.grounding)) < 100
+    assert set(trace.as_dict()) == {"flow", "stages"}
 
 
 def test_kb_node_count():
@@ -172,11 +185,11 @@ def test_solver_formula_is_optimize_of_the_grounding_on_edge_cases(name, flow):
     _assert_same_hand_off(trace, name)
     text = ltl.to_infix(solver_formula(trace))
     if name == "empty TBox":
-        assert all(about != EVERY_CONSTANT for _, about in conjuncts_about(trace.qtl))
+        assert all(p.about != EVERY_CONSTANT for p in trace.grounding.conjuncts)
     elif name == "synthetic constant":
-        assert trace.gctx.constants == (SYNTHETIC_CONST,)
+        assert trace.grounding.constants == (SYNTHETIC_CONST,)
     elif name == "constant-free conjunct":
-        assert len(trace.gctx.constants) == 4 and text.count("(X (X false))") == 1
+        assert len(trace.grounding.constants) == 4 and text.count("(X (X false))") == 1
     elif name == "complementary conjuncts":
         assert text == "false"
     elif name == "long X-chains":
@@ -296,9 +309,9 @@ def test_an_in_process_z_check_keys_the_grounding_once(monkeypatch, name):
     grounded, keyed = [], []
     real_ground = components.ground
 
-    def spy(q, gctx, fixed=None):
-        g = real_ground(q, gctx, fixed)
-        grounded.append((q, g))
+    def spy(sg, parts=None, constant=None, fixed=None):
+        g = real_ground(sg, parts, constant, fixed)
+        grounded.append((parts, g))
         return g
 
     monkeypatch.setattr(components, "ground", spy)
@@ -308,7 +321,8 @@ def test_an_in_process_z_check_keys_the_grounding_once(monkeypatch, name):
                             lambda f, index=index: keyed.append(f) or index(f))
     verdict, trace = check_kb(load_toy(name), "z")
     assert verdict == TOY_VERDICTS[name] == "SAT"
-    (whole,) = [g for q, g in grounded if q is trace.qtl]
+    (whole,) = [g for parts, g in grounded if parts is None]
+    assert struct_eq(whole, grounding(trace))
     assert sum(f is whole for f in keyed) == 1
 
 
@@ -334,11 +348,11 @@ def test_run_pipeline_leaves_the_collector_enabled():
         assert gc.isenabled()
 
 
-def test_ground_restores_the_collector_when_it_raises():
+def test_grounding_restores_the_collector_when_it_raises():
     free = QAtom(ConceptPred("A"), X)  # a variable outside any quantifier
     assert gc.isenabled()
     with pytest.raises(ValueError, match="free variable"):
-        ground(free, GroundingContext(("x",)))
+        symbolic_grounding(free, GroundingContext(("x",)))
     assert gc.isenabled()
 
 

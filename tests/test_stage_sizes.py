@@ -11,7 +11,6 @@ from tdlite.ground import (
     EVERY_CONSTANT,
     SYMBOL,
     GroundingContext,
-    conjuncts_about,
     symbolic_grounding,
 )
 from tdlite.kbparse import parse_kb
@@ -84,18 +83,18 @@ _EDGE_KBS = {
 @pytest.mark.parametrize("name", sorted(_EDGE_KBS))
 def test_stage_sizes_are_exact_on_edge_cases(name, flow):
     trace = _assert_exact(parse_kb(_EDGE_KBS[name]), flow, name)
-    parts = conjuncts_about(trace.qtl)
+    parts = [(p.node, p.about) for p in trace.grounding.conjuncts]
     universal = [part for part, about in parts if about == EVERY_CONSTANT]
     if name == "one constant":
-        assert trace.gctx.constants == ("a",)
+        assert trace.grounding.constants == ("a",)
     elif name == "synthetic constant":
-        assert trace.gctx.constants == (SYNTHETIC_CONST,)
+        assert trace.grounding.constants == (SYNTHETIC_CONST,)
     elif name == "empty TBox":
         assert not universal
     elif name == "empty ABox":
         assert all(about == EVERY_CONSTANT for _, about in parts)
     elif name == "constant-free body":
-        assert len(trace.gctx.constants) == 2
+        assert len(trace.grounding.constants) == 2
     elif name == "two identical universal conjuncts":
         assert len(set(universal)) == len(universal) - 1
     elif name == "X-chain in the TBox":
@@ -113,7 +112,8 @@ def test_a_key_stands_for_its_copy_at_each_constant_it_is_grounded_at():
     q, ctx = translate_kb(kb, "n")
     gctx = GroundingContext.from_kb(kb, ctx)
     assert gctx.constants == ("a", "b")
-    keys, copies = symbolic_grounding(q, gctx)
+    sg = symbolic_grounding(q, gctx)
+    keys, copies = sg.keys, sg.copies
     uid = {key: u for u, key in enumerate(keys)}
     a, b = uid[(LProp, concept_prop("A", SYMBOL))], uid[(LProp, concept_prop("B", SYMBOL))]
     next_b = uid[(LNextF, b)]
@@ -125,14 +125,16 @@ def test_a_key_stands_for_its_copy_at_each_constant_it_is_grounded_at():
 
 def _guard(monkeypatch):
     """Make every module's `ground` refuse a universal conjunct over more
-    than one constant."""
+    than one constant: the whole grounding, or universal parts without
+    a constant to ground them at."""
     real = ground_module.ground
 
-    def guarded(q, gctx, fixed=None):
-        if len(gctx.constants) > 1:
-            assert all(about != EVERY_CONSTANT for _, about in conjuncts_about(q)), \
+    def guarded(sg, parts=None, constant=None, fixed=None):
+        if len(sg.constants) > 1 and constant is None:
+            universal = sg.conjuncts if parts is None else parts
+            assert all(p.about != EVERY_CONSTANT for p in universal), \
                 "grounded a universal conjunct at every constant"
-        return real(q, gctx, fixed)
+        return real(sg, parts, constant, fixed)
 
     for module in (ground_module, pipeline, components, cli):
         if getattr(module, "ground", None) is real:
@@ -173,4 +175,4 @@ def test_the_guard_refuses_the_whole_grounding(monkeypatch):
     _guard(monkeypatch)
     trace = run_pipeline(load_toy("ex2"), "z")
     with pytest.raises(AssertionError, match="universal conjunct"):
-        pipeline.ground(trace.qtl, trace.gctx)
+        pipeline.ground(trace.grounding)
