@@ -266,9 +266,9 @@ def ground(
     """A grounding built from the table of `sg`: by default the whole
     one, else the conjunction (`ltl.conj`) of the groundings of `parts`,
     with `constant` over that one constant (a `∀x` node being its body
-    there), without it each at the constant it is about, which may not be
-    every constant.  A proposition named in `fixed` becomes truth or
-    falsum.
+    there), without it each at the constant it is about (so a universal
+    part needs `constant`).  A proposition named in `fixed` becomes truth
+    or falsum.
 
     Only the uids the parts reach are built, each once per constant it
     is reached at, and once in all for a uid without SYMBOL below it.
