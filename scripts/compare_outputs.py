@@ -23,7 +23,9 @@ PYTHONHASHSEED=0 (the script restarts itself with it).  The items are:
   of each checker engine the check builds, in call order.
 
 Alongside the items it records, per corpus, how many rounds `optimize`
-ran (the `simplify` calls made by `optimize` itself).  It uses only
+ran (the `simplify` calls made by `optimize` itself): one per call where
+`optimize` is a single `simplify` walk, and more in a checkout where it
+ran rounds of `simplify` to a fixpoint.  It uses only
 functions that have been in the package since the hand-off moved to
 `solver_formula`, so one copy of the script can fingerprint an older
 checkout too.

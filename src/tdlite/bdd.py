@@ -166,9 +166,6 @@ class Bdd:
             self._quant_ids[levels] = qid
         return qid
 
-    def exist(self, f: int, levels: frozenset[int]) -> int:
-        return self._exist(f, levels, self._qid(levels))
-
     def _exist(self, f: int, levels: frozenset[int], qid: int) -> int:
         if f < 2:
             return f

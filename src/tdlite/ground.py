@@ -144,8 +144,9 @@ def symbolic_grounding(qtl: Qtl, gctx: GroundingContext) -> SymbolicGrounding:
     symbolic key.
 
     Raises ValueError on a free variable, a constant or a quantifier
-    under a quantifier, and a conjunct about more than one constant; the
-    dagger translation builds none of them.
+    under a quantifier, a conjunct about more than one constant, and a
+    constant that `gctx` does not list; the dagger translation builds
+    none of them.
     """
     constants = gctx.constants
     every = (1 << len(constants)) - 1
@@ -212,6 +213,8 @@ def symbolic_grounding(qtl: Qtl, gctx: GroundingContext) -> SymbolicGrounding:
                 bits = every
             elif bound:
                 raise ValueError("a constant under a quantifier")
+            elif n.term.name.lower() not in bit:
+                raise ValueError(f"constant {n.term.name.lower()!r} is not a grounding constant")
             else:
                 named = bits = bit[n.term.name.lower()]
             out = node((LProp, n.pred.prop_name(SYMBOL)), bits)

@@ -15,9 +15,10 @@ sizes are, is read off its table of subformulas
 
 `simplify` is the one rewriting walk: every rule, the rewrite of a
 constancy conjunct into one-step form included, fires on simplified
-children, and the walk hash-conses what it keeps.  `optimize` is rounds
-of `simplify`, sharing one index and one memo, until a round returns its
-input; `optimize_instances` gives the same for the copies of a grounding
+children, a node that a rule builds is simplified in the same walk, and
+the walk hash-conses what it keeps, so one walk reaches the fixpoint.
+`optimize` is that walk with the garbage collector paused;
+`optimize_instances` gives the same for the copies of a grounding
 without walking each copy.
 
 Node identity stays inside this module: `structural_index` gives other
@@ -317,15 +318,15 @@ def _merged(tag: str, body: Ltl) -> Ltl:
     return LNot(LSomeP(LSomeF(LNot(body))))
 
 
-def _merge_siblings(parts: list[Ltl]) -> list[Ltl]:
-    """Collapse sibling conjuncts under a shared modality: ¬𝕆x ∧ ¬𝕆y →
-    ¬𝕆¬(¬x∧¬y) for 𝕆 ∈ {◇F, ◇P, ◇P◇F} and ○x ∧ ○y → ○(x∧y).  All four
-    rewrites are equivalences; first-occurrence order is preserved.  With
-    nothing to merge, `parts` itself is returned."""
-    groups: dict[str, list[Ltl]] = {}
-    out: list[Ltl | str] = []
+def _sibling_groups(parts: list, modality: Callable) -> tuple[list, dict[str, list]]:
+    """`parts` in order, the siblings under each shared modality standing
+    as its tag at the first one's place, and per tag the (part, formula
+    held there) pairs; `modality(p)` gives p's tag and that formula, or
+    None."""
+    groups: dict[str, list] = {}
+    out: list = []
     for p in parts:
-        hit = _modality(p)
+        hit = modality(p)
         if hit is None:
             out.append(p)
             continue
@@ -334,7 +335,16 @@ def _merge_siblings(parts: list[Ltl]) -> list[Ltl]:
             groups[tag] = []
             out.append(tag)
         groups[tag].append((p, a))
-    if all(len(entries) == 1 for entries in groups.values()):
+    return out, groups
+
+
+def _merge_siblings(parts: list[Ltl]) -> list[Ltl]:
+    """Collapse sibling conjuncts under a shared modality: ¬𝕆x ∧ ¬𝕆y →
+    ¬𝕆¬(¬x∧¬y) for 𝕆 ∈ {◇F, ◇P, ◇P◇F} and ○x ∧ ○y → ○(x∧y).  All four
+    rewrites are equivalences; first-occurrence order is preserved.  With
+    nothing to merge, `parts` itself is returned."""
+    out, groups = _sibling_groups(parts, _modality)
+    if len(out) == len(parts):
         return parts
     merged: list[Ltl] = []
     for p in out:
@@ -413,15 +423,11 @@ def _one_step_box(t: type, a: Ltl, index: tuple[dict, dict]) -> Ltl | None:
     return box if t is LSomeF else LSomeP(box)
 
 
-def simplify(
-    f: Ltl,
-    index: tuple[dict, dict] | None = None,
-    memo: dict[int, Ltl] | None = None,
-) -> Ltl:
-    """Sound shrinking: double-negation elimination, conjunction flattening
-    with structural deduplication, complementary conjuncts, sibling
-    box/next merging, truth/falsum propagation, idempotent eventually, and
-    the constancy rule.  Preserves equivalence.
+def simplify(f: Ltl, memo: dict[int, Ltl] | None = None) -> Ltl:
+    """Sound shrinking to a fixpoint: double-negation elimination,
+    conjunction flattening with structural deduplication, complementary
+    conjuncts, sibling box/next merging, truth/falsum propagation,
+    idempotent eventually, and the constancy rule.  Preserves equivalence.
 
     A conjunct is dropped when it is structurally equal to an earlier one
     of the same spine, also when the two are distinct objects, and a spine
@@ -431,28 +437,36 @@ def simplify(
 
     The constancy rule rewrites the body of a box into one-step form
     (`_one_step_box`): at ◇Fa, with a simplified, the body is
-    `_negated(a)`, and at ◇P◇Fx two-sidedly `_negated(x)`.  A node it
-    rewrites is rebuilt and simplified in the same walk, pushed on the
-    stack above the node it stands for.  The memo keys the rebuilt node's
-    new subformulas by id(), so it holds the rebuilt node under the
+    `_negated(a)`, and at ◇P◇Fx two-sidedly `_negated(x)`.  A node that a
+    rule builds is simplified in the same walk: the box the constancy rule
+    rebuilds, a spine whose siblings merged (the merged conjunct's body
+    may merge again, one nesting level down), and a spine that holds a
+    conjunction as a simplified conjunct are pushed on the stack above a
+    redirect entry for the node they stand for.  So the result is a
+    fixpoint: simplify of it returns it itself.  The memo keys a rebuilt
+    node's new subformulas by id(), so it holds the rebuilt node under the
     negative of its id, which no node's id is.
 
     A node whose children come back unchanged and where no rule fires is
     returned itself; for a conjunction spine that means the same leaves,
-    already right-nested.  `index` is the hash-cons tables of `_intern`
-    and `memo` maps id(node) to its result; a caller may pass both from
-    an earlier call, which then skips every node that call has seen.
+    already right-nested.  `memo` maps id(node) to its result; a caller
+    may seed it with nodes that are their own result, which the walk then
+    does not enter.
     """
-    if index is None:
-        index = ({}, {})
+    index: tuple[dict, dict] = ({}, {})
+    uid_of, key_to_uid = index
     if memo is None:
         memo = {}
-    uid_of, key_to_uid = index
-    # a node, and a conjunction's leaves or the box rebuilt for a node
+    # a node alone, a conjunction with its leaves, or a node with the node
+    # rebuilt for it
     stack: list[tuple[Ltl, object]] = [(f, None)]
     while stack:
         n, extra = stack.pop()
         if id(n) in memo:
+            continue
+        if extra is not None and type(extra) is not list:  # n's rebuilt node is done
+            memo[id(n)] = memo[id(extra)]
+            memo[-id(extra)] = extra
             continue
         t = type(n)
         if t is LAnd:
@@ -463,7 +477,7 @@ def simplify(
                 continue
             parts: list[Ltl] = []
             uids: set[int] = set()
-            changed = False
+            changed = nested = False
             for c in extra:
                 sc = memo[id(c)]
                 if sc is not c:
@@ -489,19 +503,20 @@ def simplify(
                     break
                 uids.add(uid)
                 parts.append(sc)
+                nested = nested or type(sc) is LAnd
             else:
                 merged = _merge_siblings(parts)
-                if merged is parts and not changed and _right_nested(n):
+                if merged is not parts or nested:
+                    rebuilt = conj(merged)
+                    stack.append((n, rebuilt))
+                    stack.append((rebuilt, None))
+                elif not changed and _right_nested(n):
                     memo[id(n)] = n
                 else:
-                    memo[id(n)] = conj(merged)
+                    memo[id(n)] = conj(parts)
             continue
         if t is LProp or t is LFalse:
             memo[id(n)] = n
-            continue
-        if extra is not None:  # the box rebuilt for n is done
-            memo[id(n)] = memo[id(extra)]
-            memo[-id(extra)] = extra
             continue
         arg = n.arg
         a = memo.get(id(arg))
@@ -533,38 +548,11 @@ def simplify(
     return memo[id(f)]
 
 
-OPTIMIZE_MAX_ROUNDS = 10
-
-
 @gc_paused()
 def optimize(f: Ltl) -> Ltl:
-    """`simplify` run to its fixpoint, for at most OPTIMIZE_MAX_ROUNDS
-    rounds.  Sibling merging can expose new merges one nesting level down
-    (the ○-merge descends one level of an X-chain per round), so a few
-    rounds are needed to collapse box towers.  A round that returns its
-    input itself has reached the fixpoint and is the last; a formula
-    still changing after the last round is returned short of its
-    fixpoint.
-
-    `simplify` returns a node itself when its children come back
-    unchanged and no rule fires, and its result at a node depends only on
-    the node's subtree.  So the rounds share one memo: a node that a
-    round maps to itself is a fixpoint of every later round, and a later
-    round that meets it again (or any node it met before) reads its
-    result instead of walking its subtree.  The rounds share one
-    hash-cons index too.  Both are keyed by id(); each round's input is
-    f or an earlier round's result, which the memo's values hold, and the
-    memo holds the nodes the constancy rule rebuilds, so no keyed node is
-    freed while optimize runs.
-    """
-    index: tuple[dict, dict] = ({}, {})
-    memo: dict[int, Ltl] = {}
-    for _ in range(OPTIMIZE_MAX_ROUNDS):
-        g = simplify(f, index, memo)
-        if g is f:
-            break
-        f = g
-    return f
+    """`simplify`, which reaches the fixpoint in one walk, with the
+    garbage collector paused while it builds the result."""
+    return simplify(f)
 
 
 def _build(keys: list[tuple], todo: Iterable[tuple[int, int]], outs: list,
@@ -605,8 +593,6 @@ def optimize_instances(
     """`optimize` of the conjunction of the pieces and their renamed
     instances, piece-major (each piece, then the piece with its
     propositions renamed by each renaming in turn), and then `rest`.
-    Where optimize stops at OPTIMIZE_MAX_ROUNDS short of its fixpoint,
-    the two may stop at different points on the way.
 
     Each piece is optimized once, on its own, and the results are renamed
     afterwards: optimize treats every name alike, so it commutes with an
@@ -618,12 +604,12 @@ def optimize_instances(
     and a conjunct that names one equals, or negates, another only in the
     same instance.  Siblings under a shared modality merge (the optimized
     pieces of a grounding are each one box), and the merged conjunct's
-    spine gets the same treatment, one nesting level per round of
-    `optimize` and at most as many.  A box's argument joins the merged
-    body as its spine's leaves, or, when it is not a negation, as the
-    one leaf ¬a; the pieces come out of `optimize` with the constancy
-    rule already applied, and the merged box gets it as `simplify` gives
-    it there.
+    spine gets the same treatment, one nesting level down, as deep as the
+    merges go.  A box's argument joins the merged body as its spine's
+    leaves, or, when it is not a negation, as the one leaf ¬a; the pieces
+    come out of `optimize` with the constancy rule already applied, and
+    the merged box gets it as `simplify` gives it there.  A merged
+    conjunct that negates a sibling makes its spine falsum.
 
     `rest` is optimized on its own, and its top conjuncts follow the
     instances' as they are.  So none of them may equal, negate or share a
@@ -688,9 +674,14 @@ def optimize_instances(
             extend()
         return [negation]
 
-    def finish(conjuncts: list[tuple[int, int]], depth: int) -> list[Ltl] | None:
-        """The conjuncts (uid, instance) of one spine as `simplify` leaves
-        them, or None for falsum."""
+    def modality(c: tuple[int, int]) -> tuple[str, int] | None:
+        hit = _modality(base[c[0]])
+        return None if hit is None else (hit[0], uid_of[id(hit[1])])
+
+    def grouped(conjuncts: list[tuple[int, int]]) -> list | None:
+        """The conjuncts (uid, instance) of one spine that `simplify`
+        keeps, as nodes, with each modality's merged siblings as the tag
+        and the conjuncts of the merged body; None for falsum."""
         kept: list[tuple[int, int]] = []
         seen: set[tuple[int, int | None]] = set()
         for uid, i in conjuncts:
@@ -707,39 +698,62 @@ def optimize_instances(
                 return None
             seen.add((uid, mark))
             kept.append((uid, i))
-        groups: dict[str, list[tuple[int, int, int]]] = {}
-        out: list[Ltl | str] = []
-        for uid, i in kept:
-            hit = _modality(base[uid]) if depth < OPTIMIZE_MAX_ROUNDS else None
-            if hit is None:
-                out.append(node(uid, i))
-                continue
-            tag, a = hit
-            if tag not in groups:
-                groups[tag] = []
-                out.append(tag)
-            groups[tag].append((uid, i, uid_of[id(a)]))
-        parts: list[Ltl] = []
+        out, groups = _sibling_groups(kept, modality)
+        items: list = []
         for p in out:
             if type(p) is not str:
-                parts.append(p)
+                items.append(node(*p))
             elif len(groups[p]) == 1:
-                uid, i, _ = groups[p][0]
-                parts.append(node(uid, i))
+                items.append(node(*groups[p][0][0]))
             else:
-                inner = [(leaf, i) for _, i, a in groups[p] for leaf in merged_leaves(p, a)]
-                merged = finish(inner, depth + 1)
-                body = FALSE if merged is None else conj(merged)
-                # the merged conjunct's own rules, its body being done
-                whole = simplify(_merged(p, body), ({}, {}), {id(body): body})
-                if type(whole) is LFalse:
-                    return None
-                if not _is_true(whole):
-                    parts.append(whole)
-        return parts
+                items.append((p, [(leaf, i) for (_, i), a in groups[p]
+                                  for leaf in merged_leaves(p, a)]))
+        return items
 
-    parts = finish([(leaf, i) for root in roots for i in range(len(instances))
-                    for leaf in spine_leaves(keys, root)], 0)
+    # the spines, each merged body's after the spine it is merged on, and
+    # finished in reverse: a merged conjunct is built from its body's
+    # finished spine, which `simplify` leaves as it is
+    spines = [grouped([(leaf, i) for root in roots for i in range(len(instances))
+                       for leaf in spine_leaves(keys, root)])]
+    for items in spines:
+        for j, item in enumerate(items or ()):
+            if type(item) is tuple:
+                spines.append(grouped(item[1]))
+                items[j] = item[0], len(spines) - 1
+    # the keys of merged conjuncts and of the conjuncts they may negate
+    index: tuple[dict, dict] = ({}, {})
+    for k in reversed(range(len(spines))):
+        items = spines[k]
+        if items is None:
+            continue
+        parts: list[Ltl] | None = []
+        wholes: list[Ltl] = []
+        for item in items:
+            if type(item) is not tuple:
+                parts.append(item)
+                continue
+            tag, inner = item
+            body = FALSE if spines[inner] is None else conj(spines[inner])
+            # the merged conjunct's own rules, its body being done
+            whole = simplify(_merged(tag, body), {id(body): body})
+            if type(whole) is LFalse:
+                parts = None
+                break
+            if not _is_true(whole):
+                parts.append(whole)
+                wholes.append(whole)
+        # a merged conjunct keeps its modality, so the one rule it can
+        # meet among its siblings is a complementary pair: ¬𝕆x with 𝕆x,
+        # or ○x with ¬○x
+        if parts is not None and any(
+            (type(c) is type(w.arg) if type(w) is LNot
+             else type(c) is LNot and type(c.arg) is type(w))
+            and _complementary(w, c, index)
+            for w in wholes for c in parts
+        ):
+            parts = None
+        spines[k] = parts
+    parts = spines[0]
     tail = _spine_conjuncts(optimize(rest))
     if parts is None or any(type(c) is LFalse for c in tail):
         return FALSE

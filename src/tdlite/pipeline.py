@@ -164,11 +164,9 @@ def check_kb(
 
 def solver_formula(trace: PipelineTrace) -> Ltl:
     """What an external solver gets: the optimized grounding, as
-    `optimize(ground(trace.grounding))` gives it (where optimize stops at
-    its round cap short of its fixpoint, this may stop at another point
-    on the way).  The emitters print it for the trace's flow
-    (`solvers.emit`), over ℤ as its past-free translation, written from
-    past elimination's table.
+    `optimize(ground(trace.grounding))` gives it.  The emitters print it
+    for the trace's flow (`solvers.emit`), over ℤ as its past-free
+    translation, written from past elimination's table.
 
     It is built in two parts.  The universal conjuncts are grounded at
     the first constant, and `optimize_instances` optimizes each once and

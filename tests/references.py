@@ -11,13 +11,13 @@ elimination built as `Ltl` nodes (the formula
 `pastelim.print_past_free` writes and `SubformulaTable` sizes), and
 `optimize`, `print_formula` and the
 hash-consing of `ltl._intern` as they were before they kept unchanged
-nodes, dispatched on exact type and keyed nodes in one loop: rounds that
-rebuild every node and decide the constancy rule by structural equality
-(`struct_eq`), a printer that runs down an `isinstance` chain, and an
-interning walk with `(node, done)` stack entries and name-tagged tuple
-keys, the renaming of a formula's propositions, `optimize` repeated
-until the text stops changing, and the checker's FORCE variable order
-as it was before it stopped at its fixpoint: always 40 rounds.
+nodes, dispatched on exact type and keyed nodes in one loop: rounds of
+a walk that rebuilds every node and decides the constancy rule by
+structural equality (`struct_eq`), run until a round changes nothing, a
+printer that runs down an `isinstance` chain, and an interning walk
+with `(node, done)` stack entries and name-tagged tuple keys, the
+renaming of a formula's propositions, and the checker's FORCE variable
+order as it was before it stopped at its fixpoint: always 40 rounds.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from tdlite import oracle
 from tdlite.bdd import Bdd
 from tdlite.ltl import (
     FALSE,
-    OPTIMIZE_MAX_ROUNDS,
     LAnd,
     LFalse,
     LNextF,
@@ -49,9 +48,7 @@ from tdlite.ltl import (
     gc_paused,
     iff,
     lor,
-    optimize,
     structural_index,
-    to_infix,
 )
 from tdlite.ground import GroundingContext
 from tdlite.oracle import BiLassoWord, Valuation
@@ -559,17 +556,18 @@ def struct_eq(a: Ltl, b: Ltl) -> bool:
     return structural_index(a) == structural_index(b)
 
 
-def rebuilt_optimize(f: Ltl) -> Ltl:
+def rebuilt_optimize(f: Ltl, limit: int = 100) -> Ltl:
     """`ltl.optimize` as rounds of `rebuilt_simplify`, each rebuilding
-    the whole formula: the same rounds, nothing carried from round to
-    round, and the same stop, at a round whose result is structurally its
-    input."""
-    for _ in range(OPTIMIZE_MAX_ROUNDS):
+    the whole formula, nothing carried from round to round, until a round
+    whose result is structurally its input.  Each round finishes merges
+    one nesting level further down; a formula still changing after
+    `limit` rounds fails the assertion."""
+    for _ in range(limit):
         g = rebuilt_simplify(f)
         if struct_eq(g, f):
-            break
+            return f
         f = g
-    return f
+    raise AssertionError(f"rebuilt_simplify still changes the formula after {limit} rounds")
 
 
 def chained_print_formula(f: Ltl, tokens: dict) -> tuple[str, set[str]]:
@@ -704,19 +702,6 @@ def renamed(f: Ltl, names: dict[str, str]) -> Ltl:
         else:
             memo[id(n)] = t(memo[id(n.arg)])
     return memo[id(f)]
-
-
-def optimized_to_the_end(f: Ltl, limit: int = 50) -> Ltl:
-    """`optimize` applied until the text stops changing.  One call stops
-    short of that only after OPTIMIZE_MAX_ROUNDS rounds that each changed
-    the formula."""
-    text = to_infix(f)
-    for _ in range(limit):
-        g = optimize(f)
-        if to_infix(g) == text:
-            return f
-        f, text = g, to_infix(g)
-    raise AssertionError(f"optimize still changes the formula after {limit} calls")
 
 
 def forty_round_variable_order(keys: list[tuple]) -> list[int]:

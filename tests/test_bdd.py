@@ -71,9 +71,9 @@ def test_and_and_or_share_one_cache_entry_for_both_operand_orders(f, g):
 def test_exist_and_and_exist(f, g, levels):
     b = Bdd()
     bf, bg = build(b, f), build(b, g)
-    assert table_of(b, b.exist(bf, levels)) == exist_table(f, levels)
+    assert table_of(b, b.and_exist(bf, 1, levels)) == exist_table(f, levels)
     both = b.and_exist(bf, bg, levels)
-    assert both == b.exist(b.and_(bf, bg), levels)
+    assert both == b.and_exist(b.and_(bf, bg), 1, levels)
     assert table_of(b, both) == exist_table(f & g, levels)
 
 
@@ -86,7 +86,7 @@ def test_and_exist_where_a_quantified_low_branch_is_true(f, g, c, k, levels):
     bf, bg = build(b, f | low), build(b, g | low)
     levels = levels | {k}
     both = b.and_exist(bf, bg, levels)
-    assert both == b.exist(b.and_(bf, bg), levels)
+    assert both == b.and_exist(b.and_(bf, bg), 1, levels)
     assert table_of(b, both) == exist_table((f | low) & (g | low), levels)
 
 

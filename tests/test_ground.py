@@ -121,6 +121,9 @@ def test_a_conjunct_about_two_constants_is_rejected():
         symbolic_grounding(QNot(QAnd(a, b)), gctx)
     with pytest.raises(ValueError, match="under a quantifier"):
         symbolic_grounding(QForAll(a), gctx)
+    q, _ = translate_kb(load_toy("ex2"), "n")
+    with pytest.raises(ValueError, match="'marc'"):
+        symbolic_grounding(q, GroundingContext(("p1",)))
     sg = symbolic_grounding(QAnd(a, QAnd(b, QAnd(b, b))), gctx)
     assert [(p.node, p.about) for p in sg.conjuncts] == [(a, "a"), (b, "b"), (b, "b"), (b, "b")]
 

@@ -45,7 +45,6 @@ from references import (
     grounding,
     has_past,
     named_key,
-    optimized_to_the_end,
     rebuilt_optimize,
     struct_eq,
     tree_size,
@@ -171,8 +170,10 @@ _EDGE_KBS = {
     "nested boxes": _SIG + "TBOX\nTOP SUB ALWF A\nTOP SUB ALWF B\nA SUB SOMF B\nABOX\nA(a)@0\n",
     "nested nexts": _SIG + "TBOX\nTOP SUB X A\nTOP SUB X X B\nTOP SUB X X BOT\nABOX\nB(b)@2\n",
     "conjunction body": _SIG + "TBOX\nTOP SUB A AND B\nA SUB X B\nABOX\nA(a)@0\n",
-    # X-chains of facts about several constants, merged over more rounds
-    # than optimize runs
+    # one constant: the merged X (A & B) meets the conjunct that negates it
+    "merged next and its negation": "SIG\nconcept A\nconcept B\nindividual a\nTBOX\n"
+                                    "TOP SUB X A\nTOP SUB X B\nX (A AND B) SUB BOT\nABOX\n",
+    # X-chains of facts about several constants, merged level by level
     "long X-chains": _SIG + "TBOX\nA SUB X B\nABOX\nA(a)@30\nB(b)@25\nNOT A(b)@31\n"
                      "B(a)@40\nR(a,b)@12\n",
 }
@@ -190,24 +191,21 @@ def test_solver_formula_is_optimize_of_the_grounding_on_edge_cases(name, flow):
         assert trace.grounding.constants == (SYNTHETIC_CONST,)
     elif name == "constant-free conjunct":
         assert len(trace.grounding.constants) == 4 and text.count("(X (X false))") == 1
-    elif name == "complementary conjuncts":
+    elif name in ("complementary conjuncts", "merged next and its negation"):
         assert text == "false"
     elif name == "long X-chains":
         once = optimize(grounding(trace))
-        assert tree_size(optimize(once)) < tree_size(once)
+        assert optimize(once) is once
 
 
 @pytest.mark.parametrize("flow", ["n", "z"])
-def test_solver_formula_and_optimize_stop_short_at_different_points(flow):
-    # chains of 12 and 13 X under boxes merge one level per round, and
-    # optimize stops after OPTIMIZE_MAX_ROUNDS; the instances merge in
-    # one step, so the two stop at different points of the way, which
-    # further optimize calls take both to the same formula
+def test_solver_formula_is_optimize_of_the_grounding_on_deep_x_chains(flow):
+    # chains of 12 and 13 X under boxes, merged all the way down in both
     kb = parse_kb(_SIG + "TBOX\nTOP SUB" + " X" * 12 + " A\nTOP SUB" + " X" * 13 + " B\nABOX\n")
     trace = run_pipeline(kb, flow)
     got, want = solver_formula(trace), optimize(grounding(trace))
-    assert ltl.to_infix(got) != ltl.to_infix(want)
-    assert ltl.to_infix(optimized_to_the_end(got)) == ltl.to_infix(optimized_to_the_end(want))
+    assert ltl.to_infix(got) == ltl.to_infix(want)
+    assert optimize(want) is want
 
 
 def _past_free(f, flow):
