@@ -2,16 +2,18 @@
 
 Nodes are integers; 0 and 1 are the terminals.  Each internal node is a
 triple (level, low, high) hash-consed in a unique table.  The engine
-provides the boolean operations, existential quantification,
-conjoin-and-quantify, monotone level renaming, and satisfying-assignment
-extraction — exactly what a symbolic fixpoint model checker needs,
-nothing more.
+provides the boolean operations, conjoin-and-quantify, monotone level
+renaming, and satisfying-assignment extraction — exactly what a symbolic
+fixpoint model checker needs, nothing more.
 
-`and_`, `or_` and `not_`, which the checker calls most, each have their
-own memoized recursion that reads the operands' nodes directly; `and_`
-and `or_` order their operands first, so f∧g and g∧f share one entry of
-the computed table.  The three-operand `ite` serves `implies` and `iff_`.
-All operations share the one computed table, `cache`.
+One memoized recursion per operation, each reading the operands' nodes
+directly: `and_`, `or_`, `not_`, `_and_exist` and `_rename`.  `and_`,
+`or_` and `_and_exist` order their operands first, so f∧g and g∧f share
+one entry of the computed table, `cache`, which all operations share.
+`implies` and `iff_` are compositions of `and_`, `or_` and `not_`.
+Plain quantification is `and_exist` with truth: the terminal 1 is the
+triple (_TERMINAL_LEVEL, 1, 1), below every level, so `_and_exist`
+recurses through a true operand as through any other.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ class Bdd:
 
     # --- structure ---
 
-    def level(self, f: int) -> int:
-        return self.nodes[f][0]
-
     def mk(self, level: int, low: int, high: int) -> int:
         if low == high:
             return low
@@ -54,34 +53,7 @@ class Bdd:
     def var(self, level: int) -> int:
         return self.mk(level, 0, 1)
 
-    def _cofactors(self, f: int, level: int) -> tuple[int, int]:
-        fl, lo, hi = self.nodes[f]
-        if fl == level:
-            return lo, hi
-        return f, f
-
     # --- boolean operations ---
-
-    def ite(self, f: int, g: int, h: int) -> int:
-        if f == 1:
-            return g
-        if f == 0:
-            return h
-        if g == h:
-            return g
-        if g == 1 and h == 0:
-            return f
-        key = ("i", f, g, h)
-        r = self.cache.get(key)
-        if r is not None:
-            return r
-        level = min(self.level(f), self.level(g), self.level(h))
-        f0, f1 = self._cofactors(f, level)
-        g0, g1 = self._cofactors(g, level)
-        h0, h1 = self._cofactors(h, level)
-        r = self.mk(level, self.ite(f0, g0, h0), self.ite(f1, g1, h1))
-        self.cache[key] = r
-        return r
 
     def not_(self, f: int) -> int:
         if f < 2:
@@ -144,10 +116,10 @@ class Bdd:
         return r
 
     def implies(self, f: int, g: int) -> int:
-        return self.ite(f, g, 1)
+        return self.or_(self.not_(f), g)
 
     def iff_(self, f: int, g: int) -> int:
-        return self.ite(f, g, self.not_(g))
+        return self.or_(self.and_(f, g), self.and_(self.not_(f), self.not_(g)))
 
     def conj(self, items) -> int:
         out = 1
@@ -166,23 +138,6 @@ class Bdd:
             self._quant_ids[levels] = qid
         return qid
 
-    def _exist(self, f: int, levels: frozenset[int], qid: int) -> int:
-        if f < 2:
-            return f
-        key = ("e", f, qid)
-        r = self.cache.get(key)
-        if r is not None:
-            return r
-        level, lo, hi = self.nodes[f]
-        if level in levels:
-            r = self._exist(lo, levels, qid)
-            if r != 1:
-                r = self.or_(r, self._exist(hi, levels, qid))
-        else:
-            r = self.mk(level, self._exist(lo, levels, qid), self._exist(hi, levels, qid))
-        self.cache[key] = r
-        return r
-
     def and_exist(self, f: int, g: int, levels: frozenset[int]) -> int:
         """∃ levels. (f ∧ g), without building the full conjunction."""
         return self._and_exist(f, g, levels, self._qid(levels))
@@ -190,10 +145,8 @@ class Bdd:
     def _and_exist(self, f: int, g: int, levels: frozenset[int], qid: int) -> int:
         if f == 0 or g == 0:
             return 0
-        if f == 1:
-            return self._exist(g, levels, qid)
-        if g == 1:
-            return self._exist(f, levels, qid)
+        if f == 1 and g == 1:
+            return 1
         if f > g:
             f, g = g, f
         key = ("ae", f, g, qid)

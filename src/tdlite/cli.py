@@ -19,7 +19,7 @@ from .ground import ground
 from .kb import validate
 from .kbparse import KbSyntaxError, parse_kb
 from .ltl import INFIX_TOKENS, optimize, to_infix, parse_infix, InfixSyntaxError
-from .oracle import z_sat
+from .oracle import checked, z_sat
 from .pastelim import print_past_free
 from .pipeline import check_kb, run_pipeline, solver_formula
 from .qtl import FlowViolation, qtl_to_text
@@ -253,7 +253,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except InfixSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    if z_sat(optimize(f)) is not None:
+    if checked(f, z_sat(optimize(f), recheck=False), "solve") is not None:
         print("SAT")
         return EXIT_SAT
     print("UNSAT")

@@ -108,11 +108,7 @@ _BINARY = (And, Or)
 
 def concept_size(c: Concept) -> int:
     """Number of AST nodes of a concept expression."""
-    if isinstance(c, _BINARY):
-        return 1 + concept_size(c.left) + concept_size(c.right)
-    if isinstance(c, _UNARY):
-        return 1 + concept_size(c.arg)
-    return 1
+    return sum(1 for _ in iter_subconcepts(c))
 
 
 def normalize(c: Concept) -> Concept:

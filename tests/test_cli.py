@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tdlite
+from tdlite import cli
 from tdlite.cli import (
     CSV_HEADER,
     EXIT_FLOW,
@@ -22,7 +23,7 @@ from tdlite.cli import (
     main,
 )
 from tdlite.kbparse import parse_kb
-from tdlite.ltl import to_infix
+from tdlite.ltl import TRUE, to_infix
 from tdlite.pipeline import run_pipeline, solver_formula
 from tdlite.solvers import emit_smv
 
@@ -196,6 +197,17 @@ def test_solve_command(tmp_path, capsys):
     assert run_cli("solve", str(unsat)) == EXIT_UNSAT
     assert capsys.readouterr().out.strip() == "UNSAT"
     assert run_cli("solve", str(bad)) == EXIT_PARSE
+
+
+def test_solve_rechecks_its_word_against_the_formula_it_read(tmp_path, monkeypatch, capsys):
+    # an `optimize` that loses the formula must not turn UNSAT into SAT
+    monkeypatch.setattr(cli, "optimize", lambda f: TRUE)
+    unsat = tmp_path / "unsat.ltl"
+    unsat.write_text("a & (~ a)\n")
+    assert run_cli("solve", str(unsat)) == EXIT_INDEFINITE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "WitnessCheckFailed" in captured.err
 
 
 def test_solve_handles_past_formulas(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from tdlite.kb import (
@@ -38,6 +40,22 @@ def test_concept_size_counts_every_node():
     c = And(Not(Atomic("A")), SomeF(AtLeast(2, Role("R"))))
     assert concept_size(c) == 5
     assert concept_size(Bottom()) == 1
+
+
+def test_concept_size_of_a_5000_deep_chain_without_recursing():
+    # at CPython's default recursion limit, which `Bdd()` raises for the
+    # whole process: a count that recursed once per nesting level would
+    # raise RecursionError
+    c = Atomic("A")
+    for _ in range(5000):
+        c = Not(c)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        size = concept_size(c)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert size == 5001
 
 
 def test_normalize_rewrites_sugar():
