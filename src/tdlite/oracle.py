@@ -404,8 +404,8 @@ class _Engine:
         state within region; returns the visited states, start excluded.
         Forward walks follow transitions, backward walks go against them."""
         b = self.b
-        seen = start
         layers = [b.and_(self._step(start, forward), region)]
+        seen = layers[0]
         while b.and_(layers[-1], target) == 0:
             frontier = b.and_(self._step(layers[-1], forward), region)
             frontier = b.and_(frontier, b.not_(seen))

@@ -280,6 +280,17 @@ def test_run_to_fair_walks_into_a_closed_fair_loop(f):
             assert any(b.and_(s, fj) != 0 for s in loop)
 
 
+def test_a_walk_can_return_to_its_start():
+    # a alternates, so the only way back to the start takes two steps
+    eng = oracle._Engine(parse_infix("G (a <-> (X (~ a)))"))
+    b = eng.b
+    start = eng._pick(eng.init)
+    walk = eng._navigate(start, start, eng.reach(True), True)
+    assert len(walk) == 2 and walk[-1] == start
+    for s, t in zip([start] + walk, walk):
+        assert b.and_(eng._step(s, True), t) == t
+
+
 def test_z_sat_bounded_is_sound():
     f = parse_infix("(P a) & (~ a) & (G (~ a))")
     w = z_sat_bounded(f)
