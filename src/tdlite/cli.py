@@ -253,7 +253,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except InfixSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    if checked(f, z_sat(optimize(f), recheck=False), "solve") is not None:
+    if checked(f, z_sat(optimize(f)), "solve") is not None:
         print("SAT")
         return EXIT_SAT
     print("UNSAT")

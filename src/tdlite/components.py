@@ -116,7 +116,7 @@ def check_by_constant(
             if key not in words:
                 fixed = {prop: prop in kept for prop in role_props}
                 g = ground(sg, rest, None if label == SHARED else label, fixed)
-                words[key] = z_sat(optimize(g), recheck=False, facts=facts)
+                words[key] = z_sat(optimize(g), facts=facts)
             if words[key] is None:
                 p = demand.get(label)
                 if p not in kept:

@@ -5,11 +5,13 @@ periodic bi-infinite words (bi-lassos), and a complete symbolic
 satisfiability checker with bi-lasso extraction.  The checker decides LTL
 with past over ℤ, and past-free LTL over ℕ as well: a past-free formula
 holds at 0 of an ℕ-word iff it holds at 0 of any ℤ-word with that right
-half.
+half.  The checker (`z_sat`) only decides; `check_kb` and `tdlite solve`
+re-check the word they report with the evaluator (`checked`).
 
 The checker builds the usual tableau over elementary subformulas
 (propositions and next/eventually-subformulas of either direction) but
-represents state sets and the transition constraints as BDDs.  Forward
+represents state sets and the transition constraints as BDDs; every
+walk and fixpoint moves by one step relation (`_Engine._step`).  Forward
 acceptance is an Emerson-Lei style fair-cycle fixpoint; with a past
 operator the anchor state additionally has to be reachable *from* a
 backward-fair cycle, where past eventualities play the role future ones
@@ -91,11 +93,9 @@ class BiLassoWord:
         return self.left_loop[(i - len(self.left_prefix)) % len(self.left_loop)]
 
 
-def eval_on_lasso(f: Ltl, word: BiLassoWord, position: int = 0,
-                  keys: Optional[list[tuple]] = None) -> bool:
+def eval_on_lasso(f: Ltl, word: BiLassoWord, position: int = 0) -> bool:
     """Exact truth value of f at the given position of an ultimately
-    periodic bi-infinite word.  `keys` is f's `structural_index`, when the
-    caller has it.
+    periodic bi-infinite word.
 
     One bottom-up pass over the distinct subformulas gives each one truth
     sequence over a single window (Markey, Schnoebelen, "Model checking a
@@ -109,8 +109,7 @@ def eval_on_lasso(f: Ltl, word: BiLassoWord, position: int = 0,
     shifts, and F and P are one suffix or prefix sweep, seeded by the loop
     period at the window's edge.
     """
-    if keys is None:
-        keys = structural_index(f)
+    keys = structural_index(f)
     past_depth: list[int] = []
     future_depth: list[int] = []
     for t, *kids in keys:
@@ -151,11 +150,10 @@ def eval_on_lasso(f: Ltl, word: BiLassoWord, position: int = 0,
 
 # --- complete checkers -------------------------------------------------------
 
-def checked(f: Ltl, word, source: str, keys: Optional[list[tuple]] = None):
+def checked(f: Ltl, word, source: str):
     """`word` once direct evaluation confirms that it is a model of `f`
-    (`WitnessCheckFailed` if not); None, for unsatisfiable, passes through.
-    `keys` is as in `eval_on_lasso`."""
-    if word is not None and not eval_on_lasso(f, word, 0, keys):
+    (`WitnessCheckFailed` if not); None, for unsatisfiable, passes through."""
+    if word is not None and not eval_on_lasso(f, word, 0):
         raise WitnessCheckFailed(f"{source} failed re-evaluation")
     return word
 
@@ -176,7 +174,6 @@ class _Engine:
     """
 
     def __init__(self, f: Ltl, props: Iterable[str] = ()):
-        # f's structural keys, which z_sat's witness re-check reads too;
         # propositions that f does not name still get a state variable,
         # placed last: nothing in f constrains them
         keys = self.keys = structural_index(f)
@@ -240,7 +237,6 @@ class _Engine:
         self.state_ok = state_ok
         self.trans = b.conj(sorted(trans_parts, key=b.size))
         self.init = b.and_(val[len(keys) - 1], state_ok)
-        self._steps: dict[tuple[int, bool], int] = {}
 
     def _variable_order(self) -> list[int]:
         """State-variable order for the BDDs.
@@ -322,26 +318,14 @@ class _Engine:
             pos = {uid: float(i) for i, uid in enumerate(order)}
         return order
 
-    def image(self, s: int) -> int:
-        out = self.b.and_exist(self.trans, s, self.unprimed)
-        return self.b.rename(out, self.to_unprimed)
-
-    def preimage(self, s: int) -> int:
-        s_primed = self.b.rename(s, self.to_primed)
-        return self.b.and_exist(self.trans, s_primed, self.primed)
-
     def _step(self, s: int, forward: bool) -> int:
-        """The states one step from s in the walk direction: successors
-        forward, predecessors backward."""
-        key = (s, forward)
-        out = self._steps.get(key)
-        if out is None:
-            out = self._steps[key] = self.image(s) if forward else self.preimage(s)
-        return out
-
-    def ex(self, s: int, forward: bool) -> int:
-        """States with a successor in s (forward) or a predecessor in s."""
-        return self._step(s, not forward)
+        """The states one step from s in the walk direction: the image
+        forward, the preimage backward.  The BDD's computed table, which
+        keys each top-level `and_exist` and `rename`, answers a repeat."""
+        b = self.b
+        if forward:
+            return b.rename(b.and_exist(self.trans, s, self.unprimed), self.to_unprimed)
+        return b.and_exist(self.trans, b.rename(s, self.to_primed), self.primed)
 
     def eu(self, region: int, target: int, forward: bool) -> int:
         """States with a path inside region to target — following the
@@ -349,7 +333,7 @@ class _Engine:
         b = self.b
         y = b.and_(region, target)
         while True:
-            yn = b.or_(y, b.and_(region, self.ex(y, forward)))
+            yn = b.or_(y, b.and_(region, self._step(y, not forward)))
             if yn == y:
                 return y
             y = yn
@@ -374,7 +358,7 @@ class _Engine:
         while True:
             z_old = z
             for fj in fairness:
-                z = b.and_(z, self.ex(self.eu(z, fj, forward), forward))
+                z = b.and_(z, self._step(self.eu(z, fj, forward), not forward))
                 if z == 0:
                     return 0
             if z == z_old:
@@ -389,7 +373,7 @@ class _Engine:
         b = self.b
         layers = [b.and_(lits[-1], end)]
         for lit in reversed(lits[:-1]):
-            layers.append(b.and_(b.and_(lit, region), self.ex(layers[-1], forward)))
+            layers.append(b.and_(b.and_(lit, region), self._step(layers[-1], not forward)))
         return layers[::-1]
 
     # --- witness extraction ---
@@ -487,8 +471,7 @@ class _Engine:
                 tuple(self.valuation_of(s) for s in loop))
 
 
-def z_sat(f: Ltl, recheck: bool = True,
-          facts: Sequence[tuple[int, str, bool]] = ()) -> Optional[BiLassoWord]:
+def z_sat(f: Ltl, facts: Sequence[tuple[int, str, bool]] = ()) -> Optional[BiLassoWord]:
     """Complete satisfiability over ℤ for LTL with past, and over ℕ for
     past-free LTL, of f at 0 together with `facts`: (t, p, v) says that
     proposition p has truth value v at time t.
@@ -497,10 +480,9 @@ def z_sat(f: Ltl, recheck: bool = True,
     consistent tableau states runs through an anchor satisfying it,
     entered from a backward-fair cycle and leaving into a forward-fair
     one.  Returns a satisfying bi-lasso anchored at such a state, or None
-    for unsatisfiable.  The word is re-checked against the formula and
-    the facts by direct evaluation (`WitnessCheckFailed` if it is not a
-    model), unless `recheck` is off because the caller re-checks a word
-    built from it.
+    for unsatisfiable.  The word is not re-checked here: `check_kb` and
+    `tdlite solve` hand z_sat an optimized formula and re-check the word
+    they report with `checked`, against the formula before `optimize`.
 
     The facts constrain the states at their times, on an explicit chain
     of image steps over f's tableau instead of as X/Y-chains inside the
@@ -510,26 +492,29 @@ def z_sat(f: Ltl, recheck: bool = True,
     G[k] = L[k] ∧ r_f ∧ pre(G[k + 1]), so a state is in G[0] iff a walk
     from it meets L[k] at every k ≥ 0 and then runs into a forward-fair
     cycle.  H mirrors G backward from t_min over r_b and fair_b, and the
-    anchors are init ∧ G[0] ∧ H[0].  This is complete and sound: the
-    states of a model at each time form such a run, and the tableau
-    constraints are all between neighbouring states, so the walks of G
-    and H, joined at the anchor, are a consistent fair run whose word
-    satisfies f at 0 and the facts at their times.  The witness walks
-    s_k ∈ G[k] ∧ img(s_{k−1}), then runs to a fair loop from s_{t_max},
-    and the left half mirrors this.  Without facts G[0] and H[0] are the
-    plain E[r U fair] sets, so this is the ordinary check.
+    anchors are init ∧ G[0] ∧ H[0].  One helper builds each half: the
+    reachable region, its fair states, then the chain.  This is complete
+    and sound: the states of a model at each time form such a run, and
+    the tableau constraints are all between neighbouring states, so the
+    walks of G and H, joined at the anchor, are a consistent fair run
+    whose word satisfies f at 0 and the facts at their times.  The
+    witness walks s_k ∈ G[k] ∧ img(s_{k−1}), then runs to a fair loop
+    from s_{t_max}, and the left half mirrors this.  Without facts G[0]
+    and H[0] are the plain E[r U fair] sets, so this is the ordinary
+    check.
 
     The backward half (the backward reachability, the backward fixpoint
-    and the left walk) runs only when the formula has a past operator or
-    a fact lies before 0.  Otherwise it always succeeds: every consistent
-    state has a consistent predecessor — give it the empty valuation and
-    set its X and F subformulas, innermost first, from its own
-    propositions and the successor's values — and with no past
-    eventuality every backward path is fair.  Nor does the left half
-    matter to the word, since the value at 0 of a past-free formula reads
-    no negative position; so it is one state with the empty valuation.
-    By the same argument, a past-free formula is satisfiable over ℕ iff
-    it is over ℤ, with the right half as its ℕ-model.
+    and the left walk) runs only when the forward half leaves an anchor
+    and the formula has a past operator or a fact lies before 0.
+    Otherwise it always succeeds: every consistent state has a
+    consistent predecessor — give it the empty valuation and set its X
+    and F subformulas, innermost first, from its own propositions and
+    the successor's values — and with no past eventuality every backward
+    path is fair.  Nor does the left half matter to the word, since the
+    value at 0 of a past-free formula reads no negative position; so it
+    is one state with the empty valuation.  By the same argument, a
+    past-free formula is satisfiable over ℕ iff it is over ℤ, with the
+    right half as its ℕ-model.
     """
     eng = _Engine(f, {p for _, p, _ in facts})
     b = eng.b
@@ -539,30 +524,23 @@ def z_sat(f: Ltl, recheck: bool = True,
     for t, p, v in facts:
         x = b.var(eng.prop_level[p])
         lits[t] = b.and_(lits.get(t, 1), x if v else b.not_(x))
-    t_min, t_max = min([0, *lits]), max([0, *lits])
-    # restrict each fair-cycle fixpoint to the half of the run it serves:
-    # states reachable from an anchor forward, respectively states that
-    # can reach an anchor (the run's past)
-    r_f = eng.reach(forward=True)
-    fair_f = eng.fair_states(forward=True, region=r_f)
-    if fair_f == 0:
-        return None
-    right_lits = [lits.get(t, 1) for t in range(t_max + 1)]
-    right = eng.chain(eng.eu(r_f, fair_f, forward=True), r_f, right_lits, forward=True)
-    good = b.and_(eng.init, right[0])
+
+    def half(forward: bool) -> tuple[list[int], int, int]:
+        # the chain layers, fair states and region of one half of the run;
+        # the region is the states reachable from an anchor in its direction
+        sign = 1 if forward else -1
+        times = range(max([0, *(sign * t for t in lits)]) + 1)
+        region = eng.reach(forward)
+        fair = eng.fair_states(forward, region)
+        layers = eng.chain(eng.eu(region, fair, forward), region,
+                           [lits.get(sign * t, 1) for t in times], forward)
+        return layers, fair, region
+
+    right = half(True)
+    good = b.and_(eng.init, right[0][0])
     left = None
-    if t_min < 0 or any(key[0] is LNextP or key[0] is LSomeP for key in eng.keys):
-        r_b = eng.reach(forward=False)
-        fair_b = eng.fair_states(forward=False, region=r_b)
-        left_lits = [lits.get(-t, 1) for t in range(-t_min + 1)]
-        left = (eng.chain(eng.eu(r_b, fair_b, forward=False), r_b, left_lits, forward=False),
-                fair_b, r_b)
+    if good != 0 and (min([0, *lits]) < 0
+                      or any(key[0] is LNextP or key[0] is LSomeP for key in eng.keys)):
+        left = half(False)
         good = b.and_(good, left[0][0])
-    if good == 0:
-        return None
-    word = eng.extract_bi(good, (right, fair_f, r_f), left)
-    if not recheck:
-        return word
-    if any((p in word.valuation(t)) != v for t, p, v in facts):
-        raise WitnessCheckFailed("extracted word breaks a fact")
-    return checked(f, word, "extracted word", eng.keys)
+    return None if good == 0 else eng.extract_bi(good, right, left)

@@ -330,6 +330,18 @@ def test_a_combined_word_failing_re_evaluation_raises(monkeypatch, name, flow):
         check_kb(load_toy(name), flow)
 
 
+@pytest.mark.parametrize("flow", ["n", "z"])
+def test_a_combined_word_breaking_a_fact_fails_re_evaluation(monkeypatch, flow):
+    # the component checker gets A(b)@2 as a fact on proposition c_a__b;
+    # a word without it there is no model of the grounding
+    real = oracle._Engine.valuation_of
+    monkeypatch.setattr(oracle._Engine, "valuation_of",
+                        lambda self, s: real(self, s) - {"c_a__b"})
+    kb = parse_kb("SIG\nconcept A\nindividual b\nTBOX\nA SUB A\nABOX\nA(b)@2\n")
+    with pytest.raises(WitnessCheckFailed, match="combined word"):
+        check_kb(kb, flow)
+
+
 COMBINED_CHECK_UNDER_O = """
 import sys
 if __debug__:

@@ -164,14 +164,12 @@ def test_z_sat_hand_cases(text, is_sat):
 
 
 def test_a_check_hash_conses_its_formula_once(monkeypatch):
-    # once for the engine, whose table the witness re-check reads too
+    # once, for the engine
     calls = []
     index = oracle.structural_index
     monkeypatch.setattr(oracle, "structural_index", lambda f: calls.append(f) or index(f))
-    assert z_sat(parse_infix("(G (F a)) & (X b)"), recheck=False) is not None
-    assert len(calls) == 1
     assert z_sat(parse_infix("(G (F a)) & (X b)")) is not None
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -271,10 +269,9 @@ def test_run_to_fair_walks_into_a_closed_fair_loop(f):
         start = eng._pick(starts)
         prefix, loop = eng.run_to_fair(start, fair, forward, region)
         walk = prefix + loop + loop[:1]
-        step = eng.image if forward else eng.preimage
         assert walk[0] == start
         for s, t in zip(walk, walk[1:]):
-            assert b.and_(step(s), t) == t
+            assert b.and_(eng._step(s, forward), t) == t
         assert all(b.and_(s, fair) == s for s in loop)
         for fj in fairness:
             assert any(b.and_(s, fj) != 0 for s in loop)
@@ -348,14 +345,6 @@ def test_a_fact_on_a_proposition_the_formula_does_not_name():
     assert z_sat(parse_infix("G a"), facts=[(5, "b", True), (5, "b", False)]) is None
 
 
-def test_a_word_breaking_a_fact_fails_re_evaluation(monkeypatch):
-    real = oracle._Engine.valuation_of
-    monkeypatch.setattr(oracle._Engine, "valuation_of",
-                        lambda self, s: real(self, s) - {"b"})
-    with pytest.raises(WitnessCheckFailed, match="fact"):
-        z_sat(parse_infix("G a"), facts=[(2, "b", True)])
-
-
 def test_z_sat_agrees_with_the_depast_route():
     rng = random.Random(55)
     for _ in range(80):
@@ -367,7 +356,12 @@ def test_z_sat_agrees_with_the_depast_route():
 
 # --- a witness that fails re-evaluation is an error, also under -O ----------
 
-@pytest.mark.parametrize("check", [z_sat, z_sat_bounded])
+def checked_z_sat(f):
+    """z_sat's word, re-checked as `check_kb` and `tdlite solve` do."""
+    return oracle.checked(f, z_sat(f), "extracted word")
+
+
+@pytest.mark.parametrize("check", [checked_z_sat, z_sat_bounded])
 def test_a_witness_failing_re_evaluation_raises(monkeypatch, check):
     monkeypatch.setattr(oracle, "eval_on_lasso", lambda *args: False)
     with pytest.raises(WitnessCheckFailed):
@@ -382,12 +376,14 @@ from tdlite import oracle
 from tdlite.ltl import parse_infix
 from references import z_sat_bounded
 oracle.eval_on_lasso = lambda *args: False
-for check in (oracle.z_sat, z_sat_bounded):
+checks = {"z_sat": lambda f: oracle.checked(f, oracle.z_sat(f), "extracted word"),
+          "z_sat_bounded": z_sat_bounded}
+for name, check in checks.items():
     try:
         check(parse_infix("F a"))
     except oracle.WitnessCheckFailed:
         continue
-    sys.exit(check.__name__ + " returned an unchecked witness")
+    sys.exit(name + " returned an unchecked witness")
 """
 
 
