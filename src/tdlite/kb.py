@@ -114,29 +114,31 @@ def concept_size(c: Concept) -> int:
 def normalize(c: Concept) -> Concept:
     """Expand syntactic sugar: Top, Or, AlwF and AlwP are rewritten away.
 
-    Idempotent; all other node kinds are preserved structurally.
+    Idempotent; all other node kinds are preserved structurally.  A
+    post-order walk with an explicit stack, so nesting depth is not
+    bounded by the recursion limit.
     """
-    if isinstance(c, Top):
-        return Not(Bottom())
-    if isinstance(c, Or):
-        return Not(And(Not(normalize(c.left)), Not(normalize(c.right))))
-    if isinstance(c, AlwF):
-        return Not(SomeF(Not(normalize(c.arg))))
-    if isinstance(c, AlwP):
-        return Not(SomeP(Not(normalize(c.arg))))
-    if isinstance(c, And):
-        return And(normalize(c.left), normalize(c.right))
-    if isinstance(c, Not):
-        return Not(normalize(c.arg))
-    if isinstance(c, NextF):
-        return NextF(normalize(c.arg))
-    if isinstance(c, NextP):
-        return NextP(normalize(c.arg))
-    if isinstance(c, SomeF):
-        return SomeF(normalize(c.arg))
-    if isinstance(c, SomeP):
-        return SomeP(normalize(c.arg))
-    return c
+    out: list[Concept] = []  # the normalized children, left before right
+    stack: list[tuple[Concept, bool]] = [(c, False)]
+    while stack:
+        n, children_done = stack.pop()
+        if not children_done and isinstance(n, _BINARY + _UNARY):
+            stack.append((n, True))
+            stack.extend((k, False) for k in
+                         ((n.right, n.left) if isinstance(n, _BINARY) else (n.arg,)))
+        elif isinstance(n, _BINARY):
+            right, left = out.pop(), out.pop()
+            out.append(And(left, right) if isinstance(n, And)
+                       else Not(And(Not(left), Not(right))))
+        elif isinstance(n, AlwF):
+            out.append(Not(SomeF(Not(out.pop()))))
+        elif isinstance(n, AlwP):
+            out.append(Not(SomeP(Not(out.pop()))))
+        elif isinstance(n, _UNARY):
+            out.append(type(n)(out.pop()))
+        else:
+            out.append(Not(Bottom()) if isinstance(n, Top) else n)
+    return out[0]
 
 
 def iter_subconcepts(c: Concept) -> Iterable[Concept]:

@@ -58,6 +58,20 @@ def test_concept_size_of_a_5000_deep_chain_without_recursing():
     assert size == 5001
 
 
+def test_normalize_of_a_3000_deep_chain_without_recursing():
+    # each AlwF becomes three nodes, Not(SomeF(Not(...)))
+    c = Atomic("A")
+    for _ in range(3000):
+        c = AlwF(c)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        size = concept_size(normalize(c))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert size == 9001
+
+
 def test_normalize_rewrites_sugar():
     assert normalize(Top()) == Not(Bottom())
     a, b = Atomic("A"), Atomic("B")
