@@ -45,11 +45,17 @@ on a checkout where it is that `optimize`, the two time the same work),
 then the SMV emission of `solver_formula`'s result over ℤ (its
 milliseconds, bytes, propositions and sha256), under
 "fixed/handoff-gate0".
+
+Every entry names the two trees it compared: each side's commit, when
+the checkout is the top of a git work tree (else ""), and a sha256 over
+its `src/` files, their sorted relative paths and contents, which also
+names a copy made with `git archive`.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -245,6 +251,21 @@ def run_fixed(roots: dict) -> dict:
     return out
 
 
+def identity(side: str, root: Path) -> dict:
+    """The side's commit, if git knows the checkout, and its `src/` sha256."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in (root / "src").rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    git = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=root, text=True,
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    lines = git.stdout.split()
+    known = git.returncode == 0 and Path(lines[0]).resolve() == root
+    return {f"{side}_commit": lines[1] if known else "", f"{side}_src_sha256": h.hexdigest()}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True)
@@ -261,9 +282,7 @@ def main(argv=None) -> int:
 
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    commits = {f"{side}_commit": subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, text=True,
-                                                stdout=subprocess.PIPE).stdout.strip()
-               for side, root in roots.items()}
+    commits = {k: v for side, root in roots.items() for k, v in identity(side, root).items()}
     if args.fixed:
         for key, entry in run_fixed(roots).items():
             doc[key] = {**commits, **entry}
