@@ -261,7 +261,7 @@ def identity(side: str, root: Path) -> dict:
         h.update(data)
     git = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=root, text=True,
                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    lines = git.stdout.split()
+    lines = git.stdout.splitlines()
     known = git.returncode == 0 and Path(lines[0]).resolve() == root
     return {f"{side}_commit": lines[1] if known else "", f"{side}_src_sha256": h.hexdigest()}
 

@@ -10,8 +10,7 @@ re-check the word they report with the evaluator (`checked`).
 
 The checker builds the usual tableau over elementary subformulas
 (propositions and next/eventually-subformulas of either direction) but
-represents state sets and the transition constraints as BDDs; every
-walk and fixpoint moves by one step relation (`_Engine._step`).  Forward
+represents state sets and the transition constraints as BDDs.  Forward
 acceptance is an Emerson-Lei style fair-cycle fixpoint; with a past
 operator the anchor state additionally has to be reachable *from* a
 backward-fair cycle, where past eventualities play the role future ones
@@ -492,16 +491,14 @@ def z_sat(f: Ltl, facts: Sequence[tuple[int, str, bool]] = ()) -> Optional[BiLas
     G[k] = L[k] ∧ r_f ∧ pre(G[k + 1]), so a state is in G[0] iff a walk
     from it meets L[k] at every k ≥ 0 and then runs into a forward-fair
     cycle.  H mirrors G backward from t_min over r_b and fair_b, and the
-    anchors are init ∧ G[0] ∧ H[0].  One helper builds each half: the
-    reachable region, its fair states, then the chain.  This is complete
-    and sound: the states of a model at each time form such a run, and
-    the tableau constraints are all between neighbouring states, so the
-    walks of G and H, joined at the anchor, are a consistent fair run
-    whose word satisfies f at 0 and the facts at their times.  The
-    witness walks s_k ∈ G[k] ∧ img(s_{k−1}), then runs to a fair loop
-    from s_{t_max}, and the left half mirrors this.  Without facts G[0]
-    and H[0] are the plain E[r U fair] sets, so this is the ordinary
-    check.
+    anchors are init ∧ G[0] ∧ H[0].  This is complete and sound: the
+    states of a model at each time form such a run, and the tableau
+    constraints are all between neighbouring states, so the walks of G
+    and H, joined at the anchor, are a consistent fair run whose word
+    satisfies f at 0 and the facts at their times.  The witness walks
+    s_k ∈ G[k] ∧ img(s_{k−1}), then runs to a fair loop from s_{t_max},
+    and the left half mirrors this.  Without facts G[0] and H[0] are the
+    plain E[r U fair] sets, so this is the ordinary check.
 
     The backward half (the backward reachability, the backward fixpoint
     and the left walk) runs only when the forward half leaves an anchor

@@ -1,7 +1,9 @@
 """Reference procedures that only the tests use.
 
-A bounded, sound-but-incomplete model search over ℤ that cross-checks the
-complete checker, a word evaluator that searches (node, position) pairs
+The complete checker's word re-checked by evaluation, as `check_kb` and
+`tdlite solve` re-check the words they report, with its facts as X/Y
+chains; a bounded, sound-but-incomplete model search over ℤ that
+cross-checks the complete checker, a word evaluator that searches (node, position) pairs
 on demand, against which the bottom-up `oracle.eval_on_lasso` is tested,
 the read-back of a model with past from an ℕ model of its past-free
 translation, walks that count a formula's nodes per occurrence
@@ -22,7 +24,7 @@ order as it was before it stopped at its fixpoint: always 40 rounds.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from tdlite import oracle
 from tdlite.bdd import Bdd
@@ -73,6 +75,22 @@ from tdlite.qtl import (
 
 MAX_Z_PROPS = 8
 DEFAULT_Z_BOUND = 3
+
+
+def x_chains(f: Ltl, facts: Sequence[tuple[int, str, bool]]) -> Ltl:
+    """f with each fact (t, p, v) conjoined as p or ¬p under |t| X or Y."""
+    for t, p, v in facts:
+        lit = LProp(p) if v else LNot(LProp(p))
+        for _ in range(abs(t)):
+            lit = LNextF(lit) if t > 0 else LNextP(lit)
+        f = LAnd(f, lit)
+    return f
+
+
+def checked_z_sat(f: Ltl, facts: Sequence[tuple[int, str, bool]] = ()) -> Optional[BiLassoWord]:
+    """`oracle.z_sat`'s word once evaluation confirms it is a model of f
+    and the facts (`WitnessCheckFailed` if not); None for unsatisfiable."""
+    return oracle.checked(x_chains(f, facts), oracle.z_sat(f, facts=facts), "extracted word")
 
 
 def z_sat_bounded(

@@ -17,12 +17,12 @@ from tdlite import components, ltl, oracle
 from tdlite.components import product_word
 from tdlite.kbparse import parse_kb
 from tdlite.ltl import LNextP, LSomeP, optimize, structural_index
-from tdlite.oracle import BiLassoWord, WitnessCheckFailed, z_sat
+from tdlite.oracle import BiLassoWord, WitnessCheckFailed
 from tdlite.pipeline import check_kb, run_pipeline
 from tdlite.randgen import BatchSpec, generate_instance, random_abox
 
 from conftest import load_toy, random_bilasso
-from references import grounding, has_past, struct_eq
+from references import checked_z_sat, grounding, has_past, struct_eq
 
 # no individuals; `>= 1 R` is empty, so each witness's demand is
 # unsatisfiable, and SAT needs the fixpoint to drop both role propositions
@@ -37,7 +37,7 @@ DROP_UNSAT_KB = (
 def monolithic(kb, flow: str) -> str:
     """The verdict of one checker call on the whole optimized grounding."""
     g = optimize(grounding(run_pipeline(kb, flow)))
-    return "SAT" if z_sat(g) is not None else "UNSAT"
+    return "SAT" if checked_z_sat(g) is not None else "UNSAT"
 
 
 # --- the differential corpus --------------------------------------------------

@@ -18,8 +18,7 @@ import tdlite
 from tdlite import components, oracle
 from tdlite.kbparse import parse_kb
 from tdlite.ltl import (
-    TRUE, LAnd, LNextF, LNextP, LNot, LProp, gc_paused, optimize, parse_infix,
-    structural_index, to_infix,
+    TRUE, gc_paused, optimize, parse_infix, structural_index, to_infix,
 )
 from tdlite.oracle import BiLassoWord, WitnessCheckFailed, eval_on_lasso, z_sat
 from tdlite.pipeline import check_kb, run_pipeline
@@ -30,7 +29,8 @@ from conftest import (
     random_bilasso, random_ltlp,
 )
 from references import (
-    depast, forty_round_variable_order, grounding, searched_eval_on_lasso, z_sat_bounded,
+    checked_z_sat, depast, forty_round_variable_order, grounding, searched_eval_on_lasso,
+    x_chains, z_sat_bounded,
 )
 
 V = frozenset
@@ -190,7 +190,7 @@ def test_z_sat_searches_backward_only_for_a_past_operator(monkeypatch, text, bac
             return _real(self, forward, *args, **kwargs)
 
         monkeypatch.setattr(oracle._Engine, name, spy)
-    word = z_sat(parse_infix(text))
+    word = checked_z_sat(parse_infix(text))
     assert word is not None
     assert (False in directions) is backward
     if not backward:
@@ -204,7 +204,7 @@ def test_z_sat_finds_every_past_free_model_the_bounded_search_finds():
     found = unsat = 0
     for _ in range(150):
         f = random_ltlp(rng.randint(1, 10), rng, FUTURE_UNARY_OPS, ("a", "b", "c"))
-        word = z_sat(f)
+        word = checked_z_sat(f)
         if z_sat_bounded(f) is not None:
             found += 1
             assert word is not None, to_infix(f)
@@ -304,16 +304,6 @@ def test_z_sat_bounded_alphabet_cap():
 
 # --- facts on a chain of image steps -------------------------------------------
 
-def _as_x_chains(f, facts):
-    """f with each fact (t, p, v) conjoined as p or ¬p under |t| X or Y."""
-    for t, p, v in facts:
-        lit = LProp(p) if v else LNot(LProp(p))
-        for _ in range(abs(t)):
-            lit = LNextF(lit) if t > 0 else LNextP(lit)
-        f = LAnd(f, lit)
-    return f
-
-
 def test_z_sat_with_facts_agrees_with_the_x_chain_encoding():
     rng = random.Random(91)
     verdicts = set()
@@ -323,9 +313,9 @@ def test_z_sat_with_facts_agrees_with_the_x_chain_encoding():
         lo = 0 if future else -4
         facts = [(rng.randint(lo, 4), rng.choice("abcd"), rng.random() < 0.7)
                  for _ in range(rng.randint(1, 3))]
-        word = z_sat(f, facts=facts)
+        word = checked_z_sat(f, facts)
         verdict = word is not None
-        assert verdict == (z_sat(_as_x_chains(f, facts)) is not None), (to_infix(f), facts)
+        assert verdict == (checked_z_sat(x_chains(f, facts)) is not None), (to_infix(f), facts)
         if word is not None:
             assert all((p in word.valuation(t)) == v for t, p, v in facts)
         verdicts.add(verdict)
@@ -335,12 +325,12 @@ def test_z_sat_with_facts_agrees_with_the_x_chain_encoding():
 @pytest.mark.parametrize("f", [parse_infix("G (a -> X a)"), TRUE], ids=["G(a->Xa)", "true"])
 def test_a_fact_before_zero_runs_the_backward_half_of_a_past_free_formula(f):
     assert z_sat(f, facts=[(-3, "a", True), (-3, "a", False)]) is None
-    word = z_sat(f, facts=[(-3, "a", True), (2, "b", False)])
+    word = checked_z_sat(f, [(-3, "a", True), (2, "b", False)])
     assert "a" in word.valuation(-3) and "b" not in word.valuation(2)
 
 
 def test_a_fact_on_a_proposition_the_formula_does_not_name():
-    word = z_sat(parse_infix("G a"), facts=[(5, "b", True), (7, "b", False)])
+    word = checked_z_sat(parse_infix("G a"), [(5, "b", True), (7, "b", False)])
     assert "b" in word.valuation(5) and "b" not in word.valuation(7)
     assert z_sat(parse_infix("G a"), facts=[(5, "b", True), (5, "b", False)]) is None
 
@@ -349,17 +339,12 @@ def test_z_sat_agrees_with_the_depast_route():
     rng = random.Random(55)
     for _ in range(80):
         f = random_ltlp(rng.randint(1, 9), rng)
-        via_z = z_sat(f) is not None
-        via_depast = z_sat(depast(f)) is not None
+        via_z = checked_z_sat(f) is not None
+        via_depast = checked_z_sat(depast(f)) is not None
         assert via_z == via_depast
 
 
 # --- a witness that fails re-evaluation is an error, also under -O ----------
-
-def checked_z_sat(f):
-    """z_sat's word, re-checked as `check_kb` and `tdlite solve` do."""
-    return oracle.checked(f, z_sat(f), "extracted word")
-
 
 @pytest.mark.parametrize("check", [checked_z_sat, z_sat_bounded])
 def test_a_witness_failing_re_evaluation_raises(monkeypatch, check):
@@ -374,16 +359,14 @@ if __debug__:
     sys.exit("not running under -O")
 from tdlite import oracle
 from tdlite.ltl import parse_infix
-from references import z_sat_bounded
+from references import checked_z_sat, z_sat_bounded
 oracle.eval_on_lasso = lambda *args: False
-checks = {"z_sat": lambda f: oracle.checked(f, oracle.z_sat(f), "extracted word"),
-          "z_sat_bounded": z_sat_bounded}
-for name, check in checks.items():
+for check in (checked_z_sat, z_sat_bounded):
     try:
         check(parse_infix("F a"))
     except oracle.WitnessCheckFailed:
         continue
-    sys.exit(name + " returned an unchecked witness")
+    sys.exit(check.__name__ + " returned an unchecked witness")
 """
 
 
@@ -401,11 +384,11 @@ def test_the_witness_check_survives_python_O():
 
 DOUBLING_TOWER_CHECK = """
 from tdlite.ltl import LAnd, LNextF, LProp
-from tdlite.oracle import z_sat
+from tdlite.oracle import checked, z_sat
 f = LProp("a")
 for _ in range(60):
     f = LAnd(LNextF(f), f)
-assert z_sat(f) is not None
+assert checked(f, z_sat(f), "extracted word") is not None
 """
 
 
@@ -433,6 +416,6 @@ def test_a_finished_check_frees_its_bdd_without_the_collector(monkeypatch):
     monkeypatch.setattr(oracle._Engine, "__init__", init)
     with gc_paused():
         for text in ("G (a -> X b) & F a", "G (a -> Y b) & P a"):
-            assert z_sat(parse_infix(text)) is not None
+            assert checked_z_sat(parse_infix(text)) is not None
         assert len(refs) == 2
         assert all(r() is None for r in refs)
