@@ -19,6 +19,7 @@ recurses through a true operand as through any other.
 from __future__ import annotations
 
 import sys
+from typing import Callable
 
 _TERMINAL_LEVEL = 1 << 30
 
@@ -175,9 +176,13 @@ class Bdd:
 
     # --- renaming (mapping must be monotone on the support) ---
 
-    def rename(self, f: int, mapping: dict[int, int]) -> int:
+    def renaming(self, mapping: dict[int, int]) -> Callable[[int], int]:
+        """The function renaming a BDD's levels by `mapping`.  Its cache
+        id is looked up here, once, so a renaming applied many times (the
+        checker's priming) sorts the mapping only once."""
         rid = self._rename_ids.setdefault(tuple(sorted(mapping.items())), len(self._rename_ids))
-        return self._rename(f, mapping, rid)
+        rename = self._rename
+        return lambda f: rename(f, mapping, rid)
 
     def _rename(self, f: int, mapping: dict[int, int], rid: int) -> int:
         if f < 2:

@@ -9,11 +9,9 @@ Exit codes: 0 satisfiable, 1 unsatisfiable, 2 parse or validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .ground import ground
 from .kb import validate
@@ -23,7 +21,6 @@ from .oracle import checked, z_sat
 from .pastelim import print_past_free
 from .pipeline import check_kb, run_pipeline, solver_formula
 from .qtl import FlowViolation, qtl_to_text
-from .randgen import BatchSpec, generate_instance, write_batch
 from .solvers import RunResult, emit_infix, emit_smv, load_profiles, run_solver
 
 EXIT_SAT = 0
@@ -123,6 +120,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .randgen import write_batch
+
     spec = _batch_spec(args)
     paths = write_batch(
         spec,
@@ -135,7 +134,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _batch_spec(args: argparse.Namespace) -> BatchSpec:
+def _batch_spec(args: argparse.Namespace):
+    from .randgen import BatchSpec
+
     return BatchSpec(
         F=args.F,
         N=args.N,
@@ -157,6 +158,12 @@ CSV_HEADER = [
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # a check or a solve, one process each, imports none of this
+    import csv
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .randgen import generate_instance
+
     spec = _batch_spec(args)
     try:
         profiles = load_profiles(args.solvers_file)

@@ -27,7 +27,6 @@ satisfiability question: a fact `○^t ℓ` holds at 0 iff ℓ holds at t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
@@ -36,21 +35,25 @@ from .ground import EVERY_CONSTANT, Conjunct, SymbolicGrounding, ground
 from .ltl import optimize
 from .oracle import BiLassoWord, checked, z_sat
 from .qtl import Const, QAtom, QNot, TranslationContext, unshift
+from .record import Record
 
 # the label of the constant-free conjuncts' component; not an identifier,
 # so no constant has it
 SHARED = "(shared)"
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(Record):
     """How a check was split: components, checker calls, the role
     propositions held true, and for UNSAT the component that refuted."""
 
-    components: int
-    checker_calls: int
-    kept: tuple[str, ...]
-    refuted_by: Optional[str]
+    __slots__ = ("components", "checker_calls", "kept", "refuted_by")
+
+    def __init__(self, components: int, checker_calls: int, kept: tuple[str, ...],
+                 refuted_by: Optional[str]) -> None:
+        self.components = components
+        self.checker_calls = checker_calls
+        self.kept = kept
+        self.refuted_by = refuted_by
 
     def as_dict(self) -> dict:
         return {

@@ -17,7 +17,6 @@ hand-off's universal part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import names
@@ -56,6 +55,7 @@ from .qtl import (
     Qtl,
     TranslationContext,
 )
+from .record import Record
 
 __all__ = [
     "EVERY_CONSTANT",
@@ -68,9 +68,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class GroundingContext:
-    constants: tuple[str, ...]
+class GroundingContext(Record):
+    __slots__ = ("constants",)
+
+    def __init__(self, constants: tuple[str, ...]) -> None:
+        self.constants = constants
 
     @classmethod
     def from_kb(cls, kb: KnowledgeBase, ctx: TranslationContext) -> "GroundingContext":
@@ -93,20 +95,21 @@ SYMBOL = "(x)"
 EVERY_CONSTANT = "(every)"
 
 
-@dataclass(frozen=True, slots=True)
-class Conjunct:
+class Conjunct(Record):
     """A top-level conjunct, the uid of its grounding, and what it is
     about: the one constant it names, EVERY_CONSTANT for a universally
     quantified one, or None for a constant-free one (such as the falsum
     of a contradicted negated role fact)."""
 
-    node: Qtl
-    uid: int
-    about: Optional[str]
+    __slots__ = ("node", "uid", "about")
+
+    def __init__(self, node: Qtl, uid: int, about: Optional[str]) -> None:
+        self.node = node
+        self.uid = uid
+        self.about = about
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class SymbolicGrounding:
+class SymbolicGrounding(Record):
     """A table of structural keys in the form of `ltl.structural_index`,
     the grounding's own key last.  A key with SYMBOL below it stands for
     its copy at each constant of `at[uid]` (a bit per constant), and
@@ -117,13 +120,28 @@ class SymbolicGrounding:
     body's uid.  `conjuncts` are the top-level conjuncts in spine order,
     truth left out."""
 
-    constants: tuple[str, ...]
-    keys: list[tuple]
-    copies: list[int]
-    at: list[int]
-    pairs: dict[int, tuple[int, int]]
-    foralls: dict[int, int]
-    conjuncts: tuple[Conjunct, ...]
+    __slots__ = ("constants", "keys", "copies", "at", "pairs", "foralls", "conjuncts")
+
+    def __init__(
+        self,
+        constants: tuple[str, ...],
+        keys: list[tuple],
+        copies: list[int],
+        at: list[int],
+        pairs: dict[int, tuple[int, int]],
+        foralls: dict[int, int],
+        conjuncts: tuple[Conjunct, ...],
+    ) -> None:
+        self.constants = constants
+        self.keys = keys
+        self.copies = copies
+        self.at = at
+        self.pairs = pairs
+        self.foralls = foralls
+        self.conjuncts = conjuncts
+
+    # the table is far too long to print
+    __repr__ = object.__repr__
 
 
 @gc_paused()

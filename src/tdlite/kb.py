@@ -8,18 +8,21 @@ extension) and *local* (time-varying) names; both can be inverted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Union
+
+from .record import Record
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, slots=True)
-class Role:
+class Role(Record):
     """A role name, possibly inverted."""
 
-    name: str
-    inverted: bool = False
+    __slots__ = ("name", "inverted")
+
+    def __init__(self, name: str, inverted: bool = False) -> None:
+        self.name = name
+        self.inverted = inverted
 
     def inverse(self) -> "Role":
         return Role(self.name, not self.inverted)
@@ -28,78 +31,98 @@ class Role:
         return self.name + ("-" if self.inverted else "")
 
 
-class Concept:
+class Concept(Record):
     """Base class for concept expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Bottom(Concept):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Concept):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Atomic(Concept):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True, slots=True)
 class AtLeast(Concept):
-    q: int
-    role: Role
+    __slots__ = ("q", "role")
+
+    def __init__(self, q: int, role: Role) -> None:
+        self.q = q
+        self.role = role
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Concept):
-    arg: Concept
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Concept) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class And(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Concept, right: Concept) -> None:
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Concept, right: Concept) -> None:
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True, slots=True)
 class NextF(Concept):
-    arg: Concept
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Concept) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class NextP(Concept):
-    arg: Concept
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Concept) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class SomeF(Concept):
-    arg: Concept
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Concept) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class SomeP(Concept):
-    arg: Concept
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Concept) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class AlwF(Concept):
-    arg: Concept
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Concept) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class AlwP(Concept):
-    arg: Concept
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Concept) -> None:
+        self.arg = arg
 
 
 _UNARY = (Not, NextF, NextP, SomeF, SomeP, AlwF, AlwP)
@@ -153,39 +176,53 @@ def iter_subconcepts(c: Concept) -> Iterable[Concept]:
             stack.append(n.arg)
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptInclusion:
-    lhs: Concept
-    rhs: Concept
+class ConceptInclusion(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Concept, rhs: Concept) -> None:
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptAssertion:
-    positive: bool
-    concept: str
-    individual: str
-    time: int
+class ConceptAssertion(Record):
+    __slots__ = ("positive", "concept", "individual", "time")
+
+    def __init__(self, positive: bool, concept: str, individual: str, time: int) -> None:
+        self.positive = positive
+        self.concept = concept
+        self.individual = individual
+        self.time = time
 
 
-@dataclass(frozen=True, slots=True)
-class RoleAssertion:
+class RoleAssertion(Record):
     # role is always a non-inverted role name in the user-facing syntax
-    positive: bool
-    role: str
-    subject: str
-    obj: str
-    time: int
+    __slots__ = ("positive", "role", "subject", "obj", "time")
+
+    def __init__(self, positive: bool, role: str, subject: str, obj: str, time: int) -> None:
+        self.positive = positive
+        self.role = role
+        self.subject = subject
+        self.obj = obj
+        self.time = time
 
 
 Assertion = Union[ConceptAssertion, RoleAssertion]
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
-    concepts: frozenset[str]
-    global_roles: frozenset[str]
-    local_roles: frozenset[str]
-    individuals: frozenset[str]
+class Signature(Record):
+    __slots__ = ("concepts", "global_roles", "local_roles", "individuals")
+
+    def __init__(
+        self,
+        concepts: frozenset[str],
+        global_roles: frozenset[str],
+        local_roles: frozenset[str],
+        individuals: frozenset[str],
+    ) -> None:
+        self.concepts = concepts
+        self.global_roles = global_roles
+        self.local_roles = local_roles
+        self.individuals = individuals
 
     def role_names(self) -> frozenset[str]:
         return self.global_roles | self.local_roles
@@ -194,32 +231,43 @@ class Signature:
         return role_name in self.global_roles
 
 
-@dataclass(frozen=True, slots=True)
-class KnowledgeBase:
-    signature: Signature
-    tbox: tuple[ConceptInclusion, ...]
-    abox: tuple[Assertion, ...]
+class KnowledgeBase(Record):
+    __slots__ = ("signature", "tbox", "abox")
+
+    def __init__(
+        self,
+        signature: Signature,
+        tbox: tuple[ConceptInclusion, ...],
+        abox: tuple[Assertion, ...],
+    ) -> None:
+        self.signature = signature
+        self.tbox = tbox
+        self.abox = abox
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    code: str
-    message: str
-    where: str = ""
+class Diagnostic(Record):
+    __slots__ = ("code", "message", "where")
+
+    def __init__(self, code: str, message: str, where: str = "") -> None:
+        self.code = code
+        self.message = message
+        self.where = where
 
     def __str__(self) -> str:
         loc = f" [{self.where}]" if self.where else ""
         return f"{self.code}: {self.message}{loc}"
 
 
-@dataclass(frozen=True, slots=True)
-class RoleFact:
+class RoleFact(Record):
     """A positive role fact in the inverse-closed internal ABox form."""
 
-    role: Role
-    subject: str
-    obj: str
-    time: int
+    __slots__ = ("role", "subject", "obj", "time")
+
+    def __init__(self, role: Role, subject: str, obj: str, time: int) -> None:
+        self.role = role
+        self.subject = subject
+        self.obj = obj
+        self.time = time
 
 
 def close_abox_under_inverses(

@@ -19,8 +19,6 @@ non-associative top-level separator.  `#` starts a line comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kb import (
     AlwF,
     AlwP,
@@ -44,6 +42,7 @@ from .kb import (
     SomeP,
     Top,
 )
+from .record import Record
 
 
 class KbSyntaxError(ValueError):
@@ -56,12 +55,14 @@ class KbSyntaxError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # NAME, INT, SYM, EOF
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kind = kind  # NAME, INT, SYM, EOF
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 _KEYWORDS = {
@@ -323,23 +324,39 @@ _UNARY_NAMES = {
 
 
 def print_concept(c: Concept, level: int = 0) -> str:
-    if isinstance(c, Top):
-        return "TOP"
-    if isinstance(c, Bottom):
-        return "BOT"
-    if isinstance(c, Atomic):
-        return c.name
-    if isinstance(c, AtLeast):
-        s = f">= {c.q} {c.role}"
-        return f"({s})" if level > 1 else s
-    if isinstance(c, Or):
-        s = f"{print_concept(c.left, 0)} OR {print_concept(c.right, 1)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(c, And):
-        s = f"{print_concept(c.left, 1)} AND {print_concept(c.right, 2)}"
-        return f"({s})" if level > 1 else s
-    op = _UNARY_NAMES[type(c)]
-    return f"{op} {print_concept(c.arg, 2)}"
+    """The text of a concept at a precedence level, parenthesized when
+    its operator binds more loosely.  A walk with an explicit stack of
+    pending text and (concept, level) pairs, so nesting depth is not
+    bounded by the recursion limit."""
+    parts: list[str] = []
+    stack: list[object] = [(c, level)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        n, level = item
+        if isinstance(n, Top):
+            parts.append("TOP")
+        elif isinstance(n, Bottom):
+            parts.append("BOT")
+        elif isinstance(n, Atomic):
+            parts.append(n.name)
+        elif isinstance(n, AtLeast):
+            s = f">= {n.q} {n.role}"
+            parts.append(f"({s})" if level > 1 else s)
+        elif isinstance(n, (Or, And)):
+            op, left, right, loosest = (" OR ", 0, 1, 0) if isinstance(n, Or) else (" AND ", 1, 2, 1)
+            parens = level > loosest
+            if parens:
+                stack.append(")")
+            stack.extend([(n.right, right), op, (n.left, left)])
+            if parens:
+                parts.append("(")
+        else:
+            parts.append(f"{_UNARY_NAMES[type(n)]} ")
+            stack.append((n.arg, 2))
+    return "".join(parts)
 
 
 def print_kb(kb: KnowledgeBase) -> str:

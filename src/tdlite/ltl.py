@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -48,7 +47,7 @@ class Ltl:
     __slots__ = ()
 
     def __repr__(self) -> str:
-        """The dataclass-style text of the node, cut after REPR_LIMIT
+        """The `Name(field=value)` text of the node, cut after REPR_LIMIT
         characters: one walk of bounded length, so a deep chain or a
         shared tower prints as quickly as a leaf."""
         parts: list[str] = []
@@ -74,45 +73,58 @@ class Ltl:
         return out if not stack and length <= REPR_LIMIT else out[:REPR_LIMIT] + "..."
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class LFalse(Ltl):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class LProp(Ltl):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class LNot(Ltl):
-    arg: Ltl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Ltl) -> None:
+        self.arg = arg
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class LAnd(Ltl):
-    left: Ltl
-    right: Ltl
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Ltl, right: Ltl) -> None:
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class LNextF(Ltl):
-    arg: Ltl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Ltl) -> None:
+        self.arg = arg
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class LNextP(Ltl):
-    arg: Ltl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Ltl) -> None:
+        self.arg = arg
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class LSomeF(Ltl):
-    arg: Ltl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Ltl) -> None:
+        self.arg = arg
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class LSomeP(Ltl):
-    arg: Ltl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Ltl) -> None:
+        self.arg = arg
 
 
 _UNARY = (LNot, LNextF, LNextP, LSomeF, LSomeP)

@@ -30,7 +30,6 @@ repeats and closes the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -48,6 +47,7 @@ from .ltl import (
     Ltl,
     structural_index,
 )
+from .record import Record
 
 Valuation = frozenset[str]
 
@@ -59,8 +59,7 @@ class WitnessCheckFailed(RuntimeError):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class BiLassoWord:
+class BiLassoWord(Record):
     """An ultimately periodic bi-infinite word over ℤ.
 
     left_prefix lists the valuations at −1, −2, … outward; left_loop
@@ -68,15 +67,23 @@ class BiLassoWord:
     toward +∞; anchor is the valuation at 0.
     """
 
-    left_loop: tuple[Valuation, ...]
-    left_prefix: tuple[Valuation, ...]
-    anchor: Valuation
-    right_prefix: tuple[Valuation, ...]
-    right_loop: tuple[Valuation, ...]
+    __slots__ = ("left_loop", "left_prefix", "anchor", "right_prefix", "right_loop")
 
-    def __post_init__(self) -> None:
-        if not self.left_loop or not self.right_loop:
+    def __init__(
+        self,
+        left_loop: tuple[Valuation, ...],
+        left_prefix: tuple[Valuation, ...],
+        anchor: Valuation,
+        right_prefix: tuple[Valuation, ...],
+        right_loop: tuple[Valuation, ...],
+    ) -> None:
+        if not left_loop or not right_loop:
             raise ValueError("loops must be non-empty")
+        self.left_loop = left_loop
+        self.left_prefix = left_prefix
+        self.anchor = anchor
+        self.right_prefix = right_prefix
+        self.right_loop = right_loop
 
     def valuation(self, n: int) -> Valuation:
         if n == 0:
@@ -185,8 +192,8 @@ class _Engine:
         slot = {uid: i for i, uid in enumerate(elem)}
         self.unprimed = frozenset(2 * i for i in range(len(elem)))
         self.primed = frozenset(2 * i + 1 for i in range(len(elem)))
-        self.to_primed = {2 * i: 2 * i + 1 for i in range(len(elem))}
-        self.to_unprimed = {2 * i + 1: 2 * i for i in range(len(elem))}
+        self.prime = b.renaming({2 * i: 2 * i + 1 for i in range(len(elem))})
+        self.unprime = b.renaming({2 * i + 1: 2 * i for i in range(len(elem))})
 
         # val[uid]: the state predicate of each subformula over unprimed vars
         val: list[int] = []
@@ -217,7 +224,7 @@ class _Engine:
             if t is LProp:
                 continue
             arg_now = val[table[uid][1]]
-            arg_next = b.rename(arg_now, self.to_primed)
+            arg_next = self.prime(arg_now)
             if t is LNextF:
                 trans_parts.append(b.iff_(x, arg_next))
             elif t is LNextP:
@@ -320,11 +327,11 @@ class _Engine:
     def _step(self, s: int, forward: bool) -> int:
         """The states one step from s in the walk direction: the image
         forward, the preimage backward.  The BDD's computed table, which
-        keys each top-level `and_exist` and `rename`, answers a repeat."""
+        keys each top-level `and_exist` and renaming, answers a repeat."""
         b = self.b
         if forward:
-            return b.rename(b.and_exist(self.trans, s, self.unprimed), self.to_unprimed)
-        return b.and_exist(self.trans, b.rename(s, self.to_primed), self.primed)
+            return self.unprime(b.and_exist(self.trans, s, self.unprimed))
+        return b.and_exist(self.trans, self.prime(s), self.primed)
 
     def eu(self, region: int, target: int, forward: bool) -> int:
         """States with a path inside region to target — following the

@@ -35,7 +35,6 @@ grounding of a knowledge base the translation is already a fixpoint of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ltl import (
@@ -52,6 +51,7 @@ from .ltl import (
     spine_leaves,
     structural_index,
 )
+from .record import Record
 
 _TEMPORAL = (LNextF, LNextP, LSomeF, LSomeP)
 
@@ -66,8 +66,7 @@ def surrogate_name(uid: int) -> str:
     return f"s{uid}"
 
 
-@dataclass(frozen=True, slots=True)
-class SubformulaTable:
+class SubformulaTable(Record):
     """Distinct subformulas of the input.
 
     `keys` is the input's `ltl.structural_index`: one structural key per
@@ -83,10 +82,14 @@ class SubformulaTable:
     counts read it, the printer does not.
     """
 
-    keys: list[tuple]
-    props: list[str]
-    surrogates: list[int]
-    copies: Sequence[int]
+    __slots__ = ("keys", "props", "surrogates", "copies")
+
+    def __init__(self, keys: list[tuple], props: list[str], surrogates: list[int],
+                 copies: Sequence[int]) -> None:
+        self.keys = keys
+        self.props = props
+        self.surrogates = surrogates
+        self.copies = copies
 
     @classmethod
     def of(cls, keys: list[tuple], copies: Optional[Sequence[int]] = None) -> "SubformulaTable":

@@ -25,7 +25,6 @@ of ∀x φ(x) is one copy of φ per constant.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .components import Decomposition, check_by_constant
@@ -41,27 +40,49 @@ from .kb import KnowledgeBase, concept_size
 from .ltl import LProp, Ltl, optimize_instances
 from .pastelim import SubformulaTable
 from .qtl import Qtl, TranslationContext, qtl_size, translate_kb
+from .record import Record
 from .solvers import SolverProfile, run_solver
 
-@dataclass(frozen=True, slots=True)
-class StageRecord:
-    name: str  # kb | qtl1 | ltlp | ltl
-    nodes: int
-    props: Optional[int]
-    wall_ms: float
+
+class StageRecord(Record):
+    __slots__ = ("name", "nodes", "props", "wall_ms")
+
+    def __init__(self, name: str, nodes: int, props: Optional[int], wall_ms: float) -> None:
+        self.name = name  # kb | qtl1 | ltlp | ltl
+        self.nodes = nodes
+        self.props = props
+        self.wall_ms = wall_ms
 
 
-@dataclass(slots=True)
-class PipelineTrace:
-    flow: str
-    stages: list[StageRecord] = field(default_factory=list)
-    # formulas are far too deep for the recursive dataclass repr
-    qtl: Optional[Qtl] = field(default=None, repr=False)
-    qtl_ctx: Optional[TranslationContext] = None
-    # the symbolic grounding that every grounding is built from
-    grounding: Optional[SymbolicGrounding] = field(default=None, repr=False)
-    # how an in-process check split the grounding; None for other runs
-    decomposition: Optional[Decomposition] = None
+class PipelineTrace(Record):
+    """The stages of one run, filled in as the run goes; the one value
+    class that changes after it is built, so it has no hash."""
+
+    __slots__ = ("flow", "stages", "qtl", "qtl_ctx", "grounding", "decomposition")
+    __hash__ = None
+
+    def __init__(
+        self,
+        flow: str,
+        stages: Optional[list[StageRecord]] = None,
+        qtl: Optional[Qtl] = None,
+        qtl_ctx: Optional[TranslationContext] = None,
+        grounding: Optional[SymbolicGrounding] = None,
+        decomposition: Optional[Decomposition] = None,
+    ) -> None:
+        self.flow = flow
+        self.stages = [] if stages is None else stages
+        self.qtl = qtl
+        self.qtl_ctx = qtl_ctx
+        # the symbolic grounding that every grounding is built from
+        self.grounding = grounding
+        # how an in-process check split the grounding; None for other runs
+        self.decomposition = decomposition
+
+    def __repr__(self) -> str:
+        # the formula and the grounding are far too large to print
+        return (f"PipelineTrace(flow={self.flow!r}, stages={self.stages!r}, "
+                f"qtl_ctx={self.qtl_ctx!r}, decomposition={self.decomposition!r})")
 
     def stage(self, name: str) -> StageRecord:
         for rec in self.stages:

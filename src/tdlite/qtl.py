@@ -9,7 +9,6 @@ grounding-ready form with the witness constant d_R and proposition p_R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from . import names
@@ -34,21 +33,25 @@ from .kb import (
     numbers_in_tbox,
     roles_in_kb,
 )
+from .record import Record
 
 
 class FlowViolation(ValueError):
     """The input cannot be translated under the requested time flow."""
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "x"
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    name: str
+class Const(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __str__(self) -> str:
         return f"@{self.name}"
@@ -58,9 +61,11 @@ Term = Union[Var, Const]
 X = Var()
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptPred:
-    name: str
+class ConceptPred(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def prop_name(self, const: str) -> str:
         return names.concept_prop(self.name, const)
@@ -69,10 +74,12 @@ class ConceptPred:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class CardPred:
-    q: int
-    role: Role
+class CardPred(Record):
+    __slots__ = ("q", "role")
+
+    def __init__(self, q: int, role: Role) -> None:
+        self.q = q
+        self.role = role
 
     def prop_name(self, const: str) -> str:
         return names.card_prop(self.q, self.role, const)
@@ -84,70 +91,91 @@ class CardPred:
 Pred = Union[ConceptPred, CardPred]
 
 
-class Qtl:
+class Qtl(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class QFalsum(Qtl):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class QAtom(Qtl):
-    pred: Pred
-    term: Term
+    __slots__ = ("pred", "term")
+
+    def __init__(self, pred: Pred, term: Term) -> None:
+        self.pred = pred
+        self.term = term
 
 
-@dataclass(frozen=True, slots=True)
 class QProp(Qtl):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True, slots=True)
 class QNot(Qtl):
-    arg: Qtl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Qtl) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class QAnd(Qtl):
-    left: Qtl
-    right: Qtl
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Qtl, right: Qtl) -> None:
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True, slots=True)
 class QNextF(Qtl):
-    arg: Qtl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Qtl) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class QNextP(Qtl):
-    arg: Qtl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Qtl) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class QSomeF(Qtl):
-    arg: Qtl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Qtl) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class QSomeP(Qtl):
-    arg: Qtl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Qtl) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class QAlwF(Qtl):
-    arg: Qtl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Qtl) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class QAlwP(Qtl):
-    arg: Qtl
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Qtl) -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class QForAll(Qtl):
-    body: Qtl
+    __slots__ = ("body",)
+
+    def __init__(self, body: Qtl) -> None:
+        self.body = body
 
 
 QTRUE = QNot(QFalsum())
@@ -180,19 +208,23 @@ def qtl_size(f: Qtl) -> int:
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class SuccessorCount:
-    role: Role
-    individual: str
-    time: int
-    count: int
+class SuccessorCount(Record):
+    __slots__ = ("role", "individual", "time", "count")
+
+    def __init__(self, role: Role, individual: str, time: int, count: int) -> None:
+        self.role = role
+        self.individual = individual
+        self.time = time
+        self.count = count
 
 
-@dataclass(frozen=True, slots=True)
-class TranslationContext:
-    roles_of_k: tuple[Role, ...]
-    q_set: tuple[int, ...]
-    flow: str  # "z" or "n"
+class TranslationContext(Record):
+    __slots__ = ("roles_of_k", "q_set", "flow")
+
+    def __init__(self, roles_of_k: tuple[Role, ...], q_set: tuple[int, ...], flow: str) -> None:
+        self.roles_of_k = roles_of_k
+        self.q_set = q_set
+        self.flow = flow  # "z" or "n"
 
 
 def compute_a_n_r(
@@ -241,27 +273,36 @@ def build_context(kb: KnowledgeBase, flow: str) -> TranslationContext:
     return TranslationContext(tuple(roles), tuple(sorted(qs)), flow)
 
 
+_STAR_UNARY = {Not: QNot, NextF: QNextF, NextP: QNextP, SomeF: QSomeF, SomeP: QSomeP}
+
+
 def concept_star(c: Concept) -> Qtl:
-    """The standard starred translation of a normalized concept, over x."""
-    if isinstance(c, Bottom):
-        return QFalsum()
-    if isinstance(c, Atomic):
-        return QAtom(ConceptPred(c.name), X)
-    if isinstance(c, AtLeast):
-        return QAtom(CardPred(c.q, c.role), X)
-    if isinstance(c, Not):
-        return QNot(concept_star(c.arg))
-    if isinstance(c, And):
-        return QAnd(concept_star(c.left), concept_star(c.right))
-    if isinstance(c, NextF):
-        return QNextF(concept_star(c.arg))
-    if isinstance(c, NextP):
-        return QNextP(concept_star(c.arg))
-    if isinstance(c, SomeF):
-        return QSomeF(concept_star(c.arg))
-    if isinstance(c, SomeP):
-        return QSomeP(concept_star(c.arg))
-    raise ValueError(f"concept not normalized: {type(c).__name__}")
+    """The standard starred translation of a normalized concept, over x.
+
+    A post-order walk with an explicit stack, as `kb.normalize`, so
+    nesting depth is not bounded by the recursion limit."""
+    out: list[Qtl] = []  # the translated children, left before right
+    stack: list[tuple[Concept, bool]] = [(c, False)]
+    while stack:
+        n, children_done = stack.pop()
+        t = type(n)
+        if t is Bottom:
+            out.append(QFalsum())
+        elif t is Atomic:
+            out.append(QAtom(ConceptPred(n.name), X))
+        elif t is AtLeast:
+            out.append(QAtom(CardPred(n.q, n.role), X))
+        elif t is not And and t not in _STAR_UNARY:
+            raise ValueError(f"concept not normalized: {t.__name__}")
+        elif not children_done:
+            stack.append((n, True))
+            stack.extend(((n.right, False), (n.left, False)) if t is And else ((n.arg, False),))
+        elif t is And:
+            right = out.pop()
+            out.append(QAnd(out.pop(), right))
+        else:
+            out.append(_STAR_UNARY[t](out.pop()))
+    return out[0]
 
 
 def _box_star(f: Qtl, flow: str) -> Qtl:

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .kb import (
@@ -38,6 +37,7 @@ from .kb import (
     SomeP,
 )
 from .kbparse import print_kb
+from .record import Record
 
 Z_WINDOW = (-3, 3)
 N_WINDOW = (0, 6)
@@ -53,8 +53,7 @@ _DIAMOND_BOX_F = (SomeF, AlwF)
 _OTHER_F = (Not, NextF)
 
 
-@dataclass(frozen=True, slots=True)
-class BatchSpec:
+class BatchSpec(Record):
     """Parameters of one generation batch.
 
     F TBoxes; N concept names and N role names; Lt inclusions per TBox,
@@ -63,21 +62,33 @@ class BatchSpec:
     the probability of a role being global.
     """
 
-    F: int = 1
-    N: int = 2
-    Lt: int = 5
-    Lc: int = 5
-    Q: int = 1
-    Pt: float = 0.5
-    Pg: float = 0.5
-    abox_size: Optional[int] = None
-    seed: int = 0
+    __slots__ = ("F", "N", "Lt", "Lc", "Q", "Pt", "Pg", "abox_size", "seed")
 
-    def __post_init__(self) -> None:
-        if min(self.F, self.N, self.Lt, self.Lc) < 1 or self.Q < 1:
+    def __init__(
+        self,
+        F: int = 1,
+        N: int = 2,
+        Lt: int = 5,
+        Lc: int = 5,
+        Q: int = 1,
+        Pt: float = 0.5,
+        Pg: float = 0.5,
+        abox_size: Optional[int] = None,
+        seed: int = 0,
+    ) -> None:
+        if min(F, N, Lt, Lc) < 1 or Q < 1:
             raise ValueError("F, N, Lt, Lc and Q must all be at least 1")
-        if not (0.0 <= self.Pt <= 1.0 and 0.0 <= self.Pg <= 1.0):
+        if not (0.0 <= Pt <= 1.0 and 0.0 <= Pg <= 1.0):
             raise ValueError("Pt and Pg must lie in [0, 1]")
+        self.F = F
+        self.N = N
+        self.Lt = Lt
+        self.Lc = Lc
+        self.Q = Q
+        self.Pt = Pt
+        self.Pg = Pg
+        self.abox_size = abox_size
+        self.seed = seed
 
 
 def _basic_concept(spec: BatchSpec, rng: random.Random, allow_bottom: bool) -> Concept:

@@ -13,19 +13,14 @@ own command line, so everything works with no external tools installed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import resource
 import shlex
 import signal
-import subprocess
 import sys
-import tempfile
-import threading
 import time
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .ltl import (
@@ -41,6 +36,7 @@ from .ltl import (
     print_formula,
 )
 from .pastelim import SubformulaTable, build_table, print_past_free
+from .record import Record
 
 DEFAULT_CPU_SECONDS = 600.0
 DEFAULT_MEMORY_BYTES = 1 << 30
@@ -50,8 +46,7 @@ class ProfileError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class SolverProfile:
+class SolverProfile(Record):
     """How to drive one solver: command template, input format, verdict
     patterns, and resource limits.
 
@@ -61,36 +56,58 @@ class SolverProfile:
     a single output.
     """
 
-    name: str
-    command: tuple[str, ...]
-    input_format: str  # "infix-ltl" | "smv"
-    sat_pattern: str
-    unsat_pattern: str
-    cpu_seconds: float = DEFAULT_CPU_SECONDS
-    memory_bytes: int = DEFAULT_MEMORY_BYTES
-    max_props: Optional[int] = None
+    __slots__ = ("name", "command", "input_format", "sat_pattern", "unsat_pattern",
+                 "cpu_seconds", "memory_bytes", "max_props")
 
-    def __post_init__(self) -> None:
-        if self.input_format not in ("infix-ltl", "smv"):
-            raise ProfileError(f"unknown input format {self.input_format!r}")
-        for field_name, pattern in (("sat-pattern", self.sat_pattern),
-                                    ("unsat-pattern", self.unsat_pattern)):
+    def __init__(
+        self,
+        name: str,
+        command: tuple[str, ...],
+        input_format: str,
+        sat_pattern: str,
+        unsat_pattern: str,
+        cpu_seconds: float = DEFAULT_CPU_SECONDS,
+        memory_bytes: int = DEFAULT_MEMORY_BYTES,
+        max_props: Optional[int] = None,
+    ) -> None:
+        if input_format not in ("infix-ltl", "smv"):
+            raise ProfileError(f"unknown input format {input_format!r}")
+        for field_name, pattern in (("sat-pattern", sat_pattern),
+                                    ("unsat-pattern", unsat_pattern)):
             try:
                 re.compile(pattern, re.MULTILINE)
             except (TypeError, re.error) as e:
                 raise ProfileError(f"{field_name} {pattern!r} is no regular expression: {e}") from e
+        self.name = name
+        self.command = command
+        self.input_format = input_format  # "infix-ltl" | "smv"
+        self.sat_pattern = sat_pattern
+        self.unsat_pattern = unsat_pattern
+        self.cpu_seconds = cpu_seconds
+        self.memory_bytes = memory_bytes
+        self.max_props = max_props
 
 
-@dataclass(frozen=True, slots=True)
-class RunResult:
-    verdict: str  # SAT | UNSAT | TIMEOUT | FAIL | SKIPPED
-    wall_ms: float
-    cpu_ms: float
-    max_memory_bytes: int
-    output_digest: str
-    # why there is no SAT/UNSAT verdict: the exception, or how the solver
-    # ended; empty when the output was classified
-    reason: str = ""
+class RunResult(Record):
+    __slots__ = ("verdict", "wall_ms", "cpu_ms", "max_memory_bytes", "output_digest", "reason")
+
+    def __init__(
+        self,
+        verdict: str,
+        wall_ms: float,
+        cpu_ms: float,
+        max_memory_bytes: int,
+        output_digest: str,
+        reason: str = "",
+    ) -> None:
+        self.verdict = verdict  # SAT | UNSAT | TIMEOUT | FAIL | SKIPPED
+        self.wall_ms = wall_ms
+        self.cpu_ms = cpu_ms
+        self.max_memory_bytes = max_memory_bytes
+        self.output_digest = output_digest
+        # why there is no SAT/UNSAT verdict: the exception, or how the
+        # solver ended; empty when the output was classified
+        self.reason = reason
 
 
 def oracle_profile() -> SolverProfile:
@@ -267,6 +284,12 @@ def run_solver(
     the emitter then prints from.  Never raises: every mishap is a FAIL (or
     TIMEOUT when a limit was hit), with its cause in the result's
     `reason`."""
+    # the modules only a solver run uses: a check in process never imports them
+    import hashlib
+    import subprocess
+    import tempfile
+    import threading
+
     cpu = profile.cpu_seconds if cpu_seconds is None else cpu_seconds
     mem = profile.memory_bytes if memory_bytes is None else memory_bytes
 

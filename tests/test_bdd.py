@@ -94,7 +94,7 @@ def test_and_exist_where_a_quantified_low_branch_is_true(f, g, c, k, levels):
 def test_rename_under_a_monotone_map(f, targets):
     targets.sort()
     b = Bdd()
-    g = b.rename(build(b, f), dict(enumerate(targets)))
+    g = b.renaming(dict(enumerate(targets)))(build(b, f))
     for row in range(ROWS):
         moved = sum(1 << t for level, t in enumerate(targets) if row >> level & 1)
         assert value(b, g, moved) == f >> row & 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from tdlite.kb import (
@@ -15,7 +17,7 @@ from tdlite.kb import (
     Role,
     RoleAssertion,
 )
-from tdlite.kbparse import KbSyntaxError, parse_kb, print_kb
+from tdlite.kbparse import KbSyntaxError, parse_kb, print_concept, print_kb
 from tdlite.randgen import BatchSpec, generate_instance
 
 from conftest import TOY_VERDICTS, load_toy
@@ -46,6 +48,22 @@ def test_operator_precedence():
         "SIG\nconcept A\nconcept B\nconcept C\nTBOX\nNOT A AND B OR C SUB A\nABOX\n"
     )
     assert kb.tbox[0].lhs == Or(And(Not(Atomic("A")), Atomic("B")), Atomic("C"))
+
+
+def test_print_concept_of_a_3000_deep_chain_without_recursing():
+    # at CPython's default recursion limit, which `Bdd()` raises for the
+    # whole process; each conjunction nests to the right, so each is
+    # parenthesized
+    c = Atomic("A")
+    for _ in range(1500):
+        c = Not(And(Atomic("B"), c))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = print_concept(c)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "NOT (B AND " * 1500 + "A" + ")" * 1500
 
 
 @pytest.mark.parametrize("name", sorted(TOY_VERDICTS))

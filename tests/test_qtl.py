@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from tdlite.kb import (
+    And,
     AtLeast,
     Atomic,
     ConceptAssertion,
     ConceptInclusion,
     KnowledgeBase,
+    NextF,
     NextP,
     Role,
     RoleAssertion,
@@ -18,12 +22,18 @@ from tdlite.kb import (
 )
 from tdlite.qtl import (
     CardPred,
+    ConceptPred,
     FlowViolation,
+    QAnd,
+    QAtom,
     QFalsum,
+    QNextF,
     build_context,
+    concept_star,
     qtl_size,
     translate_kb,
     translate_tbox,
+    X,
 )
 from tdlite.kb import normalize_kb
 from tdlite.randgen import BatchSpec, generate_instance
@@ -41,6 +51,28 @@ def _sig(**kw):
     )
     base.update({k: frozenset(v) for k, v in kw.items()})
     return Signature(**base)
+
+
+def test_concept_star_of_a_3000_deep_chain_without_recursing():
+    # at CPython's default recursion limit, which `Bdd()` raises for the
+    # whole process
+    c = Atomic("A")
+    for i in range(3000):
+        c = NextF(c) if i % 2 else And(Atomic("B"), c)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        f = concept_star(c)
+    finally:
+        sys.setrecursionlimit(limit)
+    for i in reversed(range(3000)):
+        if i % 2:
+            assert type(f) is QNextF
+            f = f.arg
+        else:
+            assert type(f) is QAnd and f.left == QAtom(ConceptPred("B"), X)
+            f = f.right
+    assert f == QAtom(ConceptPred("A"), X)
 
 
 def test_context_roles_include_inverses():
