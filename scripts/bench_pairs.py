@@ -44,7 +44,12 @@ whole grounding and `pipeline.solver_formula` (what the hand-off runs;
 on a checkout where it is that `optimize`, the two time the same work),
 then the SMV emission of `solver_formula`'s result over ℤ (its
 milliseconds, bytes, propositions and sha256), under
-"fixed/handoff-gate0".
+"fixed/handoff-gate0".  Last it times start-up, under "fixed/startup":
+the wall time of a whole `python -m tdlite.cli` process, started without
+a bytecode cache from the checkout's root, for `tdlite solve` on a
+one-line formula and `tdlite check` of `ex1.kb`, 20 processes per side,
+the side that runs first alternating, with each side's median and
+quartiles in milliseconds and how many pairs the change won.
 
 Every entry names the two trees it compared: each side's commit, when
 the checkout is the top of a git work tree (else ""), and a sha256 over
@@ -63,6 +68,8 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 NORTH_STAR_BATCH = dict(F=50, N=2, Lt=2, Lc=2, Q=1, seed=777)
@@ -137,6 +144,10 @@ data = text.encode()
 stages["emit"].update(bytes=len(data), props=len(props), sha256=hashlib.sha256(data).hexdigest())
 print(json.dumps(stages))
 """
+
+STARTUP_PAIRS = 20
+STARTUP_FORMULA = "G (a -> F b) & F a\n"
+STARTUP_COMMANDS = {"solve": ["solve", "{formula}"], "check-ex1": ["check", "src/tdlite/data/ex1.kb"]}
 
 
 def run_once(root: Path, args, cpu: int) -> dict:
@@ -248,6 +259,37 @@ def run_fixed(roots: dict) -> dict:
                                   HANDOFF_CPU_SECONDS)
         print(f"handoff-gate0 {side}: {json.dumps(handoff[side])}", file=sys.stderr)
     out["fixed/handoff-gate0"] = handoff
+    out["fixed/startup"] = run_startup(roots)
+    return out
+
+
+def run_startup(roots: dict) -> dict:
+    """Alternating start-up times of each side's command line, one whole
+    process each."""
+    out = {"pairs": STARTUP_PAIRS}
+    with tempfile.TemporaryDirectory() as tmp:
+        formula = Path(tmp) / "formula.ltl"
+        formula.write_text(STARTUP_FORMULA)
+        for name, argv in STARTUP_COMMANDS.items():
+            argv = [a.replace("{formula}", str(formula)) for a in argv]
+            ms: dict[str, list[float]] = {side: [] for side in roots}
+            outputs = set()
+            for i in range(STARTUP_PAIRS):
+                for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                    env = dict(os.environ, PYTHONPATH=str(roots[side] / "src"),
+                               PYTHONDONTWRITEBYTECODE="1")
+                    t = time.perf_counter()
+                    proc = subprocess.run([sys.executable, "-m", "tdlite.cli", *argv],
+                                          cwd=roots[side], env=env, stdout=subprocess.PIPE,
+                                          stderr=subprocess.DEVNULL, text=True)
+                    ms[side].append((time.perf_counter() - t) * 1000.0)
+                    outputs.add((proc.returncode, proc.stdout))
+            out[name] = {
+                "outputs": sorted(f"exit {code}: {text.strip()}" for code, text in outputs),
+                **{side: summary(v) for side, v in ms.items()},
+                "change_wins": sum(c < b for b, c in zip(ms["base"], ms["change"])),
+            }
+            print(f"startup {name}: {json.dumps(out[name])}", file=sys.stderr)
     return out
 
 
